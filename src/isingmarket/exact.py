@@ -3,13 +3,21 @@
 Partition function, Gibbs moments and entropy by direct enumeration, plus the
 convex maximum-likelihood fit matching target moments and the pairwise
 multi-information ratio I2/IN = (S1 - S2) / (S1 - SN) in nats.
+
+Enumeration splits the spins into a low half (spins 0..N//2-1) and a high
+half: a block of at most 2^20 states has energies E_hi[:, None] + E_lo[None, :]
++ S_hi J_hl S_lo^T, and the blocks raveled row-major run in state_index order.
+Every quantity here sums p(s) w(s) (1, s, s s^T, E) over the blocks, with
+w = 1 or the energy of a second model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp, xlogy
 
 from .errors import (
@@ -24,7 +32,7 @@ from .moments import EXACT_SAMPLE, MomentSet, empirical_moments
 
 ENUMERATION_LIMIT = 25  # partition function / moments / entropy
 FIT_LIMIT = 20  # iterative fitting and configuration histograms
-_CHUNK_BITS = 16
+_BLOCK_BITS = 20
 
 
 def _check_size(n: int, limit: int, what: str) -> None:
@@ -35,44 +43,71 @@ def _check_size(n: int, limit: int, what: str) -> None:
         )
 
 
-def _state_chunks(n: int):
-    """Yield (chunk, N) ±1 float arrays covering all 2^N configurations.
+def _spins(bits: int, start: int, stop: int) -> np.ndarray:
+    """±1 rows for configuration indices start..stop-1, spin j at bit j."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(bits)) & 1) * 2.0 - 1.0
 
-    Spin j maps to bit j of the configuration index, lowest bit first.
+
+def _blocks(model: IsingModel):
+    """Yield (E, S_hi, S_lo) blocks covering all 2^N states in state_index order.
+
+    E[a, b] is the energy of the state whose high spins are S_hi[a] and whose
+    low spins are S_lo[b].
     """
-    total = 1 << n
-    step = min(total, 1 << _CHUNK_BITS)
-    bits = np.arange(n, dtype=np.int64)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        yield ((idx[:, None] >> bits) & 1).astype(np.float64) * 2.0 - 1.0
+    n, n_lo = model.n, model.n // 2
+    lo, hi = slice(0, n_lo), slice(n_lo, n)
+    s_lo = _spins(n_lo, 0, 1 << n_lo)
+    e_lo = IsingModel(J=model.J[lo, lo], h=model.h[lo]).energies(s_lo)
+    upper = IsingModel(J=model.J[hi, hi], h=model.h[hi])
+    rows = 1 << (_BLOCK_BITS - n_lo)
+    for start in range(0, 1 << (n - n_lo), rows):
+        s_hi = _spins(n - n_lo, start, min(start + rows, 1 << (n - n_lo)))
+        energy = (s_hi @ model.J[hi, lo]) @ s_lo.T
+        energy += upper.energies(s_hi)[:, None]
+        energy += e_lo
+        yield energy, s_hi, s_lo
+
+
+def _sums(model: IsingModel, log_z: float, weight: IsingModel | None = None):
+    """Sums of p w (1, s, s s^T, E) over all states, p = exp(E - log_z).
+
+    w is 1, or each state's energy under the model ``weight``.
+    """
+    n = model.n
+    total, first, second, mean_energy = 0.0, np.zeros(n), np.zeros((n, n)), 0.0
+    weights = repeat(None) if weight is None else _blocks(weight)
+    for (energy, s_hi, s_lo), w in zip(_blocks(model), weights):
+        p = np.exp(energy - log_z)
+        if w is not None:
+            p *= w[0]
+        rows, cols = p.sum(axis=1), p.sum(axis=0)
+        cross = s_hi.T @ p @ s_lo
+        total += rows.sum()
+        first += np.concatenate([cols @ s_lo, rows @ s_hi])
+        second += np.block([[(s_lo.T * cols) @ s_lo, cross.T],
+                            [cross, (s_hi.T * rows) @ s_hi]])
+        mean_energy += np.vdot(p, energy)
+    return total, first, second, mean_energy
 
 
 def state_index(spins: np.ndarray) -> np.ndarray:
-    """Configuration index for ±1 rows, consistent with _state_chunks."""
+    """Configuration index for ±1 rows: spin j maps to bit j, lowest bit first."""
     s = np.asarray(spins)
     weights = (1 << np.arange(s.shape[-1], dtype=np.int64))
     return ((s > 0).astype(np.int64) @ weights).astype(np.int64)
 
 
 def log_partition(model: IsingModel) -> float:
-    """ln Z, accumulated chunk-wise with max-shifted sums for overflow safety."""
+    """ln Z, a logsumexp over the per-block logsumexps (overflow safe)."""
     _check_size(model.n, ENUMERATION_LIMIT, "log_partition")
-    parts = [logsumexp(model.energies(chunk)) for chunk in _state_chunks(model.n)]
-    return float(logsumexp(parts))
+    return float(logsumexp([logsumexp(energy) for energy, _, _ in _blocks(model)]))
 
 
 def exact_moments(model: IsingModel) -> MomentSet:
     """<s_i> and <s_i s_j> under the Gibbs distribution (sample_size = exact)."""
     _check_size(model.n, ENUMERATION_LIMIT, "exact_moments")
-    log_z = log_partition(model)
-    n = model.n
-    q = np.zeros(n)
-    big_q = np.zeros((n, n))
-    for chunk in _state_chunks(n):
-        w = np.exp(model.energies(chunk) - log_z)
-        q += w @ chunk
-        big_q += chunk.T @ (chunk * w[:, None])
+    _, q, big_q, _ = _sums(model, log_partition(model))
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)
     return MomentSet(q=q, Q=big_q, C=big_q - np.outer(q, q), sample_size=EXACT_SAMPLE)
@@ -82,20 +117,14 @@ def gibbs_probabilities(model: IsingModel) -> np.ndarray:
     """All 2^N state probabilities, indexed by state_index ordering (N <= FIT_LIMIT)."""
     _check_size(model.n, FIT_LIMIT, "gibbs_probabilities")
     log_z = log_partition(model)
-    return np.concatenate(
-        [np.exp(model.energies(chunk) - log_z) for chunk in _state_chunks(model.n)]
-    )
+    return np.concatenate([np.exp(energy - log_z).ravel() for energy, _, _ in _blocks(model)])
 
 
 def entropy_exact(model: IsingModel) -> float:
     """Gibbs entropy in nats via S = ln Z - <E>."""
     _check_size(model.n, ENUMERATION_LIMIT, "entropy_exact")
     log_z = log_partition(model)
-    mean_energy = 0.0
-    for chunk in _state_chunks(model.n):
-        energy = model.energies(chunk)
-        mean_energy += np.exp(energy - log_z) @ energy
-    return float(log_z - mean_energy)
+    return float(log_z - _sums(model, log_z)[3])
 
 
 def entropy_independent(q: np.ndarray) -> float:
@@ -115,34 +144,22 @@ def entropy_empirical(matrix: SpinMatrix) -> float:
     return float(-xlogy(p, p).sum())
 
 
-def _pair_stats(chunk: np.ndarray, iu) -> np.ndarray:
-    """Sufficient statistics (s_i, s_i s_j for i<j) for each configuration."""
-    return np.hstack([chunk, chunk[:, iu[0]] * chunk[:, iu[1]]])
-
-
-def _fisher_summaries(model: IsingModel, iu) -> tuple[float, np.ndarray, np.ndarray]:
-    """(log Z, mean sufficient statistics, their covariance) by enumeration."""
-    log_z = log_partition(model)
-    d = model.n + len(iu[0])
-    mean = np.zeros(d)
-    second = np.zeros((d, d))
-    for chunk in _state_chunks(model.n):
-        w = np.exp(model.energies(chunk) - log_z)
-        phi = _pair_stats(chunk, iu)
-        mean += w @ phi
-        second += phi.T @ (phi * w[:, None])
-    return log_z, mean, second - np.outer(mean, mean)
-
-
 def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500) -> FitReport:
     """Fit (J, h) so that exact Gibbs moments match the targets.
 
-    Ascends the (convex) log-likelihood, whose gradient is target moments
-    minus model moments: quasi-Newton from h = atanh(q), J = 0, then exact
-    Newton steps until the max-abs moment residual is <= tol.
-    """
-    from scipy.optimize import minimize
+    Newton's method on the convex ln Z(theta) - theta . target, from
+    h = atanh(q), J = 0.  The gradient g is the moment residual (target minus
+    model moments of phi = (s_i, s_i s_j)); the Hessian H is Cov(phi, phi).
+    Each step solves (H + 0.1 |g| I) d = g by conjugate gradients, where H v
+    is one enumeration pass weighted by the energy phi . v of the model built
+    from v.  The damping vanishes with g and keeps early steps out of
+    near-frozen models, where H is nearly singular.  The step size is halved
+    until |g| decreases; near the optimum the objective is too flat to compare.
 
+    ``iterations`` counts Newton steps.  Raises ConvergenceError with the last
+    iterate if the max-abs residual is above tol after max_iter steps, or once
+    no step size reduces |g|.
+    """
     n = targets.n
     _check_size(n, FIT_LIMIT, "fit_maxent_exact")
     q_t = targets.q
@@ -157,52 +174,41 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
         coupling[iu] = theta[n:]
         return IsingModel(J=coupling + coupling.T, h=theta[:n])
 
-    def objective(theta: np.ndarray):
+    def stats(model: IsingModel, log_z: float, weight: IsingModel | None = None):
+        total, first, second, _ = _sums(model, log_z, weight)
+        return total, np.concatenate([first, second[iu]])
+
+    def evaluate(theta: np.ndarray):
         model = model_of(theta)
         log_z = log_partition(model)
-        current = exact_moments(model)
-        stats = np.concatenate([current.q, current.Q[iu]])
-        return log_z - theta @ target, stats - target
+        return theta, model, log_z, target - stats(model, log_z)[1]
 
-    theta = np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))])
-    result = minimize(
-        objective,
-        theta,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 0.1 * tol},
-    )
-    theta = result.x
-    iterations = int(result.nit)
+    def damped_hessp(v: np.ndarray) -> np.ndarray:  # at the current iterate
+        total, weighted = stats(model, log_z, model_of(v))
+        return weighted - (target - gradient) * total + 0.1 * norm * v
 
-    # Newton polish: quadratic convergence wipes out any quasi-Newton stall.
-    residual = np.inf
-    for _ in range(30):
-        model = model_of(theta)
-        log_z, mean, fisher = _fisher_summaries(model, iu)
-        gradient = target - mean
-        residual = float(np.abs(gradient).max())
-        if residual <= tol:
-            return FitReport(model=model, method="exact",
-                             iterations=iterations, residual=residual)
-        direction = np.linalg.solve(fisher + 1e-12 * np.eye(fisher.shape[0]), gradient)
-        value = theta @ target - log_z
-        step_size = 1.0
-        for _ in range(40):
-            candidate = theta + step_size * direction
-            cand_model = model_of(candidate)
-            cand_value = candidate @ target - log_partition(cand_model)
-            if cand_value >= value:
+    hessian = LinearOperator((len(target),) * 2, matvec=damped_hessp, dtype=np.float64)
+    theta, model, log_z, gradient = evaluate(
+        np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))]))
+    iterations = 0
+    while (residual := float(np.abs(gradient).max())) > tol and iterations < max_iter:
+        norm = np.linalg.norm(gradient)
+        direction, _ = cg(hessian, gradient, atol=0.1 * norm)
+        for step in 0.5 ** np.arange(40):
+            trial = evaluate(theta + step * direction)
+            if np.linalg.norm(trial[3]) < norm:
                 break
-            step_size *= 0.5
-        theta = candidate
+        else:
+            break  # |g| sits at rounding level
+        theta, model, log_z, gradient = trial
         iterations += 1
 
-    best = FitReport(model=model_of(theta), method="exact",
-                     iterations=iterations, residual=residual)
+    report = FitReport(model=model, method="exact", iterations=iterations, residual=residual)
+    if residual <= tol:
+        return report
     raise ConvergenceError(
         f"exact fit residual {residual:.3e} > tol {tol:.3e} after {iterations} iterations",
-        best=best,
+        best=report,
     )
 
 
@@ -220,16 +226,7 @@ class EntropyReport:
     units: str = "nats"
 
     def to_dict(self) -> dict:
-        return {
-            "S1": self.S1,
-            "S2": self.S2,
-            "SN": self.SN,
-            "I2": self.I2,
-            "IN": self.IN,
-            "ratio": self.ratio,
-            "small_sample": self.small_sample,
-            "units": self.units,
-        }
+        return asdict(self)
 
 
 def multi_information_ratio(

@@ -1,7 +1,7 @@
 """Shared helpers: planted models and independent brute-force oracles.
 
 The oracles enumerate configurations with itertools and per-state arithmetic,
-deliberately avoiding the package's chunked enumeration code path.
+deliberately avoiding the package's blockwise split-spin enumeration.
 """
 
 import itertools

@@ -11,6 +11,7 @@ from conftest import (
     planted_model,
 )
 from isingmarket import (
+    FitReport,
     IsingModel,
     SpinMatrix,
     entropy_empirical,
@@ -24,6 +25,7 @@ from isingmarket import (
 )
 from isingmarket.errors import (
     BoundaryError,
+    ConvergenceError,
     DegenerateRatioError,
     SizeLimitError,
 )
@@ -116,24 +118,56 @@ def test_spin_flip_negates_means():
     assert np.allclose(up.q, -down.q)
 
 
+# odd and even N, N=1 (empty low half of the spin split) and the N=5/6 originals
+SPLIT_SIZES = (1, 2, 5, 6, 9)
+
+
 def test_moments_match_brute_force():
-    model = planted_model(5, 0.5, 0.6, 8)
-    q, big_q = brute_moments(model.J, model.h)
-    mom = exact_moments(model)
-    assert np.allclose(mom.q, q, atol=1e-12)
-    assert np.allclose(mom.Q, big_q, atol=1e-12)
+    for n in SPLIT_SIZES:
+        model = planted_model(n, 0.5, 0.6, 8)
+        q, big_q = brute_moments(model.J, model.h)
+        mom = exact_moments(model)
+        assert np.allclose(mom.q, q, atol=1e-12)
+        assert np.allclose(mom.Q, big_q, atol=1e-12)
 
 
 def test_gibbs_probabilities_normalized():
     from conftest import brute_states
 
-    for seed in range(3):
-        model = planted_model(6, 0.4, 0.5, 20 + seed)
-        p = gibbs_probabilities(model)
-        assert abs(p.sum() - 1.0) <= 1e-12
-        # reindex oracle states to the package convention: bit j <-> spin j
-        idx = [int(sum((1 << j) for j in range(6) if s[j] > 0)) for s in brute_states(6)]
-        assert np.allclose(p[idx], brute_probabilities(model.J, model.h), atol=1e-13)
+    for n in SPLIT_SIZES:
+        for seed in range(3):
+            model = planted_model(n, 0.4, 0.5, 20 + seed)
+            p = gibbs_probabilities(model)
+            assert abs(p.sum() - 1.0) <= 1e-12
+            # reindex oracle states to the package convention: bit j <-> spin j
+            idx = [int(sum((1 << j) for j in range(n) if s[j] > 0)) for s in brute_states(n)]
+            assert np.allclose(p[idx], brute_probabilities(model.J, model.h), atol=1e-13)
+
+
+def test_multi_block_enumeration_joins_decoupled_clusters():
+    # N=22 is four enumeration blocks; cluster a (spins 5-14) straddles the low half 0-10
+    a = np.arange(5, 15)
+    b = np.setdiff1d(np.arange(22), a)
+    parts = [(idx, planted_model(len(idx), 0.4, 0.5, 60 + len(idx))) for idx in (a, b)]
+    coupling, field = np.zeros((22, 22)), np.zeros(22)
+    for idx, part in parts:
+        coupling[np.ix_(idx, idx)] = part.J
+        field[idx] = part.h
+    model = IsingModel(J=coupling, h=field)
+
+    q, big_q = np.zeros(22), np.zeros((22, 22))
+    for idx, part in parts:
+        q[idx], big_q[np.ix_(idx, idx)] = brute_moments(part.J, part.h)
+    in_a = np.isin(np.arange(22), a)
+    across = in_a[:, None] != in_a[None, :]  # pairs of independent spins
+    big_q[across] = np.outer(q, q)[across]
+    mom = exact_moments(model)
+    assert np.allclose(mom.q, q, atol=1e-12)
+    assert np.allclose(mom.Q, big_q, atol=1e-12)
+    assert log_partition(model) == pytest.approx(
+        sum(brute_log_partition(part.J, part.h) for _, part in parts), abs=1e-10)
+    assert entropy_exact(model) == pytest.approx(
+        sum(brute_entropy(part.J, part.h) for _, part in parts), abs=1e-10)
 
 
 # ----------------------------------------------------- gradient certificates
@@ -210,6 +244,16 @@ def test_fit_single_biased_spin():
     assert np.abs(fit.model.J).max() <= 1e-7
 
 
+def test_fit_not_converged_raises_with_best_iterate():
+    targets = exact_moments(planted_model(6, 0.3, 0.4, 5))
+    with pytest.raises(ConvergenceError) as caught:
+        fit_maxent_exact(targets, tol=1e-20, max_iter=3)
+    best = caught.value.best
+    assert isinstance(best, FitReport) and best.method == "exact"
+    assert np.isfinite(best.model.J).all() and np.isfinite(best.model.h).all()
+    assert best.residual > 1e-20
+
+
 def test_fit_boundary_targets_error():
     targets = MomentSet(q=np.array([1.0, 0.0]), Q=np.eye(2), C=np.eye(2),
                         sample_size=math.inf)
@@ -238,8 +282,9 @@ def test_entropy_decreases_with_coupling():
 
 
 def test_entropy_matches_brute_force():
-    model = planted_model(5, 0.5, 0.5, 77)
-    assert entropy_exact(model) == pytest.approx(brute_entropy(model.J, model.h), abs=1e-10)
+    for n in SPLIT_SIZES:
+        model = planted_model(n, 0.5, 0.5, 77)
+        assert entropy_exact(model) == pytest.approx(brute_entropy(model.J, model.h), abs=1e-10)
 
 
 def test_entropy_independent_values():
