@@ -2,40 +2,105 @@
 
 Each subcommand reads the previous stage's artifacts, writes JSON/CSV
 outputs plus a manifest, and is deterministic given its flags and seed.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Every option is declared once, in COMMANDS.  That table builds the argparse
+flags and gives config-file values the same type, choices and checks.  A
+value comes from its flag, else from the --config file (key=value lines or
+a JSON object), else from the default; the output directory falls back to
+$ISINGMARKET_OUTDIR, then ./artifacts.
+
+Exit codes: 0 success; 1 domain error, including malformed file content;
+2 usage error: unknown flag or key, a wrong type, a value out of range, a
+missing or unreadable path.  Handlers read every input before their first
+write, so nothing is written on 1 or 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, exact, ingest, inverse, moments, sampler, stats, tap
-from .errors import ToolkitError, UsageError
+from .errors import DimensionMismatchError, FormatError, ToolkitError, UsageError
 from .model import FitReport, IsingModel
 from .serialize import histogram_rows, write_csv, write_json, write_manifest
 
 ENV_OUTDIR = "ISINGMARKET_OUTDIR"
 
 
-def _default_outdir() -> str:
-    return os.environ.get(ENV_OUTDIR, "artifacts")
+def _at_least(low):
+    return (lambda v: v >= low, f">= {low}")
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+
+
+@dataclass(frozen=True)
+class Opt:
+    """One option: config key ``name``, flag ``--name`` with '-' for '_'.
+
+    type is str, int, float, bool (a switch) or list (one or more paths);
+    check is a (predicate, rule) pair applied to any value that is set.
+    """
+
+    name: str
+    type: type = str
+    default: object = None
+    check: tuple | None = None
+    choices: tuple = ()
+    required: bool = False
+    flag: bool = True  # False: a config-file key only
+    help: str | None = None
+
+    @property
+    def flag_name(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def _typed(opt: Opt, value):
+    """A config-file value as the option's type; key=value text is parsed."""
+    if isinstance(value, str) and opt.type in (int, float):
+        try:
+            value = opt.type(value)
+        except ValueError:
+            pass
+    elif isinstance(value, str) and opt.type is bool and value.lower() in ("true", "false"):
+        value = value.lower() == "true"
+    elif isinstance(value, str) and opt.type is list:
+        value = [value]
+    elif type(value) is int and opt.type is float:
+        value = float(value)
+    if type(value) is not opt.type or (
+            opt.type is list and not all(isinstance(v, str) for v in value)):
+        raise UsageError(f"{opt.name} must be of type {opt.type.__name__}, got {value!r}")
+    return value
+
+
+def _check(opt: Opt, value) -> None:
+    if opt.type is float and not math.isfinite(value):
+        raise UsageError(f"{opt.flag_name} must be finite, got {value!r}")
+    if opt.choices and value not in opt.choices:
+        raise UsageError(f"{opt.flag_name} must be one of {'|'.join(opt.choices)}, "
+                         f"got {value!r}")
+    if opt.check and not opt.check[0](value):
+        raise UsageError(f"{opt.flag_name} must be {opt.check[1]}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
     """Accept a JSON object or simple key=value lines (# comments allowed)."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        loaded = json.loads(text)
-        if not isinstance(loaded, dict):
-            raise UsageError(f"{path}: config JSON must be an object")
-        return loaded
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
     config = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -44,71 +109,58 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        config[key.strip().replace("-", "_")] = _coerce(value.strip())
+        config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
-
-
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
+def _resolve(ns: argparse.Namespace, options: list[Opt]) -> dict:
     """Precedence: explicit flag > config file > built-in default."""
-    file_config = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+    file_config = _load_config_file(ns.config) if ns.config else {}
     for key in file_config:
-        if key not in defaults and key not in ("outdir",):
+        if key not in {opt.name for opt in options} | {"outdir"}:
             raise UsageError(f"unknown config key {key!r}")
-    resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(ns, key, None)
-        resolved[key] = flag if flag is not None else file_config.get(key, default)
+    resolved = {"files": ns.files} if "files" in ns else {}
+    for opt in options:
+        value = getattr(ns, opt.name, None)
+        if value is None and file_config.get(opt.name) is not None:
+            value = _typed(opt, file_config[opt.name])
+        if value is None and opt.required:
+            raise UsageError(f"{ns.command} requires {opt.flag_name}")
+        if value is not None:
+            _check(opt, value)
+        resolved[opt.name] = opt.default if value is None else value
+    outdir = ns.outdir if ns.outdir is not None else file_config.get("outdir")
+    resolved["outdir"] = (os.environ.get(ENV_OUTDIR, "artifacts") if outdir is None
+                          else _typed(Opt("outdir"), outdir))
     return resolved
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
+def _load(path: str, parse):
+    """parse(JSON content of path); malformed content is a FormatError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed content ({exc!r})") from exc
 
 
 def _load_model(path: str) -> IsingModel:
-    payload = json.loads(Path(path).read_text())
-    if "model" in payload:  # a FitReport wraps the model
-        return IsingModel.from_dict(payload["model"])
-    return IsingModel.from_dict(payload)
-
-
-def _load_moments(path: str) -> moments.MomentSet:
-    return moments.MomentSet.from_dict(json.loads(Path(path).read_text()))
+    # a FitReport wraps the model
+    return _load(path, lambda d: IsingModel.from_dict(d["model"] if "model" in d else d))
 
 
 def _spectrum_artifacts(outdir: Path, spectrum, bins: int, stem: str) -> list[Path]:
     json_path = outdir / f"{stem}.json"
     hist_path = outdir / f"{stem}_hist.csv"
+    rows = histogram_rows(spectrum.eigenvalues, bins)
     write_json(json_path, spectrum.to_dict())
-    write_csv(hist_path, ["bin_left", "bin_right", "density"],
-              histogram_rows(spectrum.eigenvalues, bins))
+    write_csv(hist_path, ["bin_left", "bin_right", "density"], rows)
     return [json_path, hist_path]
 
 
 # ---------------------------------------------------------------- commands
+# Each handler takes the resolved config and returns (inputs, artifacts).
 
-def _cmd_ingest(ns) -> tuple[dict, list, list]:
-    defaults = {
-        "delimiter": ",",
-        "date_col": "Date",
-        "open_col": "Open",
-        "close_col": "Close",
-        "date_format": None,
-        "seed": None,
-    }
-    cfg = _resolve(ns, defaults)
+def _cmd_ingest(cfg) -> tuple[list, list]:
     fmt = ingest.OhlcFormat(
         delimiter=cfg["delimiter"],
         date_column=cfg["date_col"],
@@ -117,12 +169,11 @@ def _cmd_ingest(ns) -> tuple[dict, list, list]:
         date_format=cfg["date_format"],
     )
     series = []
-    for path in ns.files:
+    for path in cfg["files"]:
         with open(path, newline="") as handle:
             series.append(ingest.parse_ohlc(handle, fmt, ticker=Path(path).stem))
     matrix = ingest.binarize(series)
-    outdir = Path(ns.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(cfg["outdir"])
     spins_path = outdir / "spins.csv"
     ingest.write_spin_csv(matrix, spins_path)
     report_path = outdir / "ingest.json"
@@ -133,150 +184,89 @@ def _cmd_ingest(ns) -> tuple[dict, list, list]:
         "last_date": matrix.dates[-1],
         "dropped_rows": {s.ticker: s.dropped for s in series},
     })
-    cfg["files"] = [str(f) for f in ns.files]
-    return cfg, list(ns.files), [spins_path, report_path]
+    return cfg["files"], [spins_path, report_path]
 
 
-def _cmd_moments(ns) -> tuple[dict, list, list]:
-    cfg = _resolve(ns, {"spins": None, "seed": None})
-    _require(cfg["spins"] is not None, "moments requires --spins")
+def _cmd_moments(cfg) -> tuple[list, list]:
     matrix = ingest.read_spin_csv(cfg["spins"])
     result = moments.empirical_moments(matrix)
-    outdir = Path(ns.outdir)
-    path = outdir / "moments.json"
+    path = Path(cfg["outdir"]) / "moments.json"
     write_json(path, result.to_dict() | {"tickers": matrix.tickers})
-    return cfg, [cfg["spins"]], [path]
+    return [cfg["spins"]], [path]
 
 
-def _cmd_spectrum(ns) -> tuple[dict, list, list]:
-    cfg = _resolve(ns, {"spins": None, "bins": 50, "kind": "correlation", "seed": None})
-    _require(cfg["spins"] is not None, "spectrum requires --spins")
-    _require(cfg["bins"] >= 1, f"bins must be >= 1, got {cfg['bins']}")
+def _cmd_spectrum(cfg) -> tuple[list, list]:
     matrix = ingest.read_spin_csv(cfg["spins"])
     if cfg["kind"] == "correlation":
         spectrum = moments.correlation_spectrum(matrix)
     else:
         spectrum = moments.covariance_spectrum(matrix)
-    artifacts = _spectrum_artifacts(Path(ns.outdir), spectrum, cfg["bins"], "spectrum")
-    return cfg, [cfg["spins"]], artifacts
+    artifacts = _spectrum_artifacts(Path(cfg["outdir"]), spectrum, cfg["bins"], "spectrum")
+    return [cfg["spins"]], artifacts
 
 
-def _cmd_fit(ns) -> tuple[dict, list, list]:
-    defaults = {
-        "method": None,
-        "moments": None,
-        "spins": None,
-        "tol": 1e-8,
-        "max_iter": 500,
-        "ridge": None,
-        "strict": False,
-        "seed": None,
-    }
-    cfg = _resolve(ns, defaults)
+def _cmd_fit(cfg) -> tuple[list, list]:
     method = cfg["method"]
-    _require(method in ("exact", "nmf", "tap-inv", "plm"),
-             f"--method must be one of exact|nmf|tap-inv|plm, got {method!r}")
-    _require(cfg["tol"] > 0, f"tol must be > 0, got {cfg['tol']}")
-    _require(cfg["max_iter"] >= 1, f"max-iter must be >= 1, got {cfg['max_iter']}")
-    if cfg["ridge"] is not None:
-        _require(cfg["ridge"] >= 0, f"ridge must be >= 0, got {cfg['ridge']}")
-
-    inputs = []
-    if method == "plm":
-        _require(cfg["spins"] is not None, "plm fits from raw spins; pass --spins")
-        matrix = ingest.read_spin_csv(cfg["spins"])
-        inputs.append(cfg["spins"])
-        ridge = 1e-3 if cfg["ridge"] is None else cfg["ridge"]
-        report = inverse.plm_fit(matrix, ridge=ridge, tol=cfg["tol"])
+    from_spins = inverse.FIT_METHODS[method][1]
+    if from_spins or cfg["moments"] is None:
+        if cfg["spins"] is None:
+            raise UsageError(f"{method} fits from raw spins; pass --spins" if from_spins
+                             else f"{method} needs --moments (or --spins to derive them)")
+        source, data = cfg["spins"], ingest.read_spin_csv(cfg["spins"])
     else:
-        if cfg["moments"] is not None:
-            momset = _load_moments(cfg["moments"])
-            inputs.append(cfg["moments"])
-        elif cfg["spins"] is not None:
-            momset = moments.empirical_moments(ingest.read_spin_csv(cfg["spins"]))
-            inputs.append(cfg["spins"])
-        else:
-            raise UsageError(f"{method} needs --moments (or --spins to derive them)")
-        ridge = 0.0 if cfg["ridge"] is None else cfg["ridge"]
-        if method == "exact":
-            report = exact.fit_maxent_exact(momset, tol=cfg["tol"], max_iter=cfg["max_iter"])
-        elif method == "nmf":
-            report = inverse.nmf_invert(momset, ridge=ridge)
-        else:
-            report = inverse.tap_invert(momset, ridge=ridge, strict=cfg["strict"])
+        source, data = cfg["moments"], _load(cfg["moments"], moments.MomentSet.from_dict)
+    report = inverse.fit(method, data, tol=cfg["tol"], max_iter=cfg["max_iter"],
+                         ridge=cfg["ridge"], strict=cfg["strict"])
 
-    outdir = Path(ns.outdir)
+    outdir = Path(cfg["outdir"])
     fit_path = outdir / "fit.json"
     write_json(fit_path, report.to_dict())
     coupling_path = outdir / "coupling.csv"
-    n = report.model.n
-    write_csv(coupling_path, [f"j{i}" for i in range(n)], report.model.J)
-    return cfg, inputs, [fit_path, coupling_path]
+    write_csv(coupling_path, [f"j{i}" for i in range(report.model.n)], report.model.J)
+    return [source], [fit_path, coupling_path]
 
 
-def _cmd_tap(ns) -> tuple[dict, list, list]:
-    defaults = {"model": None, "spins": None, "damping": 0.5,
-                "tol": 1e-10, "max_iter": 10000, "seed": None}
-    cfg = _resolve(ns, defaults)
-    _require(cfg["model"] is not None, "tap requires --model")
-    _require(0.0 < cfg["damping"] <= 1.0, f"damping must be in (0, 1], got {cfg['damping']}")
-    _require(cfg["tol"] > 0, f"tol must be > 0, got {cfg['tol']}")
+def _cmd_tap(cfg) -> tuple[list, list]:
     model = _load_model(cfg["model"])
-    solution = tap.tap_fixed_point(model, damping=cfg["damping"],
-                                   tol=cfg["tol"], max_iter=cfg["max_iter"])
-    outdir = Path(ns.outdir)
-    artifacts = [outdir / "tap.json"]
-    write_json(artifacts[0], solution.to_dict())
     inputs = [cfg["model"]]
     if cfg["spins"] is not None:
         matrix = ingest.read_spin_csv(cfg["spins"])
+        if matrix.n != model.n:
+            raise DimensionMismatchError(f"model has N={model.n}, spins have N={matrix.n}")
         empirical = moments.empirical_moments(matrix)
-        pairs_path = outdir / "tap_pairs.csv"
-        write_csv(pairs_path, ["ticker", "empirical_mean", "tap_mean"],
-                  zip(matrix.tickers, empirical.q, solution.m))
-        artifacts.append(pairs_path)
         inputs.append(cfg["spins"])
-    return cfg, inputs, artifacts
+    solution = tap.tap_fixed_point(model, damping=cfg["damping"],
+                                   tol=cfg["tol"], max_iter=cfg["max_iter"])
+    outdir = Path(cfg["outdir"])
+    artifacts = [outdir / "tap.json"]
+    write_json(artifacts[0], solution.to_dict())
+    if cfg["spins"] is not None:
+        artifacts.append(outdir / "tap_pairs.csv")
+        write_csv(artifacts[1], ["ticker", "empirical_mean", "tap_mean"],
+                  zip(matrix.tickers, empirical.q, solution.m))
+    return inputs, artifacts
 
 
-def _cmd_multiinfo(ns) -> tuple[dict, list, list]:
-    defaults = {"spins": None, "tol": 1e-6, "fit_tol": 1e-8,
-                "max_iter": 500, "seed": None}
-    cfg = _resolve(ns, defaults)
-    _require(cfg["spins"] is not None, "multiinfo requires --spins")
-    _require(cfg["tol"] > 0, f"tol must be > 0, got {cfg['tol']}")
+def _cmd_multiinfo(cfg) -> tuple[list, list]:
     matrix = ingest.read_spin_csv(cfg["spins"])
-    report = exact.multi_information_ratio(matrix, tol=cfg["tol"],
-                                           fit_tol=cfg["fit_tol"],
+    report = exact.multi_information_ratio(matrix, tol=cfg["tol"], fit_tol=cfg["fit_tol"],
                                            max_iter=cfg["max_iter"])
-    path = Path(ns.outdir) / "multiinfo.json"
+    path = Path(cfg["outdir"]) / "multiinfo.json"
     write_json(path, report.to_dict())
-    return cfg, [cfg["spins"]], [path]
+    return [cfg["spins"]], [path]
 
 
-def _cmd_sample(ns) -> tuple[dict, list, list]:
-    defaults = {"model": None, "rows": None, "burn_in": 1000, "thin": 1, "seed": 0}
-    cfg = _resolve(ns, defaults)
-    _require(cfg["model"] is not None, "sample requires --model")
-    _require(cfg["rows"] is not None and cfg["rows"] >= 1, "sample requires --rows >= 1")
-    _require(cfg["burn_in"] >= 0, f"burn-in must be >= 0, got {cfg['burn_in']}")
-    _require(cfg["thin"] >= 1, f"thin must be >= 1, got {cfg['thin']}")
+def _cmd_sample(cfg) -> tuple[list, list]:
     model = _load_model(cfg["model"])
     matrix = sampler.glauber_sample(model, sampler.SamplerConfig(
         rows=cfg["rows"], burn_in=cfg["burn_in"], thin=cfg["thin"], seed=cfg["seed"]))
-    path = Path(ns.outdir) / "spins.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = Path(cfg["outdir"]) / "spins.csv"
     ingest.write_spin_csv(matrix, path)
-    return cfg, [cfg["model"]], [path]
+    return [cfg["model"]], [path]
 
 
-def _cmd_noise(ns) -> tuple[dict, list, list]:
-    defaults = {"fit": None, "t": None, "method": "tap-inv",
-                "burn_in": 1000, "thin": 1, "seed": 0}
-    cfg = _resolve(ns, defaults)
-    _require(cfg["fit"] is not None, "noise requires --fit")
-    _require(cfg["t"] is not None and cfg["t"] >= 2, "noise requires --t >= 2")
-    real_fit = FitReport.from_dict(json.loads(Path(cfg["fit"]).read_text()))
+def _cmd_noise(cfg) -> tuple[list, list]:
+    real_fit = _load(cfg["fit"], FitReport.from_dict)
     report = sampler.noise_ratio(
         real_fit,
         n=real_fit.model.n,
@@ -285,103 +275,150 @@ def _cmd_noise(ns) -> tuple[dict, list, list]:
                                      thin=cfg["thin"], seed=cfg["seed"]),
         method=cfg["method"],
     )
-    path = Path(ns.outdir) / "noise.json"
+    path = Path(cfg["outdir"]) / "noise.json"
     write_json(path, report.to_dict())
-    return cfg, [cfg["fit"]], [path]
+    return [cfg["fit"]], [path]
 
 
-def _cmd_normality(ns) -> tuple[dict, list, list]:
-    defaults = {"model": None, "bins": 20, "trim": 0.04,
-                "quantiles": 1000, "seed": None}
-    cfg = _resolve(ns, defaults)
-    _require(cfg["model"] is not None, "normality requires --model")
-    _require(0.0 <= cfg["trim"] < 0.5, f"trim must be in [0, 0.5), got {cfg['trim']}")
-    _require(cfg["bins"] >= 4, f"bins must be >= 4, got {cfg['bins']}")
-    _require(cfg["quantiles"] >= 2, f"quantiles must be >= 2, got {cfg['quantiles']}")
+def _cmd_normality(cfg) -> tuple[list, list]:
     model = _load_model(cfg["model"])
     values = model.J[np.triu_indices(model.n, k=1)]
     report = stats.normality_tests(values, bins=cfg["bins"], trim_fraction=cfg["trim"])
     pairs = stats.qq_compare(stats.trim_upper_tail(values, cfg["trim"]),
                              quantile_count=cfg["quantiles"])
-    outdir = Path(ns.outdir)
+    outdir = Path(cfg["outdir"])
     report_path = outdir / "normality.json"
     write_json(report_path, report.to_dict() | {
         "negative_fraction": stats.negative_fraction(model.J)})
     qq_path = outdir / "qq.csv"
     write_csv(qq_path, ["empirical", "theoretical"], pairs)
-    return cfg, [cfg["model"]], [report_path, qq_path]
+    return [cfg["model"]], [report_path, qq_path]
 
 
-def _cmd_scaling(ns) -> tuple[dict, list, list]:
-    defaults = {"models": None, "points": None, "use_abs": False, "seed": None}
-    cfg = _resolve(ns, defaults)
-    inputs: list[str] = []
+def _cmd_scaling(cfg) -> tuple[list, list]:
     if cfg["points"] is not None:
-        rows = np.loadtxt(cfg["points"], delimiter=",", skiprows=1, ndmin=2)
-        sizes, means = rows[:, 0], rows[:, 1]
-        inputs.append(cfg["points"])
-    else:
-        _require(bool(cfg["models"]), "scaling requires --points or --models")
-        sizes, means = [], []
-        for path in cfg["models"]:
+        inputs = [cfg["points"]]
+        try:
+            rows = np.loadtxt(cfg["points"], delimiter=",", skiprows=1, ndmin=2)
+            sizes, means = rows[:, 0], rows[:, 1]
+        except (ValueError, IndexError) as exc:  # IndexError: no rows, or one column
+            raise FormatError(f"{cfg['points']}: expected rows N,mean ({exc})") from exc
+    elif cfg["models"]:
+        inputs, sizes, means = cfg["models"], [], []
+        for path in inputs:
             model = _load_model(path)
             upper = model.J[np.triu_indices(model.n, k=1)]
             sizes.append(model.n)
             means.append(np.abs(upper).mean() if cfg["use_abs"] else upper.mean())
-            inputs.append(path)
-        sizes, means = np.asarray(sizes, float), np.asarray(means, float)
-    fit = stats.powerlaw_fit(sizes, means)
-    outdir = Path(ns.outdir)
+    else:
+        raise UsageError("scaling requires --points or --models")
+    fit = stats.powerlaw_fit(np.asarray(sizes, float), np.asarray(means, float))
+    outdir = Path(cfg["outdir"])
     fit_path = outdir / "scaling.json"
     write_json(fit_path, fit.to_dict() | {"mean_kind": "abs" if cfg["use_abs"] else "signed"})
     points_path = outdir / "scaling_points.csv"
     write_csv(points_path, ["N", "mean_coupling"], zip(fit.sizes, fit.means))
-    return cfg, inputs, [fit_path, points_path]
+    return inputs, [fit_path, points_path]
 
 
-def _cmd_bias(ns) -> tuple[dict, list, list]:
-    cfg = _resolve(ns, {"model": None, "spins": None, "seed": None})
-    _require(cfg["model"] is not None, "bias requires --model")
-    _require(cfg["spins"] is not None, "bias requires --spins")
+def _cmd_bias(cfg) -> tuple[list, list]:
     model = _load_model(cfg["model"])
     matrix = ingest.read_spin_csv(cfg["spins"])
     table = stats.bias_decomposition(model, matrix)
-    outdir = Path(ns.outdir)
+    outdir = Path(cfg["outdir"])
     json_path = outdir / "bias.json"
     write_json(json_path, table.to_dict())
     csv_path = outdir / "bias.csv"
     write_csv(csv_path, ["ticker", "h", "h_int_mean", "h_int_std"],
               ((r.ticker, r.h, r.h_int_mean, r.h_int_std) for r in table.rows))
-    return cfg, [cfg["model"], cfg["spins"]], [json_path, csv_path]
+    return [cfg["model"], cfg["spins"]], [json_path, csv_path]
 
 
-def _cmd_critical_demo(ns) -> tuple[dict, list, list]:
-    defaults = {"n": 100, "t": 5000, "coupling": 1.0, "seed": 0,
-                "burn_in": 1000, "bins": 50}
-    cfg = _resolve(ns, defaults)
-    _require(cfg["n"] >= 20, f"n must be >= 20, got {cfg['n']}")
-    _require(cfg["t"] >= 10 * cfg["n"], f"t must be >= 10*n, got {cfg['t']}")
-    _require(cfg["coupling"] >= 0, f"coupling must be >= 0, got {cfg['coupling']}")
+def _cmd_critical_demo(cfg) -> tuple[list, list]:
+    if cfg["t"] < 10 * cfg["n"]:
+        raise UsageError(f"t must be >= 10*n, got {cfg['t']}")
     spectrum = stats.critical_spectrum_demo(cfg["n"], cfg["coupling"], cfg["t"],
                                             seed=cfg["seed"], burn_in=cfg["burn_in"])
-    artifacts = _spectrum_artifacts(Path(ns.outdir), spectrum, cfg["bins"],
+    artifacts = _spectrum_artifacts(Path(cfg["outdir"]), spectrum, cfg["bins"],
                                     "critical_spectrum")
-    return cfg, [], artifacts
+    return [], artifacts
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "moments": _cmd_moments,
-    "spectrum": _cmd_spectrum,
-    "fit": _cmd_fit,
-    "tap": _cmd_tap,
-    "multiinfo": _cmd_multiinfo,
-    "sample": _cmd_sample,
-    "noise": _cmd_noise,
-    "normality": _cmd_normality,
-    "scaling": _cmd_scaling,
-    "bias": _cmd_bias,
-    "critical-demo": _cmd_critical_demo,
+# ---------------------------------------------------------------- options
+
+_SPINS = Opt("spins", required=True)
+_MODEL = Opt("model", required=True)
+_SEED = Opt("seed", int, check=_at_least(0), flag=False)  # recorded in the manifest
+_SAMPLER = [Opt("burn_in", int, 1000, _at_least(0)), Opt("thin", int, 1, _at_least(1)),
+            Opt("seed", int, 0, _at_least(0))]
+_TOL = Opt("tol", float, check=_POSITIVE)
+_MAX_ITER = Opt("max_iter", int, check=_at_least(1))
+
+
+# subcommand -> (handler, help, options)
+COMMANDS = {
+    "ingest": (_cmd_ingest, "parse OHLC files and binarize into a spin CSV", [
+        Opt("delimiter", default=",", check=(lambda v: len(v) == 1, "one character")),
+        Opt("date_col", default="Date"),
+        Opt("open_col", default="Open"),
+        Opt("close_col", default="Close"),
+        Opt("date_format", help="strptime format if not ISO-8601"),
+        _SEED]),
+    "moments": (_cmd_moments, "empirical moments of a spin CSV", [_SPINS, _SEED]),
+    "spectrum": (_cmd_spectrum, "correlation/covariance eigenvalue spectrum", [
+        _SPINS,
+        Opt("bins", int, 50, _at_least(1)),
+        Opt("kind", default="correlation", choices=("correlation", "covariance")),
+        _SEED]),
+    "fit": (_cmd_fit, "infer couplings and fields", [
+        Opt("method", choices=tuple(inverse.FIT_METHODS), required=True),
+        Opt("moments"),
+        Opt("spins"),
+        replace(_TOL, default=1e-8),
+        replace(_MAX_ITER, default=500),
+        Opt("ridge", float, check=_at_least(0)),
+        Opt("strict", bool, False),
+        _SEED]),
+    "tap": (_cmd_tap, "forward TAP solve plus stability statistic", [
+        replace(_MODEL, help="model JSON or fit JSON"),
+        Opt("spins", help="optional spins for an empirical-vs-TAP table"),
+        Opt("damping", float, 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+        replace(_TOL, default=1e-10),
+        replace(_MAX_ITER, default=10000),
+        _SEED]),
+    "multiinfo": (_cmd_multiinfo, "pairwise share of the total correlation structure", [
+        _SPINS,
+        replace(_TOL, default=1e-6),
+        Opt("fit_tol", float, 1e-8, _POSITIVE),
+        replace(_MAX_ITER, default=500),
+        _SEED]),
+    "sample": (_cmd_sample, "Glauber-sample synthetic spins from a model", [
+        _MODEL, Opt("rows", int, check=_at_least(1), required=True), *_SAMPLER]),
+    "noise": (_cmd_noise, "noise floor of an inversion via a homogeneous surrogate", [
+        Opt("fit", required=True, help="fit JSON from real data"),
+        Opt("t", int, check=_at_least(2), required=True, help="synthetic sample length"),
+        Opt("method", default="tap-inv", choices=tuple(inverse.FIT_METHODS)),
+        *_SAMPLER]),
+    "normality": (_cmd_normality, "coupling-bulk normality tests and QQ table", [
+        _MODEL,
+        Opt("bins", int, 20, _at_least(4)),
+        Opt("trim", float, 0.04, (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)")),
+        Opt("quantiles", int, 1000, _at_least(2)),
+        _SEED]),
+    "scaling": (_cmd_scaling, "power-law fit of mean coupling versus system size", [
+        Opt("models", list),
+        Opt("points", help="CSV with header and rows N,mean"),
+        Opt("use_abs", bool, False),
+        _SEED]),
+    "bias": (_cmd_bias, "field versus internal-bias decomposition table",
+             [_MODEL, _SPINS, _SEED]),
+    "critical-demo": (_cmd_critical_demo, "eigenvalue escape at the critical coupling scale", [
+        Opt("n", int, 100, _at_least(20)),
+        Opt("t", int, 5000),
+        Opt("coupling", float, 1.0, _at_least(0), help="coupling scale J (1.0 = transition)"),
+        Opt("seed", int, 0, _at_least(0)),
+        Opt("burn_in", int, 1000, _at_least(0)),
+        Opt("bins", int, 50, _at_least(1))]),
 }
 
 
@@ -392,106 +429,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-o", "--outdir", default=_default_outdir(),
+        p.add_argument("-o", "--outdir",
                        help=f"output directory (default ${ENV_OUTDIR} or ./artifacts)")
         p.add_argument("--config", help="key=value or JSON config file")
-        return p
-
-    p = add("ingest", "parse OHLC files and binarize into a spin CSV")
-    p.add_argument("files", nargs="+", help="one OHLC CSV per ticker")
-    p.add_argument("--delimiter")
-    p.add_argument("--date-col")
-    p.add_argument("--open-col")
-    p.add_argument("--close-col")
-    p.add_argument("--date-format", help="strptime format if not ISO-8601")
-
-    p = add("moments", "empirical moments of a spin CSV")
-    p.add_argument("--spins")
-
-    p = add("spectrum", "correlation/covariance eigenvalue spectrum")
-    p.add_argument("--spins")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--kind", choices=["correlation", "covariance"])
-
-    p = add("fit", "infer couplings and fields")
-    p.add_argument("--method", choices=["exact", "nmf", "tap-inv", "plm"])
-    p.add_argument("--moments")
-    p.add_argument("--spins")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--strict", action="store_const", const=True)
-
-    p = add("tap", "forward TAP solve plus stability statistic")
-    p.add_argument("--model", help="model JSON or fit JSON")
-    p.add_argument("--spins", help="optional spins for an empirical-vs-TAP table")
-    p.add_argument("--damping", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-
-    p = add("multiinfo", "pairwise share of the total correlation structure")
-    p.add_argument("--spins")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--fit-tol", type=float, dest="fit_tol")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-
-    p = add("sample", "Glauber-sample synthetic spins from a model")
-    p.add_argument("--model")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--burn-in", type=int, dest="burn_in")
-    p.add_argument("--thin", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("noise", "noise floor of an inversion via a homogeneous surrogate")
-    p.add_argument("--fit", help="fit JSON from real data")
-    p.add_argument("--t", type=int, help="synthetic sample length")
-    p.add_argument("--method", choices=["exact", "nmf", "tap-inv", "plm"])
-    p.add_argument("--burn-in", type=int, dest="burn_in")
-    p.add_argument("--thin", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("normality", "coupling-bulk normality tests and QQ table")
-    p.add_argument("--model")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--trim", type=float)
-    p.add_argument("--quantiles", type=int)
-
-    p = add("scaling", "power-law fit of mean coupling versus system size")
-    p.add_argument("--models", nargs="+")
-    p.add_argument("--points", help="CSV with header and rows N,mean")
-    p.add_argument("--use-abs", action="store_const", const=True, dest="use_abs")
-
-    p = add("bias", "field versus internal-bias decomposition table")
-    p.add_argument("--model")
-    p.add_argument("--spins")
-
-    p = add("critical-demo", "eigenvalue escape at the critical coupling scale")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--coupling", type=float, help="coupling scale J (1.0 = transition)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--burn-in", type=int, dest="burn_in")
-    p.add_argument("--bins", type=int)
-
+        if name == "ingest":
+            p.add_argument("files", nargs="+", help="one OHLC CSV per ticker")
+        for opt in options:
+            if not opt.flag:
+                continue
+            kind = ({"action": "store_const", "const": True} if opt.type is bool
+                    else {"nargs": "+"} if opt.type is list
+                    else {"type": opt.type, "choices": opt.choices or None})
+            p.add_argument(opt.flag_name, help=opt.help, **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    handler = _HANDLERS[ns.command]
+    ns = build_parser().parse_args(argv)
+    handler, _, options = COMMANDS[ns.command]
     try:
-        config, inputs, artifacts = handler(ns)
-    except UsageError as exc:
+        config = _resolve(ns, options)
+        inputs, artifacts = handler(config)
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ToolkitError as exc:
+    except (ToolkitError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    manifest = write_manifest(ns.outdir, ns.command, config, inputs, artifacts)
+    manifest = write_manifest(config["outdir"], ns.command, config, inputs, artifacts)
     for artifact in list(artifacts) + [manifest]:
         print(artifact)
     return 0

@@ -212,4 +212,10 @@ def read_spin_csv(path) -> SpinMatrix:
                 raise FormatError(f"{path}: non-integer spin cell in row {record!r}") from exc
     if not rows:
         raise EmptyInputError(f"{path}: no spin rows")
-    return SpinMatrix(tickers=tickers, dates=dates, values=np.asarray(rows, dtype=np.int8))
+    try:
+        values = np.asarray(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: spin cell out of range") from exc
+    if np.any(np.abs(values) > 1):  # SpinMatrix's int8 cast would wrap these around
+        raise FormatError(f"{path}: spin cell outside -1..1")
+    return SpinMatrix(tickers=tickers, dates=dates, values=values)

@@ -1,6 +1,7 @@
 """Approximate inverse solvers: mean-field inversions and pseudo-likelihood.
 
-All three return a FitReport with a symmetric zero-diagonal coupling matrix.
+All three return a FitReport with a symmetric zero-diagonal coupling matrix;
+``fit`` dispatches to them, and to the exact fit, by method name.
 The second-order inversion solves, pair by pair,
 
     (C^-1)_ij = -J_ij - J_ij^2 q_i q_j
@@ -11,17 +12,21 @@ q_i q_j -> 0.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DivergenceError,
     InsufficientSampleError,
     ReliabilityError,
     SingularMatrixError,
 )
+from .exact import fit_maxent_exact
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel, symmetrize
-from .moments import MomentSet
+from .moments import MomentSet, empirical_moments
 
 CONDITION_LIMIT = 1e12
 _SERIES_CUTOFF = 1e-6  # |q_i q_j| below this uses the series branch
@@ -190,3 +195,33 @@ def plm_fit(
         method="plm",
         iterations=total_iterations,
     )
+
+
+# method -> (solver named in this module, whether it fits raw spins instead of moments)
+FIT_METHODS = {
+    "exact": ("fit_maxent_exact", False),
+    "nmf": ("nmf_invert", False),
+    "tap-inv": ("tap_invert", False),
+    "plm": ("plm_fit", True),
+}
+
+
+def fit(method: str, data: SpinMatrix | MomentSet, **options) -> FitReport:
+    """Fit a model with one of FIT_METHODS.
+
+    Spins are reduced to their empirical moments for the moment-based
+    methods.  Options the solver does not take, or that are None, are
+    dropped, so its own defaults apply.  The solver is looked up in the
+    module namespace on every call: rebinding it (to a tracing wrapper, say)
+    takes effect here too.
+    """
+    if method not in FIT_METHODS:
+        raise ConfigError(f"unknown inversion method {method!r}")
+    name, from_spins = FIT_METHODS[method]
+    if from_spins and not isinstance(data, SpinMatrix):
+        raise ConfigError(f"{method} fits raw spins, not moments")
+    if not from_spins and isinstance(data, SpinMatrix):
+        data = empirical_moments(data)
+    solver = globals()[name]
+    accepted = inspect.signature(solver).parameters
+    return solver(data, **{k: v for k, v in options.items() if k in accepted and v is not None})

@@ -61,6 +61,8 @@ class IsingModel:
     @classmethod
     def from_dict(cls, d: dict) -> "IsingModel":
         n = int(d["N"])
+        if n < 1:
+            raise FormatError(f"N must be >= 1, got {n}")
         h = np.asarray(d["h"], dtype=np.float64)
         j = np.asarray(d["J"], dtype=np.float64)
         if j.size != n * n:

@@ -13,9 +13,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import inverse
 from .errors import ConfigError, DegenerateRatioError, DimensionMismatchError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
+from .serialize import _jsonable
 
 _SWEEP_BATCH = 512  # sweeps per batched RNG draw
 _FIELD_REFRESH = 512  # sweeps between full local-field recomputations
@@ -99,12 +101,7 @@ class NoiseReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_noise": self.sigma_noise,
-            "sigma_J": self.sigma_J,
-            "ratio": self.ratio,
-            "config": self.config,
-        }
+        return _jsonable(asdict(self))
 
 
 def _offdiag(matrix: np.ndarray) -> np.ndarray:
@@ -126,10 +123,6 @@ def noise_ratio(
     same method, and compares coupling spreads: any spread in the re-inferred
     matrix is pure estimation noise.
     """
-    from . import inverse  # deferred to keep module import acyclic
-    from .exact import fit_maxent_exact
-    from .moments import empirical_moments
-
     if real_fit.model.n != n:
         raise DimensionMismatchError(
             f"real fit has N={real_fit.model.n}, requested N={n}"
@@ -146,17 +139,7 @@ def noise_ratio(
 
     sampled = glauber_sample(surrogate, SamplerConfig(rows=t, burn_in=config.burn_in,
                                                       thin=config.thin, seed=config.seed))
-    if method == "nmf":
-        refit = inverse.nmf_invert(empirical_moments(sampled))
-    elif method == "tap-inv":
-        refit = inverse.tap_invert(empirical_moments(sampled))
-    elif method == "plm":
-        refit = inverse.plm_fit(sampled)
-    elif method == "exact":
-        refit = fit_maxent_exact(empirical_moments(sampled))
-    else:
-        raise ConfigError(f"unknown inversion method {method!r}")
-
+    refit = inverse.fit(method, sampled)
     sigma_noise = float(_offdiag(refit.model.J).std())
     echo = config.to_dict() | {"method": method, "N": n, "T": t, "mean_J": mean_j}
     return NoiseReport(

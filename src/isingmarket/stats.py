@@ -9,7 +9,7 @@ internal-bias decomposition, and the critical-coupling eigenvalue demo.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats as sps
@@ -24,6 +24,7 @@ from .ingest import SpinMatrix
 from .model import IsingModel
 from .moments import Spectrum, covariance_spectrum
 from .sampler import SamplerConfig, glauber_sample
+from .serialize import _jsonable
 
 _MIN_NORMALITY_SAMPLE = 50
 
@@ -40,16 +41,7 @@ class NormalityReport:
     std: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trimmed": self.trimmed,
-            "chi2_stat": self.chi2_stat,
-            "chi2_p": self.chi2_p,
-            "jb_stat": self.jb_stat,
-            "jb_p": self.jb_p,
-            "mean": self.mean,
-            "std": self.std,
-        }
+        return _jsonable(asdict(self))
 
 
 @dataclass
@@ -62,14 +54,7 @@ class ScalingFit:
     r2: float
 
     def to_dict(self) -> dict:
-        return {
-            "sizes": self.sizes.tolist(),
-            "means": self.means.tolist(),
-            "alpha_hat": self.alpha_hat,
-            "alpha_se": self.alpha_se,
-            "a_hat": self.a_hat,
-            "r2": self.r2,
-        }
+        return _jsonable(asdict(self))
 
 
 @dataclass
@@ -85,17 +70,7 @@ class BiasTable:
     rows: list[BiasRow]
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "ticker": r.ticker,
-                    "h": r.h,
-                    "h_int_mean": r.h_int_mean,
-                    "h_int_std": r.h_int_std,
-                }
-                for r in self.rows
-            ]
-        }
+        return _jsonable(asdict(self))
 
 
 def qq_compare(values: np.ndarray, quantile_count: int = 1000) -> np.ndarray:
@@ -221,8 +196,12 @@ def powerlaw_fit(sizes: np.ndarray, means: np.ndarray) -> ScalingFit:
         raise DimensionMismatchError("sizes and means must have equal length")
     if sizes.size < 3:
         raise InsufficientSampleError("power-law fit needs at least 3 points")
+    if not (np.isfinite(sizes).all() and np.isfinite(means).all()):
+        raise DomainError("system sizes and mean couplings must be finite")
     if np.any(sizes <= 0.0):
         raise DomainError("system sizes must be strictly positive")
+    if np.all(sizes == sizes[0]) or np.all(means == means[0]):
+        raise DegenerateDataError("power-law fit needs distinct sizes and non-constant means")
     if np.any(means <= 0.0):
         raise DomainError(
             "mean couplings must be strictly positive for a log-log fit; "

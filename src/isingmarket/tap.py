@@ -11,12 +11,13 @@ the mean-field solution is trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
 from .model import IsingModel
+from .serialize import _jsonable
 
 
 @dataclass
@@ -31,14 +32,7 @@ class TapSolution:
     third_cumulants: np.ndarray  # 2 (m^3 - m)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m.tolist(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "x_stability": self.x_stability,
-            "variances": self.variances.tolist(),
-            "third_cumulants": self.third_cumulants.tolist(),
-        }
+        return _jsonable(asdict(self))
 
 
 def stability_x(q: np.ndarray) -> float:

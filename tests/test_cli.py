@@ -1,9 +1,14 @@
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isingmarket.cli import main
+from isingmarket.cli import COMMANDS, main
 
 PRICES = {
     "aaa": [10.0, 10.5, 10.2, 10.8, 11.0, 10.4, 10.9, 11.2, 10.7, 11.5],
@@ -127,6 +132,61 @@ def test_normality_and_scaling_and_demo(tmp_path):
     assert len(demo["eigenvalues"]) == 20
 
 
+def write_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def usage_error_cases(tmp_path):
+    """argv lists that must exit 2: a bad value from a flag or a config file, a missing path."""
+    model = model_json(tmp_path)
+    spins = write_file(tmp_path, "spins.csv", "date,a,b,c\nd1,1,-1,1\nd2,-1,-1,1\nd3,1,1,-1\n")
+    missing = str(tmp_path / "missing.csv")
+    return {
+        "kind=foo": ["spectrum", "--spins", spins,
+                     "--config", write_file(tmp_path, "kind.cfg", "kind=foo\n")],
+        "bins=abc": ["spectrum", "--spins", spins,
+                     "--config", write_file(tmp_path, "bins.cfg", "bins=abc\n")],
+        "rows 1.5": ["sample", "--model", model,
+                     "--config", write_file(tmp_path, "rows.json", '{"rows": 1.5}')],
+        "missing config": ["moments", "--spins", spins, "--config", missing],
+        "missing spins": ["moments", "--spins", missing],
+        "missing ingest file": ["ingest", missing],
+        "missing points": ["scaling", "--points", missing],
+        "tap missing spins": ["tap", "--model", model, "--spins", missing],
+        "negative seed": ["sample", "--model", model, "--rows", "10", "--seed", "-1"],
+        "demo bins 0": ["critical-demo", "--n", "20", "--t", "200", "--burn-in", "10",
+                        "--bins", "0"],
+        "fit_tol=-1": ["multiinfo", "--spins", spins,
+                       "--config", write_file(tmp_path, "fit_tol.cfg", "fit_tol=-1\n")],
+        "tap max-iter 0": ["tap", "--model", model, "--max-iter", "0"],
+    }
+
+
+def domain_error_cases(tmp_path):
+    """argv lists that must exit 1: a file whose content is malformed or does not fit."""
+    model = model_json(tmp_path)
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"date,a\nd1,\xff\xfe\n")
+    return {
+        "malformed model JSON": ["tap", "--model", write_file(tmp_path, "bad.json", "{not json")],
+        "model without N": ["tap", "--model",
+                            write_file(tmp_path, "no_n.json", '{"h": [0.0], "J": [0.0]}')],
+        "model with N=0": ["tap", "--model",
+                           write_file(tmp_path, "n0.json", '{"N": 0, "h": [], "J": []}')],
+        "model is a list": ["tap", "--model", write_file(tmp_path, "list.json", "[1, 2]")],
+        "noise on a bare model": ["noise", "--fit", model, "--t", "100"],
+        "header-only points": ["scaling", "--points",
+                               write_file(tmp_path, "points.csv", "N,mean\n")],
+        "tap spins of another N": ["tap", "--model", model, "--spins",
+                                   write_file(tmp_path, "n2.csv", "date,a,b\nd1,1,-1\nd2,-1,1\n")],
+        "spin cell 255": ["moments", "--spins",
+                          write_file(tmp_path, "wrap.csv", "date,a,b\nd1,255,1\nd2,-1,1\n")],
+        "spins not UTF-8": ["moments", "--spins", str(binary)],
+    }
+
+
 def test_usage_errors_exit_2_and_write_nothing(tmp_path):
     model = model_json(tmp_path)
     out = tmp_path / "empty"
@@ -136,6 +196,10 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path):
     # missing required input
     assert main(["moments", "-o", str(out)]) == 2
     assert not out.exists() or not any(out.iterdir())
+    for case, argv in usage_error_cases(tmp_path).items():
+        out = tmp_path / "out" / case
+        assert main([*argv, "-o", str(out)]) == 2, case
+        assert not out.exists() or not any(out.iterdir()), case
 
 
 def test_unknown_subcommand_exit_2():
@@ -154,6 +218,10 @@ def test_domain_error_exit_1(tmp_path):
     spins = tmp_path / "one_row.csv"
     spins.write_text("date,a,b\nd1,1,-1\n")
     assert main(["moments", "--spins", str(spins), "-o", str(tmp_path / "out")]) == 1
+    for case, argv in domain_error_cases(tmp_path).items():
+        out = tmp_path / "out" / case
+        assert main([*argv, "-o", str(out)]) == 1, case
+        assert not out.exists() or not any(out.iterdir()), case
 
 
 def test_config_file_merging(tmp_path):
@@ -173,6 +241,31 @@ def test_config_file_merging(tmp_path):
     assert main(["sample", "--model", model, "--config", str(bad), "-o", str(out)]) == 2
 
 
+def test_config_values_take_the_option_type_and_outdir(tmp_path, monkeypatch):
+    model = model_json(tmp_path)
+    typed = write_file(tmp_path, "typed.json", json.dumps(
+        {"rows": "12", "burn_in": 5, "outdir": str(tmp_path / "from_file")}))
+    assert main(["sample", "--model", model, "--config", typed]) == 0
+    manifest = json.loads((tmp_path / "from_file" / "sample.manifest.json").read_text())
+    assert manifest["config"]["rows"] == 12 and manifest["config"]["burn_in"] == 5
+    # outdir precedence: flag, then config file, then $ISINGMARKET_OUTDIR, then ./artifacts
+    monkeypatch.setenv("ISINGMARKET_OUTDIR", str(tmp_path / "from_env"))
+    assert main(["sample", "--model", model, "--config", typed,
+                 "-o", str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag" / "spins.csv").exists()
+    plain = write_file(tmp_path, "plain.cfg", "rows=12\n")
+    assert main(["sample", "--model", model, "--config", plain]) == 0
+    assert (tmp_path / "from_env" / "spins.csv").exists()
+    monkeypatch.delenv("ISINGMARKET_OUTDIR")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--model", model, "--config", plain]) == 0
+    assert (tmp_path / "artifacts" / "spins.csv").exists()
+    # models=path is one path, not a list of characters: one model is too few
+    # points for the power-law fit, a domain error
+    one = write_file(tmp_path, "one.cfg", f"models={model}\n")
+    assert main(["scaling", "--config", one, "-o", str(tmp_path / "scaling")]) == 1
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     model = model_json(tmp_path, n=4, scale=0.4, seed=6)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -190,3 +283,80 @@ def test_repeat_runs_byte_identical(tmp_path):
         a = (out_a / name).read_bytes()
         b = (out_b / name).read_bytes()
         assert a == b, name
+
+
+_FUZZ_COMMANDS = ["bias", "moments", "normality", "scaling", "spectrum", "tap"]
+_fuzz_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.floats(-2.0, 2.0),
+    st.sampled_from([float("nan"), float("inf"), "abc", "", "1e-3", "12", "true",
+                     "correlation", "covariance", "missing.csv"]),
+    st.lists(st.sampled_from(["missing.json", "x"]), max_size=2),
+)
+
+
+@st.composite
+def _fuzz_inputs(draw, command):
+    """Valid spins, model and points files of one size N, each corrupted half the time."""
+    n = draw(st.integers(1, 12))
+    spins = draw(st.lists(st.lists(st.sampled_from(["1", "-1"]), min_size=n, max_size=n),
+                          max_size=8))
+    lines = ["date" + "".join(f",s{i}" for i in range(n))]
+    lines += [f"d{t}," + ",".join(row) for t, row in enumerate(spins)]
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(
+            ["", "day,s0", "d,1,x", "d,255,1", "d,0," + ",".join(["1"] * n)]))
+    floats = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    upper = np.triu(np.reshape(draw(floats), (n, n)), 1)
+    model = json.dumps({"N": n, "h": draw(floats)[:n], "J": (upper + upper.T).ravel().tolist()})
+    if draw(st.booleans()):
+        model = draw(st.sampled_from([
+            "[1, 2]", "{", "null", '{"model": 3}', '{"N": 0, "h": [], "J": []}',
+            model.replace(f'"N": {n}', f'"N": {n + 1}'), model.replace('"h"', '"g"')]))
+    points = ["N,mean"] + [f"{a},{b}" for a, b in draw(st.lists(st.tuples(
+        st.sampled_from(["10", "20", "40"]), st.sampled_from(["0.1", "0.05", "0.02"])),
+        min_size=2, max_size=5))]
+    if draw(st.booleans()):
+        points[draw(st.integers(0, len(points) - 1))] = draw(st.sampled_from(
+            ["", "0,0.1", "10,-0.2", "x,1", "nan,0.1", "10", "10,0.1,3"]))
+    known = [opt.name for opt in COMMANDS[command][2]]
+    keys = draw(st.lists(st.sampled_from(known * 3 + ["bogus"]), max_size=3))
+    config = {key: draw(_fuzz_value) for key in keys}
+    return ("\n".join(lines) + "\n", model, "\n".join(points) + "\n", config,
+            draw(st.booleans()))
+
+
+@pytest.mark.parametrize("command", _FUZZ_COMMANDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_and_inputs_keep_the_exit_code_contract(command, data):
+    spins_text, model, points, config, as_json = data.draw(_fuzz_inputs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "spins.csv").write_text(spins_text)
+        (tmp / "model.json").write_text(model)
+        (tmp / "points.csv").write_text(points)
+        if as_json:
+            (tmp / "run.cfg").write_text(json.dumps(config))
+        else:
+            (tmp / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        inputs = {
+            "moments": ["--spins", "spins.csv"],
+            "spectrum": ["--spins", "spins.csv"],
+            "tap": ["--model", "model.json"] + (["--spins", "spins.csv"] if as_json else []),
+            "bias": ["--model", "model.json", "--spins", "spins.csv"],
+            "normality": ["--model", "model.json", "--quantiles", "10"],
+            "scaling": ["--points", "points.csv"] if as_json else ["--models", "model.json"],
+        }[command]
+        out = tmp / "out"
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            code = main([command, *inputs, "--config", "run.cfg", "-o", str(out)])
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+            assert code == 2
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert not out.exists() or not any(out.iterdir())

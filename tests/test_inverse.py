@@ -15,7 +15,12 @@ from isingmarket import (
     plm_fit,
     tap_invert,
 )
-from isingmarket.errors import DivergenceError, ReliabilityError, SingularMatrixError
+from isingmarket.errors import (
+    ConfigError,
+    DivergenceError,
+    ReliabilityError,
+    SingularMatrixError,
+)
 from isingmarket.inverse import _plm_single_spin
 from isingmarket.model import FitReport
 from isingmarket.moments import MomentSet
@@ -204,3 +209,48 @@ def test_fit_report_round_trip():
     assert np.allclose(back.model.J, fit.model.J)
     assert np.allclose(back.model.h, fit.model.h)
     assert back.residual is None
+
+
+# ----------------------------------------------------------------- registry
+
+def test_fit_registry_matches_direct_calls():
+    from isingmarket import inverse
+
+    model = planted_model(5, 0.2, 0.3, 31)
+    spins = glauber_sample(model, SamplerConfig(rows=2000, burn_in=200, seed=32))
+    moments = empirical_moments(spins)
+    direct = {
+        "exact": fit_maxent_exact(moments, tol=1e-9),
+        "nmf": nmf_invert(moments, ridge=0.01),
+        "tap-inv": tap_invert(moments, ridge=0.01),
+        "plm": plm_fit(spins, ridge=0.01, tol=1e-9),
+    }
+    assert list(direct) == list(inverse.FIT_METHODS)
+    for method, expected in direct.items():
+        # options a solver does not take, or left None, are dropped
+        got = inverse.fit(method, spins, ridge=0.01, tol=1e-9, max_iter=None, strict=False)
+        assert got.method == expected.method
+        assert got.iterations == expected.iterations
+        assert np.array_equal(got.model.J, expected.model.J), method
+        assert np.array_equal(got.model.h, expected.model.h), method
+    assert inverse.fit("plm", spins, max_iter=2).iterations == 2
+    with pytest.raises(ConfigError):
+        inverse.fit("plm", moments)
+    with pytest.raises(ConfigError):
+        inverse.fit("bogus", moments)
+
+
+def test_fit_registry_calls_the_current_module_binding(monkeypatch):
+    from isingmarket import inverse, noise_ratio
+
+    calls = []
+    original = inverse.tap_invert
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "tap_invert", spy)
+    fit = FitReport(model=planted_model(6, 0.1, 0.0, 33), method="tap-inv", iterations=1)
+    noise_ratio(fit, 6, 500, SamplerConfig(rows=500, burn_in=50, seed=34), "tap-inv")
+    assert calls == [{}]

@@ -15,6 +15,7 @@ from isingmarket import (
     trim_upper_tail,
 )
 from isingmarket.errors import (
+    DegenerateDataError,
     DimensionMismatchError,
     DomainError,
     InsufficientSampleError,
@@ -206,6 +207,10 @@ def test_powerlaw_preconditions():
         powerlaw_fit(np.array([10.0, 20.0]), np.array([1.0, 0.5]))
     with pytest.raises(DomainError):
         powerlaw_fit(np.array([10.0, 20.0, 40.0]), np.array([1.0, -0.5, 0.2]))
+    with pytest.raises(DegenerateDataError):  # the slope would be 0/0
+        powerlaw_fit(np.array([10.0, 10.0, 10.0]), np.array([1.0, 0.5, 0.2]))
+    with pytest.raises(DegenerateDataError):  # r2 would be 0/0
+        powerlaw_fit(np.array([10.0, 20.0, 40.0]), np.array([0.1, 0.1, 0.1]))
 
 
 # -------------------------------------------------------------------- bias
