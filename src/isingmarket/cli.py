@@ -18,6 +18,7 @@ write, so nothing is written on 1 or 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, exact, ingest, inverse, moments, sampler, stats, tap
-from .errors import DimensionMismatchError, FormatError, ToolkitError, UsageError
+from .errors import (DimensionMismatchError, DomainError, FormatError, ToolkitError,
+                     UsageError)
 from .model import FitReport, IsingModel
 from .serialize import histogram_rows, write_csv, write_json, write_manifest
 
@@ -298,15 +300,21 @@ def _cmd_normality(cfg) -> tuple[list, list]:
 def _cmd_scaling(cfg) -> tuple[list, list]:
     if cfg["points"] is not None:
         inputs = [cfg["points"]]
+        with open(cfg["points"]) as handle:
+            lines = handle.read().splitlines()[1:]
         try:
-            rows = np.loadtxt(cfg["points"], delimiter=",", skiprows=1, ndmin=2)
+            if not any(line.strip() for line in lines):
+                raise ValueError("no rows")
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2)
             sizes, means = rows[:, 0], rows[:, 1]
-        except (ValueError, IndexError) as exc:  # IndexError: no rows, or one column
+        except (ValueError, IndexError) as exc:  # IndexError: one column
             raise FormatError(f"{cfg['points']}: expected rows N,mean ({exc})") from exc
     elif cfg["models"]:
         inputs, sizes, means = cfg["models"], [], []
         for path in inputs:
             model = _load_model(path)
+            if model.n < 2:
+                raise DomainError(f"{path}: N={model.n} has no couplings to average")
             upper = model.J[np.triu_indices(model.n, k=1)]
             sizes.append(model.n)
             means.append(np.abs(upper).mean() if cfg["use_abs"] else upper.mean())
@@ -422,6 +430,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: main runs once per in-process step
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isingmarket",

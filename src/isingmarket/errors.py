@@ -74,5 +74,13 @@ class ConfigError(ToolkitError):
     """Invalid method tag or run configuration."""
 
 
+class KernelBuildError(ToolkitError):
+    """The sampler's C kernel could not be compiled or loaded; carries the compiler's stderr."""
+
+    def __init__(self, message, stderr=""):
+        super().__init__(f"{message}\n{stderr}".rstrip())
+        self.stderr = stderr
+
+
 class UsageError(Exception):
     """Invalid command-line flag value; maps to exit code 2."""

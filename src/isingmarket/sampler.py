@@ -3,24 +3,31 @@
 Single-spin updates: spin i is set to +1 with probability
 sigma(2 * (h_i + sum_j J_ij s_j)), one sweep visits all N spins in a fresh
 random order, and rows are recorded every `thin` sweeps after burn-in.  The
-chain is fully deterministic given the seed.
+chain is fully deterministic given the seed.  numpy draws the orders and
+uniforms; the sweeps themselves run in the C loop of _glauber.c, compiled
+on first use.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import os
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import inverse
-from .errors import ConfigError, DegenerateRatioError, DimensionMismatchError
+from .errors import (ConfigError, DegenerateRatioError, DimensionMismatchError,
+                     KernelBuildError)
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
 from .serialize import _jsonable
 
-_SWEEP_BATCH = 512  # sweeps per batched RNG draw
-_FIELD_REFRESH = 512  # sweeps between full local-field recomputations
+_SWEEP_BATCH = 512  # sweeps per batched RNG draw and local-field recomputation
+_KERNEL_SOURCE = Path(__file__).with_name("_glauber.c")
+_BUILD_DIR = Path(__file__).with_name("__pycache__")
+_CC = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 @dataclass
@@ -42,12 +49,51 @@ class SamplerConfig:
         return asdict(self)
 
 
+@functools.cache
+def _kernel():
+    """The compiled sweep loop of _glauber.c, built with _CC on first use.
+
+    The shared library is cached in _BUILD_DIR under a hash of the source and
+    the compiler command, so an edit to either rebuilds it.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+
+    command = [*_CC, str(_KERNEL_SOURCE), "-lm"]
+    tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + repr(command).encode()).hexdigest()
+    library = _BUILD_DIR / f"_glauber-{tag[:16]}.so"
+    # built under a per-process name, then renamed: concurrent first uses never
+    # load a half-written library
+    partial = library.with_name(f"{library.name}.{os.getpid()}")
+    try:
+        if not library.exists():
+            _BUILD_DIR.mkdir(parents=True, exist_ok=True)
+            try:
+                build = subprocess.run([*command, "-o", str(partial)],
+                                       capture_output=True, text=True)
+                if build.returncode != 0:
+                    raise KernelBuildError(f"{' '.join(command)} failed", build.stderr)
+                os.replace(partial, library)
+            finally:
+                partial.unlink(missing_ok=True)
+        sweeps = ctypes.CDLL(str(library)).glauber_sweeps
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build or load the Glauber kernel with {_CC[0]}",
+                               str(exc)) from exc
+    sweeps.restype = ctypes.c_int64
+    sweeps.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 6,
+                       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+    return sweeps
+
+
 def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
     """Sample a (rows, N) spin matrix from the model's Gibbs distribution."""
     n = model.n
+    sweeps = _kernel()
     rng = np.random.default_rng(config.seed)
-    coupling = model.J
-    h = model.h
+    coupling = np.ascontiguousarray(model.J)
+    h = np.ascontiguousarray(model.h)
 
     s = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
     fields = coupling @ s
@@ -55,31 +101,15 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
 
     total_sweeps = config.burn_in + config.rows * config.thin
     recorded = 0
-    base = np.tile(np.arange(n), (_SWEEP_BATCH, 1))
-    exp = math.exp
+    base = np.tile(np.arange(n, dtype=np.int64), (_SWEEP_BATCH, 1))
     for start in range(0, total_sweeps, _SWEEP_BATCH):
         batch = min(_SWEEP_BATCH, total_sweeps - start)
         orders = rng.permuted(base[:batch], axis=1)
         uniforms = rng.random((batch, n))
-        for k in range(batch):
-            order = orders[k]
-            u = uniforms[k]
-            for slot in range(n):
-                i = order[slot]
-                z = 2.0 * (h[i] + fields[i])
-                if z > 40.0:
-                    new = 1.0
-                elif z < -40.0:
-                    new = -1.0
-                else:
-                    new = 1.0 if u[slot] < 1.0 / (1.0 + exp(-z)) else -1.0
-                if new != s[i]:
-                    s[i] = new
-                    fields += coupling[:, i] * (2.0 * new)
-            sweep = start + k + 1
-            if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-                out[recorded] = s
-                recorded += 1
+        recorded += sweeps(n, batch, coupling.ctypes.data, h.ctypes.data,
+                           fields.ctypes.data, s.ctypes.data, orders.ctypes.data,
+                           uniforms.ctypes.data, start, config.burn_in, config.thin,
+                           out[recorded:].ctypes.data)
         fields = coupling @ s  # shed accumulated rounding between batches
 
     width_t = len(str(config.rows))

@@ -2,6 +2,8 @@
 
 The oracles enumerate configurations with itertools and per-state arithmetic,
 deliberately avoiding the package's blockwise split-spin enumeration.
+reference_glauber is the sampler's sweep loop in plain Python, the oracle
+that the compiled kernel must reproduce bit for bit.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from isingmarket import IsingModel
+from isingmarket.sampler import _SWEEP_BATCH
 
 
 def brute_states(n):
@@ -67,6 +70,48 @@ def planted_model(n, j_sd, h_sd, seed, h_dist="normal"):
     else:
         h = rng.normal(0.0, h_sd, n)
     return IsingModel(J=coupling, h=h)
+
+
+def reference_glauber(model, config):
+    """The (rows, N) int8 values glauber_sample must return, one Python step per update."""
+    n = model.n
+    rng = np.random.default_rng(config.seed)
+    coupling = model.J
+    h = model.h
+
+    s = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
+    fields = coupling @ s
+    out = np.empty((config.rows, n), dtype=np.int8)
+
+    total_sweeps = config.burn_in + config.rows * config.thin
+    recorded = 0
+    base = np.tile(np.arange(n), (_SWEEP_BATCH, 1))
+    exp = math.exp
+    for start in range(0, total_sweeps, _SWEEP_BATCH):
+        batch = min(_SWEEP_BATCH, total_sweeps - start)
+        orders = rng.permuted(base[:batch], axis=1)
+        uniforms = rng.random((batch, n))
+        for k in range(batch):
+            order = orders[k]
+            u = uniforms[k]
+            for slot in range(n):
+                i = order[slot]
+                z = 2.0 * (h[i] + fields[i])
+                if z > 40.0:
+                    new = 1.0
+                elif z < -40.0:
+                    new = -1.0
+                else:
+                    new = 1.0 if u[slot] < 1.0 / (1.0 + exp(-z)) else -1.0
+                if new != s[i]:
+                    s[i] = new
+                    fields += coupling[:, i] * (2.0 * new)
+            sweep = start + k + 1
+            if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
+                out[recorded] = s
+                recorded += 1
+        fields = coupling @ s  # shed accumulated rounding between batches
+    return out
 
 
 @pytest.fixture

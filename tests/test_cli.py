@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,8 @@ def domain_error_cases(tmp_path):
         "noise on a bare model": ["noise", "--fit", model, "--t", "100"],
         "header-only points": ["scaling", "--points",
                                write_file(tmp_path, "points.csv", "N,mean\n")],
+        "scaling an N=1 model": ["scaling", "--models", model, write_file(
+            tmp_path, "n1.json", '{"N": 1, "h": [0.1], "J": [0.0]}')],
         "tap spins of another N": ["tap", "--model", model, "--spins",
                                    write_file(tmp_path, "n2.csv", "date,a,b\nd1,1,-1\nd2,-1,1\n")],
         "spin cell 255": ["moments", "--spins",
@@ -220,7 +223,9 @@ def test_domain_error_exit_1(tmp_path):
     assert main(["moments", "--spins", str(spins), "-o", str(tmp_path / "out")]) == 1
     for case, argv in domain_error_cases(tmp_path).items():
         out = tmp_path / "out" / case
-        assert main([*argv, "-o", str(out)]) == 1, case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a domain error is reported once, as the error
+            assert main([*argv, "-o", str(out)]) == 1, case
         assert not out.exists() or not any(out.iterdir()), case
 
 

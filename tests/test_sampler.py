@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import planted_model
+from conftest import planted_model, reference_glauber
 from isingmarket import (
     FitReport,
     IsingModel,
@@ -12,8 +13,11 @@ from isingmarket import (
     exact_moments,
     glauber_sample,
     noise_ratio,
+    sampler,
 )
-from isingmarket.errors import ConfigError, DegenerateRatioError, DimensionMismatchError
+from isingmarket.cli import main
+from isingmarket.errors import (ConfigError, DegenerateRatioError, DimensionMismatchError,
+                                KernelBuildError)
 from isingmarket.exact import gibbs_probabilities, state_index
 
 
@@ -24,6 +28,45 @@ def test_config_invariants():
         SamplerConfig(rows=10, burn_in=-1)
     with pytest.raises(ConfigError):
         SamplerConfig(rows=10, thin=0)
+
+
+def test_matches_reference_loop_bit_for_bit():
+    # J sd 5 at N=50 drives |z| past both 40 clamps; 301 + 730 sweeps span three
+    # batches with a partial last one, and rows=1 records only the final sweep
+    for n in (1, 2, 3, 5, 8, 50):
+        for thin in (1, 3):
+            for j_sd, h_sd in ((0.0, 0.0), (0.2, 0.5), (1.5, 3.0), (5.0, 3.0)):
+                model = planted_model(n, j_sd, h_sd, seed=n + int(10 * j_sd))
+                for rows, burn_in in ((730, 301), (1, 1100)):
+                    config = SamplerConfig(rows=rows, burn_in=burn_in, thin=thin,
+                                           seed=7 * n + thin)
+                    case = (n, thin, j_sd, rows)
+                    assert np.array_equal(glauber_sample(model, config).values,
+                                          reference_glauber(model, config)), case
+
+
+@pytest.mark.parametrize("compiler, message", [
+    (["no-such-cc", *sampler._CC[1:]], "no-such-cc"),  # not installed
+    ([*sampler._CC, "--no-such-option"], "--no-such-option"),  # fails
+])
+def test_kernel_build_failure_is_a_typed_error(tmp_path, monkeypatch, compiler, message):
+    model = planted_model(3, 0.2, 0.1, 0)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_dict()))
+    build = tmp_path / "build"
+    monkeypatch.setattr(sampler, "_CC", compiler)
+    monkeypatch.setattr(sampler, "_BUILD_DIR", build)
+    sampler._kernel.cache_clear()
+    try:
+        with pytest.raises(KernelBuildError) as exc:
+            glauber_sample(model, SamplerConfig(rows=5))
+        assert message in exc.value.stderr
+        out = tmp_path / "out"
+        assert main(["sample", "--model", str(model_path), "--rows", "5", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert not build.exists() or not any(build.iterdir())  # no partial library left
+    finally:
+        sampler._kernel.cache_clear()
 
 
 def test_fair_coins():
