@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp, xlogy
 
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
 from .moments import EXACT_SAMPLE, MomentSet, empirical_moments
+from .newton import newton
 
 ENUMERATION_LIMIT = 25  # partition function / moments / entropy
 FIT_LIMIT = 20  # iterative fitting and configuration histograms
@@ -147,14 +147,12 @@ def entropy_empirical(matrix: SpinMatrix) -> float:
 def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500) -> FitReport:
     """Fit (J, h) so that exact Gibbs moments match the targets.
 
-    Newton's method on the convex ln Z(theta) - theta . target, from
-    h = atanh(q), J = 0.  The gradient g is the moment residual (target minus
-    model moments of phi = (s_i, s_i s_j)); the Hessian H is Cov(phi, phi).
-    Each step solves (H + 0.1 |g| I) d = g by conjugate gradients, where H v
-    is one enumeration pass weighted by the energy phi . v of the model built
-    from v.  The damping vanishes with g and keeps early steps out of
-    near-frozen models, where H is nearly singular.  The step size is halved
-    until |g| decreases; near the optimum the objective is too flat to compare.
+    The shared damped Newton-CG solver (``newton.newton``) on the convex
+    ln Z(theta) - theta . target, from h = atanh(q), J = 0.  The gradient g is
+    the moment residual (target minus model moments of phi = (s_i, s_i s_j));
+    the Hessian H is Cov(phi, phi), and H v is one enumeration pass weighted
+    by the energy phi . v of the model built from v.  The solver's damping
+    keeps early steps out of near-frozen models, where H is nearly singular.
 
     ``iterations`` counts Newton steps.  Raises ConvergenceError with the last
     iterate if the max-abs residual is above tol after max_iter steps, or once
@@ -183,25 +181,13 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
         log_z = log_partition(model)
         return theta, model, log_z, target - stats(model, log_z)[1]
 
-    def damped_hessp(v: np.ndarray) -> np.ndarray:  # at the current iterate
+    def hessp(state, v: np.ndarray) -> np.ndarray:
+        _, model, log_z, gradient = state
         total, weighted = stats(model, log_z, model_of(v))
-        return weighted - (target - gradient) * total + 0.1 * norm * v
+        return weighted - (target - gradient) * total
 
-    hessian = LinearOperator((len(target),) * 2, matvec=damped_hessp, dtype=np.float64)
-    theta, model, log_z, gradient = evaluate(
-        np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))]))
-    iterations = 0
-    while (residual := float(np.abs(gradient).max())) > tol and iterations < max_iter:
-        norm = np.linalg.norm(gradient)
-        direction, _ = cg(hessian, gradient, atol=0.1 * norm)
-        for step in 0.5 ** np.arange(40):
-            trial = evaluate(theta + step * direction)
-            if np.linalg.norm(trial[3]) < norm:
-                break
-        else:
-            break  # |g| sits at rounding level
-        theta, model, log_z, gradient = trial
-        iterations += 1
+    (_, model, _, _), iterations, residual = newton(
+        evaluate, hessp, np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))]), tol, max_iter)
 
     report = FitReport(model=model, method="exact", iterations=iterations, residual=residual)
     if residual <= tol:

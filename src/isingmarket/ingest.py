@@ -183,39 +183,32 @@ def write_spin_csv(matrix: SpinMatrix, path) -> None:
     from .serialize import atomic_write_text
 
     lines = [",".join(["date"] + list(matrix.tickers))]
-    for d, row in zip(matrix.dates, matrix.values):
-        lines.append(d + "," + ",".join(str(int(v)) for v in row))
+    cells = np.where(matrix.values > 0, "1", "-1")
+    lines += [d + "," + ",".join(row.tolist()) for d, row in zip(matrix.dates, cells)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_spin_csv(path) -> SpinMatrix:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path) as handle:
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise EmptyInputError(f"{path}: empty spin file")
         if not header or header[0] != "date" or len(header) < 2:
             raise FormatError(f"{path}: expected header 'date,<tickers...>'")
-        tickers = header[1:]
-        dates = []
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise FormatError(f"{path}: row has {len(record)} cells, expected {len(header)}")
-            dates.append(record[0])
-            try:
-                rows.append([int(cell) for cell in record[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: non-integer spin cell in row {record!r}") from exc
-    if not rows:
+        lines = [line for line in handle.read().split("\n") if line]
+    if not lines:
         raise EmptyInputError(f"{path}: no spin rows")
+    table = {"delimiter": ",", "comments": None, "quotechar": '"'}
     try:
-        values = np.asarray(rows, dtype=np.int64)
-    except OverflowError as exc:
-        raise FormatError(f"{path}: spin cell out of range") from exc
+        # every column is read, so loadtxt itself rejects rows of differing widths
+        values = np.loadtxt(lines, dtype=np.int64, converters={0: lambda date: 0},
+                            ndmin=2, **table)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad spin rows ({exc})") from exc
+    if values.shape[1] != len(header):
+        raise FormatError(f"{path}: rows have {values.shape[1]} cells, expected {len(header)}")
     if np.any(np.abs(values) > 1):  # SpinMatrix's int8 cast would wrap these around
         raise FormatError(f"{path}: spin cell outside -1..1")
-    return SpinMatrix(tickers=tickers, dates=dates, values=values)
+    dates = np.loadtxt(lines, dtype=str, usecols=0, ndmin=1, **table).tolist()
+    return SpinMatrix(tickers=header[1:], dates=dates, values=values[:, 1:])

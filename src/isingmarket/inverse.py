@@ -1,7 +1,8 @@
 """Approximate inverse solvers: mean-field inversions and pseudo-likelihood.
 
 All three return a FitReport with a symmetric zero-diagonal coupling matrix;
-``fit`` dispatches to them, and to the exact fit, by method name.
+``fit`` dispatches to them, and to the exact fit, by method name.  The
+pseudo-likelihood and the exact fit share one damped Newton-CG solver.
 The second-order inversion solves, pair by pair,
 
     (C^-1)_ij = -J_ij - J_ij^2 q_i q_j
@@ -15,6 +16,7 @@ from __future__ import annotations
 import inspect
 
 import numpy as np
+from scipy.linalg import qr
 
 from .errors import (
     ConfigError,
@@ -27,6 +29,7 @@ from .exact import fit_maxent_exact
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel, symmetrize
 from .moments import MomentSet, empirical_moments
+from .newton import newton
 
 CONDITION_LIMIT = 1e12
 _SERIES_CUTOFF = 1e-6  # |q_i q_j| below this uses the series branch
@@ -99,102 +102,79 @@ def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> 
     )
 
 
-def _log_sigma(z: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -z)
+def _check_design_rank(matrix: SpinMatrix) -> None:
+    """At ridge 0 every spin's design (the other spins and an intercept) needs
+    full column rank, or its conditional likelihood has no unique maximum."""
+    design = np.column_stack([np.ones(matrix.t), matrix.values])
+    r, pivots = qr(design, mode="r", pivoting=True)
+    diagonal = np.abs(np.diag(r))
+    rank = np.count_nonzero(diagonal > diagonal[0] * max(design.shape) * np.finfo(float).eps)
+    if rank < design.shape[1]:
+        names = ", ".join(["the intercept", *matrix.tickers][j] for j in sorted(pivots[rank:]))
+        raise DivergenceError(
+            f"spin columns linearly dependent on the others and the intercept: {names} "
+            "(such as a constant or duplicated column); the unregularized "
+            "pseudo-likelihood has no unique maximum, use ridge > 0"
+        )
 
 
-def _plm_single_spin(
-    spins: np.ndarray,
-    index: int,
-    ridge: float,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, list[float]]:
-    """Newton ascent of one spin's conditional log-likelihood.
+def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int):
+    """Asymmetric pseudo-likelihood estimate W, one row per spin.
 
-    Objective (concave in w = (h_i, J_i.)):
-        mean_t log sigma(2 s_i(t) * (phi_t . w)) - ridge * |w|^2
-    with phi_t = (1, s_{-i}(t)).  Returns (w, iterations, objective trace).
+    Row i holds (J_i., h_i on the diagonal); spin i's local fields are column i
+    of F = S J^T + h (J: W off its diagonal, h: diag W).  The concave objective
+        sum_i [ mean_t log sigma(2 s_i(t) F_i(t)) - ridge |W_i.|^2 ]
+    is maximized by the shared damped Newton-CG solver, with two GEMMs per
+    gradient and per Hessian product.  Returns (W, iterations, max-abs gradient).
     """
-    t = spins.shape[0]
-    y = spins[:, index]
-    phi = spins.copy()
-    phi[:, index] = 1.0  # intercept slot
+    t, n = spins.shape
 
-    w = np.zeros(phi.shape[1])
-    z = 2.0 * y * (phi @ w)
+    def fields(w: np.ndarray) -> np.ndarray:
+        return spins @ (w - np.diag(np.diag(w))).T + np.diag(w)
 
-    def objective(z_vals, w_vals):
-        return _log_sigma(z_vals).mean() - ridge * (w_vals @ w_vals)
+    def rows_times_design(a: np.ndarray) -> np.ndarray:  # row i: a[:, i] @ (S, column i = 1)
+        out = a.T @ spins
+        np.fill_diagonal(out, a.sum(axis=0))
+        return out
 
-    obj = objective(z, w)
-    trace = [obj]
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        sigma = 0.5 * (1.0 + np.tanh(0.5 * z))  # overflow-free logistic
-        grad = (2.0 / t) * (phi.T @ (y * (1.0 - sigma))) - 2.0 * ridge * w
-        if np.abs(grad).max() < tol:
-            break
-        weights = 4.0 * sigma * (1.0 - sigma) / t
-        hessian = phi.T @ (phi * weights[:, None]) + 2.0 * ridge * np.eye(w.size)
-        try:
-            direction = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            raise DivergenceError(
-                f"spin {index}: conditional likelihood is flat "
-                "(deterministic spin); use ridge > 0"
-            )
-        step = 1.0
-        for _ in range(60):
-            candidate = w + step * direction
-            z_new = 2.0 * y * (phi @ candidate)
-            obj_new = objective(z_new, candidate)
-            if obj_new >= obj + 1e-4 * step * (grad @ direction):
-                break
-            step *= 0.5
-        w, z, obj = candidate, z_new, obj_new
-        trace.append(obj)
-        if ridge == 0.0 and np.abs(w).max() > _UNBOUNDED_PARAM:
-            raise DivergenceError(
-                f"spin {index} is (near) deterministic given the others; "
-                "the unregularized fit diverges, use ridge > 0"
-            )
-    return w, iterations, trace
+    def evaluate(x: np.ndarray):
+        w = x.reshape(n, n)
+        miss = 1.0 - np.tanh(spins * fields(w))  # 2 (1 - sigma(2 s F))
+        return x, miss, (rows_times_design(spins * miss) / t - 2.0 * ridge * w).ravel()
+
+    def hessp(state, v: np.ndarray) -> np.ndarray:
+        v = v.reshape(n, n)
+        weighted = fields(v)
+        weighted *= state[1] * (2.0 - state[1])  # 4 sigma (1 - sigma)
+        return (rows_times_design(weighted) / t + 2.0 * ridge * v).ravel()
+
+    (x, _, _), iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
+    return x.reshape(n, n), iterations, residual
 
 
-def plm_fit(
-    matrix: SpinMatrix,
-    ridge: float = 1e-3,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> FitReport:
+def plm_fit(matrix: SpinMatrix, ridge: float = 1e-3, tol: float = 1e-8,
+            max_iter: int = 500) -> FitReport:
     """Regularized pseudo-maximum-likelihood fit from raw spins.
 
-    Each spin's conditional logistic problem is solved independently (they
-    are concave); the asymmetric estimates are symmetrized by averaging.
-    ridge is the L2 penalty per sample on (h_i, J_i.).
+    All N conditional logistic problems are solved as one (``_plm_rows``) and
+    the asymmetric estimates symmetrized by averaging (Aurell & Ekeberg, PRL
+    108, 090201, 2012).  ridge is the L2 penalty per sample on (h_i, J_i.).
+    ``residual`` is the final max-abs gradient, also after max_iter steps.
     """
     if matrix.t < 2:
         raise InsufficientSampleError("pseudo-likelihood needs at least 2 rows")
     if ridge < 0.0:
         raise DivergenceError(f"ridge must be >= 0, got {ridge}")
-    spins = matrix.values.astype(np.float64)
-    n = matrix.n
-    raw = np.zeros((n, n))
-    h = np.zeros(n)
-    total_iterations = 0
-    for i in range(n):
-        w, iterations, _ = _plm_single_spin(spins, i, ridge, tol, max_iter)
-        h[i] = w[i]
-        raw[i] = w
-        raw[i, i] = 0.0
-        total_iterations = max(total_iterations, iterations)
-    coupling = symmetrize(raw)
-    return FitReport(
-        model=IsingModel(J=coupling, h=h),
-        method="plm",
-        iterations=total_iterations,
-    )
+    if ridge == 0.0:
+        _check_design_rank(matrix)
+    raw, iterations, residual = _plm_rows(matrix.values.astype(np.float64), ridge, tol, max_iter)
+    unbounded = np.flatnonzero(np.abs(raw).max(axis=1) > _UNBOUNDED_PARAM)
+    if ridge == 0.0 and unbounded.size:
+        names = ", ".join(matrix.tickers[i] for i in unbounded)
+        raise DivergenceError(f"spins (near) deterministic given the others: {names}; "
+                              "the unregularized fit diverges, use ridge > 0")
+    return FitReport(model=IsingModel(J=symmetrize(raw), h=np.diag(raw).copy()),
+                     method="plm", iterations=iterations, residual=residual)
 
 
 # method -> (solver named in this module, whether it fits raw spins instead of moments)

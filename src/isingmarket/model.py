@@ -81,8 +81,8 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
 class FitReport:
     """Inferred model plus convergence metadata.
 
-    residual is the max-abs moment mismatch when the method can evaluate it
-    (exact enumeration fits); None for the approximate inversions.
+    residual is the final max-abs gradient of the likelihood fits (exact: the
+    moment mismatch; plm: the pseudo-likelihood gradient); None for nmf, tap-inv.
     """
 
     model: IsingModel

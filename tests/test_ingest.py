@@ -133,3 +133,23 @@ def test_read_spin_csv_rejects_bad_cell(tmp_path):
     path.write_text("date,a\nd1,3\n")
     with pytest.raises(FormatError):
         read_spin_csv(path)
+    for text, error in [
+        ("", EmptyInputError),
+        ("date,a,b\n", EmptyInputError),  # header only
+        ("date,a,b\n\n\n", EmptyInputError),
+        ("date,a,b\nd1,1,x\n", FormatError),
+        ("date,a,b\nd1,1,1.0\n", FormatError),
+        ("date,a,b\nd1,1,\n", FormatError),
+        ("date,a,b\nd1,1,#1\n", FormatError),
+        ("date,a,b\nd1,1,-2\n", FormatError),
+        ("date,a,b\nd1,1,255\n", FormatError),
+        ("date,a,b\nd1,1,99999999999999999999\n", FormatError),
+        ("date,a,b\nd1,1,1,1\n", FormatError),  # an extra cell
+        ("date,a,b\nd1,1,1\nd2,1,1,-1\n", FormatError),  # an extra cell, later row
+        ("date,a,b\nd1,1,1\nd2,1\n", FormatError),  # a missing cell
+        ("date,a,b\nd1,1,1\n  \n", FormatError),
+        ("day,a,b\nd1,1,1\n", FormatError),
+    ]:
+        path.write_text(text)
+        with pytest.raises(error):
+            read_spin_csv(path)

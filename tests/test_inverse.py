@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import planted_model
+from conftest import planted_model, reference_plm
 from isingmarket import (
     SamplerConfig,
     SpinMatrix,
@@ -21,7 +21,7 @@ from isingmarket.errors import (
     ReliabilityError,
     SingularMatrixError,
 )
-from isingmarket.inverse import _plm_single_spin
+from isingmarket.inverse import _plm_rows
 from isingmarket.model import FitReport
 from isingmarket.moments import MomentSet
 
@@ -153,18 +153,49 @@ def test_plm_separable_spin_diverges_without_ridge():
     rng = np.random.default_rng(4)
     col = rng.integers(0, 2, 80) * 2 - 1
     other = rng.integers(0, 2, 80) * 2 - 1
-    mat = SpinMatrix(tickers=["a", "b", "c"], dates=[f"d{i}" for i in range(80)],
-                     values=np.column_stack([col, col, other]))
-    with pytest.raises(DivergenceError, match="ridge"):
-        plm_fit(mat, ridge=0.0)
+    # a duplicated column, a constant column, and a spin fixed by a weighted
+    # vote of seven others (full rank, but its fit runs past |w| = 30)
+    voters = rng.integers(0, 2, (80, 7)) * 2 - 1
+    voted = np.sign(voters @ np.arange(1, 8) + 0.5)
+    for values in (np.column_stack([col, col, other]),
+                   np.column_stack([col, np.ones(80), other]),
+                   np.column_stack([voted, voters])):
+        mat = SpinMatrix(tickers=[f"t{i}" for i in range(values.shape[1])],
+                         dates=[f"d{i}" for i in range(80)], values=values)
+        with pytest.raises(DivergenceError, match="ridge"):
+            plm_fit(mat, ridge=0.0)
+
+
+def _plm_objective(spins, w, ridge):
+    fields = spins @ w.T + (1.0 - spins) * np.diag(w)
+    return -np.logaddexp(0.0, -2.0 * spins * fields).mean(axis=0).sum() - ridge * (w**2).sum()
 
 
 def test_plm_objective_monotone():
     true = planted_model(5, 0.3, 0.3, 7)
     mat = glauber_sample(true, SamplerConfig(rows=2000, burn_in=200, thin=1, seed=7))
-    _, _, trace = _plm_single_spin(mat.values.astype(float), 0, 1e-3, 1e-6, 200)
+    spins = mat.values.astype(float)
+    # the solver's path is deterministic: rerunning with max_iter = k gives its k-th iterate
+    trace = []
+    for k in range(200):
+        w, iterations, _ = _plm_rows(spins, 1e-3, 1e-6, k)
+        trace.append(_plm_objective(spins, w, 1e-3))
+        if iterations < k:
+            break
     diffs = np.diff(np.array(trace))
     assert np.all(diffs >= -1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 15])
+@pytest.mark.parametrize("ridge", [1e-3, 0.1])
+def test_plm_matches_per_spin_reference(n, ridge):
+    true = planted_model(n, 1.0 / n, 0.3, 40 + n)
+    mat = glauber_sample(true, SamplerConfig(rows=3000, burn_in=200, seed=40 + n))
+    fit = plm_fit(mat, ridge=ridge, tol=1e-8)
+    coupling, field = reference_plm(mat, ridge, tol=1e-8)
+    assert np.abs(fit.model.J - coupling).max() <= 1e-7
+    assert np.abs(fit.model.h - field).max() <= 1e-7
+    assert fit.residual <= 1e-8
 
 
 # ------------------------------------------------------------- common
