@@ -172,8 +172,8 @@ def _cmd_ingest(cfg) -> tuple[list, list]:
     )
     series = []
     for path in cfg["files"]:
-        with open(path, newline="") as handle:
-            series.append(ingest.parse_ohlc(handle, fmt, ticker=Path(path).stem))
+        text = Path(path).read_text()  # universal newlines: '\r\n' and '\r' become '\n'
+        series.append(ingest.parse_ohlc(text, fmt, ticker=Path(path).stem))
     matrix = ingest.binarize(series)
     outdir = Path(cfg["outdir"])
     spins_path = outdir / "spins.csv"

@@ -8,7 +8,7 @@ no return is ever imputed.
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
 
@@ -28,21 +28,32 @@ class OhlcFormat:
     date_format: str | None = None  # None -> ISO-8601 (YYYY-MM-DD)
 
 
-@dataclass
+@dataclass(eq=False)
 class PriceSeries:
-    """Per-ticker open/close rows, sorted by strictly increasing date.
+    """Per-ticker open/close columns, sorted by strictly increasing date.
 
-    dropped counts rows discarded during parsing (bad prices, bad dates,
-    duplicate dates); high/low/volume columns are ignored.
+    dropped counts rows discarded during parsing (bad or non-finite prices,
+    bad dates, duplicate dates); high/low/volume columns are ignored.
     """
 
     ticker: str
-    rows: list[tuple[date, float, float]]
+    dates: np.ndarray  # datetime64[D], strictly increasing
+    open: np.ndarray  # float64, finite and > 0
+    close: np.ndarray  # float64, finite and > 0
     dropped: int = 0
 
     @property
-    def dates(self) -> list[date]:
-        return [r[0] for r in self.rows]
+    def rows(self) -> list[tuple[date, float, float]]:
+        """(date, open, close) per kept row, built from the columns on each call."""
+        return list(zip(self.dates.tolist(), self.open.tolist(), self.close.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceSeries):
+            return NotImplemented
+        return (self.ticker == other.ticker and self.dropped == other.dropped
+                and np.array_equal(self.dates, other.dates)
+                and np.array_equal(self.open, other.open)
+                and np.array_equal(self.close, other.close))
 
 
 @dataclass
@@ -87,19 +98,106 @@ def _parse_date(text: str, fmt: OhlcFormat) -> date:
     return datetime.strptime(text.strip(), fmt.date_format).date()
 
 
-def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
-    """Parse one delimiter-separated OHLC stream into a PriceSeries.
+# Code points less ord("0"), wrapped around in uint32: digits are 0..9.
+_ZERO = np.uint32(ord("0"))
+_DASH = np.uint32((ord("-") - ord("0")) % 2**32)
+_DOT = np.uint32((ord(".") - ord("0")) % 2**32)
+# A price cell is converted in bulk when it is at most 16 ASCII digits and
+# '.'s, one '.' at most.  Then its digits form an integer that int64 holds
+# exactly; with a '.' it has 15 digits at most, so it is below 2**53 and so is
+# the power of ten it is divided by.  Either way the result is rounded once,
+# to the nearest double, exactly as float() rounds.
+_MAX_CHARS = 16
+_POW10 = 10 ** np.arange(_MAX_CHARS, dtype=np.int64)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64[D] counts days from here
 
-    Rows with non-positive or unparseable open/close (or an unparseable or
-    duplicate date) are dropped and counted rather than failing the file.
+
+def _lines_from(text: str, bounds: list[int], k: int):
+    """Lines k, k+1, ... of text as the input split them, each with its line ending if any.
+
+    bounds holds each line's start offset, then len(text).
+    """
+    for i in range(k, len(bounds) - 1):
+        yield text[bounds[i]:bounds[i + 1]]
+
+
+def _read_record(text: str, bounds: list[int], k: int, delimiter: str):
+    """The csv record that begins at line k (None past the end) and its line count."""
+    reader = csv.reader(_lines_from(text, bounds, k), delimiter=delimiter)
+    return next(reader, None), reader.line_num
+
+
+def _iso_days(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Cells that are strict YYYY-MM-DD calendar dates, as datetime64[D].
+
+    Returns (days, ok); ok is False where a cell is anything else.
+    """
+    c = (codes[np.minimum(start + np.arange(10)[:, None], codes.size - 1)]
+         - _ZERO).astype(np.int64)
+    ok = ((end - start == 10) & (c[[0, 1, 2, 3, 5, 6, 8, 9]] < 10).all(axis=0)
+          & (c[4] == _DASH) & (c[7] == _DASH))
+    year = ((c[0] * 10 + c[1]) * 10 + c[2]) * 10 + c[3]
+    month = c[5] * 10 + c[6]
+    day = c[8] * 10 + c[9]
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
+    ok &= days.astype("datetime64[M]") == months  # a day past the month's end rolls over
+    return days, ok
+
+
+def _decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Cells of at most 16 ASCII digits with at most one '.', as float64.
+
+    Returns (values, ok); ok is False where a cell is anything else.  The
+    cells are read right-aligned, a column at a time; columns left of a
+    cell read the character before it, which the count check then rejects.
+    """
+    length = end - start
+    width = int(min(length.max(initial=0), _MAX_CHARS))
+    before = start - 1
+    mantissa = digits = dots = lead = np.zeros(start.size, dtype=np.int64)
+    for j in range(width, 0, -1):
+        c = codes[np.maximum(end - j, before)] - _ZERO
+        digit = c < 10
+        dot = c == _DOT
+        mantissa = np.where(digit, mantissa * 10 + c, mantissa)
+        lead = np.where(dot, digits, lead)  # digits ahead of the '.'
+        digits = digits + digit
+        dots = dots + dot
+    ok = (digits + dots == length) & (dots <= 1) & (digits >= 1)
+    return mantissa / _POW10[np.where(ok & (dots == 1), digits - lead, 0)], ok
+
+
+def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
+    """Parse one delimiter-separated OHLC text into a PriceSeries.
+
+    text is a str, whose lines end at '\\n' as io.StringIO splits them, or any
+    iterable of lines, such as a text stream, whose lines end where it ends them.
+    Rows with non-positive, non-finite or unparseable open/close (or an
+    unparseable or duplicate date) are dropped and counted rather than
+    failing the file.
+
+    The lines that split plainly on the delimiter (the header's cell count,
+    no '"', and no '\\r' or '\\n' before the line ending) are tokenized and
+    converted in bulk when the dates are ISO-8601.  Every other record, and
+    every plain line with a cell the bulk rules do not accept, goes through
+    the row rule: csv tokenization, then the date and float parse of one row.
     """
     fmt = fmt or OhlcFormat()
     if isinstance(text, str):
-        text = io.StringIO(text)
-    reader = csv.reader(text, delimiter=fmt.delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        bounds = np.append(0, np.flatnonzero(codes == ord("\n")) + 1)
+        if bounds[-1] < len(text):
+            bounds = np.append(bounds, len(text))
+    else:
+        lines = list(text)
+        text = "".join(lines)
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        bounds = np.append(0, np.cumsum([len(line) for line in lines], dtype=np.int64))
+    offsets = bounds.tolist()
+    header, first = _read_record(text, offsets, 0, fmt.delimiter)
+    if header is None:
         raise EmptyInputError(f"{ticker or 'input'}: no header row")
     header = [h.strip() for h in header]
     try:
@@ -112,35 +210,85 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
             f"({fmt.date_column}/{fmt.open_column}/{fmt.close_column})"
         ) from exc
 
-    rows: list[tuple[date, float, float]] = []
-    dropped = 0
-    for record in reader:
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        try:
-            d = _parse_date(record[i_date], fmt)
-            o = float(record[i_open])
-            c = float(record[i_close])
-        except (ValueError, IndexError):
-            dropped += 1
-            continue
-        if o <= 0.0 or c <= 0.0:
-            dropped += 1
-            continue
-        rows.append((d, o, c))
+    # Bulk pass over the plain lines, on the text's code points.  A line's
+    # cells end where its line ending ('\n', '\r\n' or '\r') begins.
+    starts, ends = bounds[:-1], bounds[1:].copy()
+    for mark in ("\n", "\r"):
+        ended = ends > starts
+        ends[ended] -= codes[ends[ended] - 1] == ord(mark)
+    delims = np.flatnonzero(codes == ord(fmt.delimiter))
+    before = np.searchsorted(delims, starts)  # delimiters ahead of each line
+    plain = np.searchsorted(delims, ends) - before == len(header) - 1
+    marks = np.flatnonzero((codes == ord('"')) | (codes == ord("\r")) | (codes == ord("\n")))
+    plain &= np.searchsorted(marks, starts) == np.searchsorted(marks, ends)  # none ahead of the ending
+    plain[:first] = False
+    if fmt.date_format is not None:
+        plain[:] = False  # custom date formats keep strptime: every record takes the row rule
+    at = np.flatnonzero(plain)
 
-    if not rows:
+    def column(j: int):
+        start = starts[at] if j == 0 else delims[before[at] + j - 1] + 1
+        end = ends[at] if j == len(header) - 1 else delims[before[at] + j]
+        return start, end
+
+    days, ok = _iso_days(codes, *column(i_date))
+    opens, ok_open = _decimals(codes, *column(i_open))
+    closes, ok_close = _decimals(codes, *column(i_close))
+    ok &= ok_open & ok_close
+
+    # Row rule, in file order, for the non-plain lines and the plain lines the
+    # bulk pass rejected.  One csv reader reads each run of such records, up
+    # to the next line the bulk pass keeps; a quoted record may span lines.
+    plain[at[~ok]] = False
+    run_ends = plain.tolist() + [True]  # a run of records ends at a line the bulk pass keeps
+    swallowed = np.zeros(plain.size, dtype=bool)
+    slow: list[int | float] = []  # line, date ordinal, open, close of each kept row
+    dropped = 0
+    line = first
+    for k in np.flatnonzero(~plain).tolist():
+        if k < line:
+            continue  # read in an earlier run
+        line = k
+        reader = csv.reader(_lines_from(text, offsets, k), delimiter=fmt.delimiter)
+        for record in reader:
+            end = k + reader.line_num
+            if end > line + 1:
+                swallowed[line + 1:end] = True
+            try:  # the row rule
+                d = _parse_date(record[i_date], fmt).toordinal()
+                o = float(record[i_open])
+                c = float(record[i_close])
+            except (ValueError, IndexError):
+                d = None
+            if d is not None and 0.0 < o < math.inf and 0.0 < c < math.inf:  # drops nan too
+                slow += (line, d, o, c)
+            elif any(cell.strip() for cell in record):  # blank records are skipped
+                dropped += 1
+            line = end
+            if run_ends[line]:
+                break
+        line = k + reader.line_num
+
+    keep = ok & ~swallowed[at]
+    positive = (opens > 0.0) & (closes > 0.0)
+    dropped += int(np.count_nonzero(keep & ~positive))
+    keep &= positive
+    slow = np.array(slow, dtype=np.float64).reshape(-1, 4)  # line and ordinal are exact
+    line = np.concatenate([at[keep], slow[:, 0].astype(np.int64)])
+    slow_days = (slow[:, 1].astype(np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    days = np.concatenate([days[keep], slow_days])
+    opens = np.concatenate([opens[keep], slow[:, 2]])
+    closes = np.concatenate([closes[keep], slow[:, 3]])
+    if not days.size:
         raise EmptyInputError(f"{ticker or 'input'}: no valid OHLC rows")
 
-    # Stable sort keeps file order among equal dates; keep the first, count the rest.
-    rows.sort(key=lambda r: r[0])
-    unique: list[tuple[date, float, float]] = []
-    for row in rows:
-        if unique and unique[-1][0] == row[0]:
-            dropped += 1
-            continue
-        unique.append(row)
-    return PriceSeries(ticker=ticker, rows=unique, dropped=dropped)
+    # File order among equal dates; keep the first, count the rest.
+    order = np.lexsort((line, days))
+    days, opens, closes = days[order], opens[order], closes[order]
+    first_of_date = np.append(True, days[1:] != days[:-1])
+    dropped += int(days.size - np.count_nonzero(first_of_date))
+    return PriceSeries(ticker=ticker, dates=days[first_of_date], open=opens[first_of_date],
+                       close=closes[first_of_date], dropped=dropped)
 
 
 def binarize(series: list[PriceSeries]) -> SpinMatrix:
@@ -151,26 +299,24 @@ def binarize(series: list[PriceSeries]) -> SpinMatrix:
     """
     if not series:
         raise EmptyInputError("no price series to binarize")
-    common = set(series[0].dates)
+    common = series[0].dates.view(np.int64)  # numpy sorts int64 faster than datetime64
     for s in series[1:]:
-        common &= set(s.dates)
-    if not common:
+        common = np.intersect1d(common, s.dates.view(np.int64), assume_unique=True)
+    common = common.view("datetime64[D]")
+    if not common.size:
         ranges = ", ".join(
-            f"{s.ticker}: {s.rows[0][0].isoformat()}..{s.rows[-1][0].isoformat()}"
+            "{}: {}..{}".format(s.ticker, *np.datetime_as_string(s.dates[[0, -1]], unit="D"))
             for s in series
         )
         raise AlignmentError(f"no common dates across tickers ({ranges})")
 
-    dates = sorted(common)
-    values = np.empty((len(dates), len(series)), dtype=np.int8)
+    values = np.empty((common.size, len(series)), dtype=np.int8)
     for j, s in enumerate(series):
-        by_date = {d: (o, c) for d, o, c in s.rows}
-        for i, d in enumerate(dates):
-            o, c = by_date[d]
-            values[i, j] = 1 if c >= o else -1
+        i = np.searchsorted(s.dates, common)
+        values[:, j] = np.where(s.close[i] >= s.open[i], 1, -1)
     return SpinMatrix(
         tickers=[s.ticker for s in series],
-        dates=[d.isoformat() for d in dates],
+        dates=np.datetime_as_string(common, unit="D").tolist(),
         values=values,
     )
 

@@ -6,16 +6,24 @@ reference_glauber is the sampler's sweep loop in plain Python, the oracle
 that the compiled kernel must reproduce bit for bit.  reference_plm fits the
 pseudo-likelihood one spin at a time, each with its own dense Newton solve and
 Armijo line search: the oracle for the joint fit in inverse.plm_fit.
+reference_parse_ohlc and reference_binarize are the per-row csv parser and the
+dict-per-ticker binarization, the oracles for the bulk parse and the array
+join in isingmarket.ingest.
 """
 
+import csv
+import io
 import itertools
 import math
+from dataclasses import dataclass
+from datetime import date, datetime
 
 import numpy as np
 import pytest
 
 from isingmarket import IsingModel
-from isingmarket.errors import DivergenceError
+from isingmarket.errors import AlignmentError, DivergenceError, EmptyInputError, FormatError
+from isingmarket.ingest import OhlcFormat, SpinMatrix
 from isingmarket.sampler import _SWEEP_BATCH
 
 
@@ -194,6 +202,119 @@ def reference_plm(matrix, ridge, tol=1e-8, max_iter=500):
     coupling = 0.5 * (raw + raw.T)
     np.fill_diagonal(coupling, 0.0)
     return coupling, h
+
+
+@dataclass
+class ReferenceSeries:
+    """The row-list PriceSeries that reference_parse_ohlc returns.
+
+    Per-ticker open/close rows, sorted by strictly increasing date.
+
+    dropped counts rows discarded during parsing (bad prices, bad dates,
+    duplicate dates); high/low/volume columns are ignored.
+    """
+
+    ticker: str
+    rows: list[tuple[date, float, float]]
+    dropped: int = 0
+
+    @property
+    def dates(self) -> list[date]:
+        return [r[0] for r in self.rows]
+
+
+def _reference_parse_date(text: str, fmt: OhlcFormat) -> date:
+    if fmt.date_format is None:
+        return date.fromisoformat(text.strip())
+    return datetime.strptime(text.strip(), fmt.date_format).date()
+
+
+def reference_parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> ReferenceSeries:
+    """Parse one delimiter-separated OHLC stream into a PriceSeries.
+
+    Rows with non-positive or unparseable open/close (or an unparseable or
+    duplicate date) are dropped and counted rather than failing the file.
+    """
+    fmt = fmt or OhlcFormat()
+    if isinstance(text, str):
+        text = io.StringIO(text)
+    reader = csv.reader(text, delimiter=fmt.delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{ticker or 'input'}: no header row")
+    header = [h.strip() for h in header]
+    try:
+        i_date = header.index(fmt.date_column)
+        i_open = header.index(fmt.open_column)
+        i_close = header.index(fmt.close_column)
+    except ValueError as exc:
+        raise FormatError(
+            f"{ticker or 'input'}: header {header!r} is missing a mapped column "
+            f"({fmt.date_column}/{fmt.open_column}/{fmt.close_column})"
+        ) from exc
+
+    rows: list[tuple[date, float, float]] = []
+    dropped = 0
+    for record in reader:
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        try:
+            d = _reference_parse_date(record[i_date], fmt)
+            o = float(record[i_open])
+            c = float(record[i_close])
+        except (ValueError, IndexError):
+            dropped += 1
+            continue
+        if o <= 0.0 or c <= 0.0:
+            dropped += 1
+            continue
+        rows.append((d, o, c))
+
+    if not rows:
+        raise EmptyInputError(f"{ticker or 'input'}: no valid OHLC rows")
+
+    # Stable sort keeps file order among equal dates; keep the first, count the rest.
+    rows.sort(key=lambda r: r[0])
+    unique: list[tuple[date, float, float]] = []
+    for row in rows:
+        if unique and unique[-1][0] == row[0]:
+            dropped += 1
+            continue
+        unique.append(row)
+    return ReferenceSeries(ticker=ticker, rows=unique, dropped=dropped)
+
+
+def reference_binarize(series: list[ReferenceSeries]) -> SpinMatrix:
+    """Align tickers on their common dates and binarize open-to-close moves.
+
+    Entry is +1 when close >= open and -1 when close < open.  Any day missing
+    from at least one ticker is dropped.
+    """
+    if not series:
+        raise EmptyInputError("no price series to binarize")
+    common = set(series[0].dates)
+    for s in series[1:]:
+        common &= set(s.dates)
+    if not common:
+        ranges = ", ".join(
+            f"{s.ticker}: {s.rows[0][0].isoformat()}..{s.rows[-1][0].isoformat()}"
+            for s in series
+        )
+        raise AlignmentError(f"no common dates across tickers ({ranges})")
+
+    dates = sorted(common)
+    values = np.empty((len(dates), len(series)), dtype=np.int8)
+    for j, s in enumerate(series):
+        by_date = {d: (o, c) for d, o, c in s.rows}
+        for i, d in enumerate(dates):
+            o, c = by_date[d]
+            values[i, j] = 1 if c >= o else -1
+    return SpinMatrix(
+        tickers=[s.ticker for s in series],
+        dates=[d.isoformat() for d in dates],
+        values=values,
+    )
 
 
 @pytest.fixture

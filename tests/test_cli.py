@@ -33,6 +33,18 @@ def write_ohlc(tmp_path):
     return paths
 
 
+def test_ingest_reads_crlf_and_cr_line_endings(tmp_path):
+    files = write_ohlc(tmp_path)
+    assert main(["ingest", *files, "-o", str(tmp_path / "lf")]) == 0
+    expected = (tmp_path / "lf" / "spins.csv").read_bytes()
+    texts = [Path(path).read_text() for path in files]
+    for name, ending in [("crlf", "\r\n"), ("cr", "\r")]:
+        for path, text in zip(files, texts):
+            Path(path).write_bytes(text.replace("\n", ending).encode())
+        assert main(["ingest", *files, "-o", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "spins.csv").read_bytes() == expected, name
+
+
 def model_json(tmp_path, n=3, scale=0.5, seed=0, name="model.json"):
     rng = np.random.default_rng(seed)
     coupling = np.zeros((n, n))

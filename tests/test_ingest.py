@@ -1,7 +1,13 @@
+import importlib.util
+import io
+import math
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_binarize, reference_parse_ohlc
 
 from isingmarket import OhlcFormat, SpinMatrix, binarize, parse_ohlc
 from isingmarket.errors import AlignmentError, EmptyInputError, FormatError
@@ -25,6 +31,14 @@ def test_parse_drops_nonpositive_open():
     s = series("x", ["2020-01-02,0.0,11,9,10.5,100", "2020-01-03,10,11,9,9,100"])
     assert len(s.rows) == 1
     assert s.dropped == 1
+
+
+def test_parse_drops_non_finite_prices():
+    for bad in ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"]:
+        for row in [f"2020-01-02,{bad},11,9,5,100", f"2020-01-02,5,11,9,{bad},100"]:
+            s = series("x", [row, "2020-01-03,10,11,9,9,100"])
+            assert s.rows == [(date(2020, 1, 3), 10.0, 9.0)], row
+            assert s.dropped == 1, row
 
 
 def test_parse_deterministic():
@@ -153,3 +167,234 @@ def test_read_spin_csv_rejects_bad_cell(tmp_path):
         path.write_text(text)
         with pytest.raises(error):
             read_spin_csv(path)
+
+
+# Cells for the differential test against the per-row oracle in conftest.
+GRID_DATES = ["2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07", "2020-01-08",
+              " 2020-01-03 ", "20200106", "2020-1-07", "2001-02-29", "2000-02-29",
+              "0000-01-01", "2001-13-45", "2020-01-32", "2020-04-31", "9999-12-31",
+              "0001-01-01", "٢٠٢٠-٠١-٠٢", "", "n/a"]
+GRID_PRICES = ["10", "10.5", " 10.5 ", "10.5 ", "1e3", "1_000", "+5", ".5", "5.", "0", "0.000",
+               "-1.5", "n/a", "", ".", "1.2.3", "١٢", "５",
+               "123456789012345", "12345678901234.5", "1234567890123456",
+               "98488.48678235767", "9007199254740993",
+               "0000000000000001.5", "9.999999999999999", "0.1", "3.14159", "7",
+               "nan", "inf", "-inf", "NaN", "1e999"]
+
+
+def _finite_or_bad(cell):
+    """The cell the oracle gets: non-finite prices, which it keeps, become unparseable."""
+    try:
+        return cell if math.isfinite(float(cell)) else "x"
+    except ValueError:
+        return cell
+
+
+def _grid_row(rng, delimiter):
+    """One record as (new text, oracle text), in one of several shapes."""
+    def pick(pool, good):  # mostly well-formed cells, so that the bulk path runs
+        return str(rng.choice(pool[:good] if rng.random() < 0.7 else pool))
+
+    cells = [pick(GRID_DATES, 5), pick(GRID_PRICES, 2), "11", "9", pick(GRID_PRICES, 2), "100"]
+    shape = rng.integers(0, 12)
+    if shape == 0:
+        cells = cells[:int(rng.integers(1, 5))]  # short row
+    elif shape == 1:
+        cells = cells + ["x", ""]  # long row
+    elif shape == 2:
+        cells[int(rng.integers(0, 6))] = ""  # empty cell
+    quoted = rng.random(6) < (0.5 if shape == 3 else 0.0)
+
+    def text(price):
+        out = [price(c) if i in (1, 4) else c for i, c in enumerate(cells)]
+        return delimiter.join(f'"{c}"' if q else c for c, q in zip(out, quoted))
+
+    if shape == 4:
+        return "", ""  # blank line
+    if shape == 5:
+        return "   ", "   "
+    return text(lambda c: c), text(_finite_or_bad)
+
+
+def _grid_files(rng):
+    """(name, new text, oracle text, fmt) for the differential test."""
+    files = []
+    for k in range(240):
+        delimiter = ";" if k % 8 == 7 else ","
+        fmt = OhlcFormat(delimiter=delimiter) if delimiter == ";" else None
+        header = delimiter.join(["Date", "Open", "High", "Low", "Close", "Volume"])
+        if k % 5 == 1:
+            header = '"Date","Open",High,Low,"Close",Volume'.replace(",", delimiter)
+        if k % 5 == 2:
+            header = header.replace("Open", " Open ")
+        rows = [_grid_row(rng, delimiter) for _ in range(int(rng.integers(1, 16)))]
+        ending = "\r\n" if k % 6 == 3 else "\n"
+        tail = ending if rng.random() < 0.7 else ""
+        new = ending.join([header] + [r[0] for r in rows]) + tail
+        ref = ending.join([header] + [r[1] for r in rows]) + tail
+        files.append((f"g{k}", new, ref, fmt))
+
+    # Each edge cell once in an otherwise well-formed row.
+    days = np.datetime_as_string(np.datetime64("2020-02-01") + np.arange(2 * len(GRID_PRICES)))
+
+    def edges(price):
+        rows = [f"{days[2 * k]},{price(p)},11,9,10,100\n{days[2 * k + 1]},10,11,9,{price(p)},100"
+                for k, p in enumerate(GRID_PRICES)]
+        rows += [f"{d},10,11,9,{9 + k},100" for k, d in enumerate(GRID_DATES)]
+        return HEADER + "\n" + "\n".join(rows)
+
+    files.append(("edges", edges(lambda p: p), edges(_finite_or_bad), None))
+
+    # Duplicate dates, one copy on the bulk path and one on the row path.
+    for k, (first, second) in enumerate([
+        ("2020-01-02,10,11,9,12,100", '2020-01-02,"10",11,9,8,100'),
+        ('2020-01-02,"10",11,9,12,100', "2020-01-02,10,11,9,8,100"),
+        ("2020-01-02,10,11,9,12,100", "2020-01-02,1e1,11,9,8,100"),
+        ("2020-01-02,1e1,11,9,12,100", "2020-01-02,10,11,9,8,100"),
+        ("2020-01-02,nan,11,9,12,100", "2020-01-02,10,11,9,8,100"),
+        ("20200102,10,11,9,12,100", "2020-01-02,10,11,9,8,100"),
+    ]):
+        text = "\n".join([HEADER, "2020-01-03,1,2,3,4,5", first, second, "2020-01-01,5,6,4,5,1"])
+        files.append((f"dup{k}", text, text.replace("nan", "x"), None))
+
+    # Records with a quoted line break, one spanning a line that looks plain.
+    for k, body in enumerate([
+        '2020-01-02,"10\n",11,9,10.5,100\n2020-01-03,10,11,9,9,100',
+        '2020-01-02,10,"note\n2020-01-04,1,2,3,4,5\nend",9,10.5,100\n2020-01-03,10,11,9,9,100',
+        '2020-01-02,10,11,9,10.5,"1\n"\n2020-01-02,9,11,9,12,100\n2020-01-03,10,11,9,9,100',
+    ]):
+        files.append((f"multi{k}", HEADER + "\n" + body, HEADER + "\n" + body, None))
+    text = 'Date,Open,Close,"note\n2020-01-02,5,6,7\nend"\n2020-01-03,10,9,1\n'
+    files.append(("multi-header", text, text, None))
+
+    # A '.' delimiter: prices are whole numbers, and a '.' next to a cell is no decimal point.
+    text = "Date.Open.Close\n2020-01-02.10.90\n2020-01-03.100.700\n2020-01-06.8.1000\n"
+    files.append(("dots", text, text, OhlcFormat(delimiter=".")))
+
+    # A custom delimiter together with a date format.
+    fmt = OhlcFormat(delimiter="|", date_column="day", open_column="o", close_column="c",
+                     date_format="%d/%m/%Y")
+    days = ["02/01/2020", "03/01/2020", "2/1/2020", "31/02/2020", " 06/01/2020", "2020-01-07",
+            "07/01/2020", ""]
+    for k in range(12):
+        rows = [(str(rng.choice(days)), *map(str, rng.choice(GRID_PRICES, 2)))
+                for _ in range(int(rng.integers(1, 12)))]
+
+        def text(price):
+            return "\n".join(["day|o|x|c"] + [f"{d}|{price(o)}|1|{price(c)}" for d, o, c in rows])
+
+        files.append((f"fmt{k}", text(lambda p: p), text(_finite_or_bad), fmt))
+
+    # A date format that reads ISO-8601-looking dates another way.
+    for k in range(4):
+        rows = [_grid_row(rng, ",") for _ in range(int(rng.integers(1, 12)))]
+        new, ref = ("\n".join([HEADER] + [row[j] for row in rows]) for j in (0, 1))
+        files.append((f"ydm{k}", new, ref, OhlcFormat(date_format="%Y-%d-%m")))
+    return files
+
+
+def _generator():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _outcome(parse, text, fmt, ticker):
+    """The parsed series, or the type and message of the error the parse raised."""
+    try:
+        return parse(text, fmt, ticker=ticker)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(new, ref, name):
+    if isinstance(ref, tuple):
+        assert new == ref, name
+    else:
+        assert new.rows == ref.rows and new.dropped == ref.dropped, name
+        assert new.dates.dtype == np.dtype("datetime64[D]"), name
+
+
+# The kinds of input parse_ohlc takes besides a str: streams split as io.StringIO
+# splits them, split at any line ending (as a file opened with newline="" is),
+# the same with '\r' alone ending each line, and a list of lines without endings.
+INPUT_SHAPES = {
+    "stream": io.StringIO,
+    "newline-stream": lambda text: io.StringIO(text, newline=""),
+    "cr-stream": lambda text: io.StringIO(
+        text.replace("\r\n", "\n").replace("\n", "\r"), newline=""),
+    "bare-lines": lambda text: text.split("\n"),
+}
+
+
+def test_parse_and_binarize_match_reference():
+    rng = np.random.default_rng(2024)
+    files = _grid_files(rng)
+    gen = _generator()
+    for seed in (3, 77, 12):
+        market = gen.generate_market(seed, n_tickers=4, n_days=300)
+        files += [(t, market.files[t], market.files[t], None) for t in market.tickers]
+
+    parsed = []
+    for name, new_text, ref_text, fmt in files:
+        new = _outcome(parse_ohlc, new_text, fmt, name)
+        ref = _outcome(reference_parse_ohlc, ref_text, fmt, name)
+        _assert_same_outcome(new, ref, name)
+        for shape, make in INPUT_SHAPES.items():
+            _assert_same_outcome(_outcome(parse_ohlc, make(new_text), fmt, name),
+                                 _outcome(reference_parse_ohlc, make(ref_text), fmt, name),
+                                 f"{name} {shape}")
+        if not isinstance(ref, tuple):
+            parsed.append((new, ref))
+
+    assert len(parsed) > 150
+    for k in range(0, len(parsed) - 2, 2):
+        group = parsed[k:k + 3]
+        try:
+            expected = reference_binarize([ref for _, ref in group])
+        except AlignmentError as exc:
+            with pytest.raises(AlignmentError) as caught:
+                binarize([new for new, _ in group])
+            assert str(caught.value) == str(exc)
+            continue
+        got = binarize([new for new, _ in group])
+        assert got.tickers == expected.tickers and got.dates == expected.dates
+        assert np.array_equal(got.values, expected.values)
+
+
+def test_parse_line_break_inside_a_line_matches_reference():
+    # A str's lines end at '\n' only, as for io.StringIO, and a list's lines
+    # end where its items do: a lone '\r' inside a str's line, or a '\n'
+    # inside an item, gives both parsers the same outcome.
+    texts = [HEADER + "\n" + row + "\n"
+             for row in ["2020-01-02,10,11,9,10.5,100\r2020-01-03,10,11,9,9,100",
+                         "2020-01-02,10,1\r1,9,10.5,100"]]
+    texts += [[HEADER, "2020-01-02,10,11,9,10.5,1\n00", "2020-01-03,10,11,9,9,100"],
+              [HEADER, "2020-01-02,10,11,9,10.5,1\r00", "2020-01-03,10,11,9,9,100"]]
+    for text in texts:
+        ref = _outcome(reference_parse_ohlc, text, None, "x")
+        assert isinstance(ref, tuple)
+        assert _outcome(parse_ohlc, text, None, "x") == ref
+
+
+def test_parse_cr_file_and_line_list_match_reference(tmp_path):
+    market = _generator().generate_market(5, n_tickers=2, n_days=200)
+    for ticker in market.tickers:
+        lines = market.files[ticker].split("\n")
+        lines[1::5] = [f'"{line[:10]}"{line[10:]}' for line in lines[1::5]]  # quoted dates too
+        text = "\n".join(lines)
+        path = tmp_path / f"{ticker}.csv"
+        path.write_bytes(text.replace("\n", "\r").encode())
+        with open(path, newline="") as handle:
+            new = parse_ohlc(handle, ticker=ticker)
+        with open(path, newline="") as handle:
+            ref = reference_parse_ohlc(handle, ticker=ticker)
+        assert new.rows == ref.rows and new.dropped == ref.dropped
+        assert new == parse_ohlc(text, ticker=ticker)
+        lines = text.splitlines()
+        new = parse_ohlc(lines, ticker=ticker)
+        ref = reference_parse_ohlc(lines, ticker=ticker)
+        assert new.rows == ref.rows and new.dropped == ref.dropped
