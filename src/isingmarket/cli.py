@@ -18,6 +18,7 @@ write, so nothing is written on 1 or 2.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -58,7 +59,6 @@ class Opt:
     check: tuple | None = None
     choices: tuple = ()
     required: bool = False
-    flag: bool = True  # False: a config-file key only
     help: str | None = None
 
     @property
@@ -173,7 +173,10 @@ def _cmd_ingest(cfg) -> tuple[list, list]:
     series = []
     for path in cfg["files"]:
         text = Path(path).read_text()  # universal newlines: '\r\n' and '\r' become '\n'
-        series.append(ingest.parse_ohlc(text, fmt, ticker=Path(path).stem))
+        try:
+            series.append(ingest.parse_ohlc(text, fmt, ticker=Path(path).stem))
+        except csv.Error as exc:  # a record the csv module rejects
+            raise FormatError(f"{path}: {exc}") from exc
     matrix = ingest.binarize(series)
     outdir = Path(cfg["outdir"])
     spins_path = outdir / "spins.csv"
@@ -356,7 +359,6 @@ def _cmd_critical_demo(cfg) -> tuple[list, list]:
 
 _SPINS = Opt("spins", required=True)
 _MODEL = Opt("model", required=True)
-_SEED = Opt("seed", int, check=_at_least(0), flag=False)  # recorded in the manifest
 _SAMPLER = [Opt("burn_in", int, 1000, _at_least(0)), Opt("thin", int, 1, _at_least(1)),
             Opt("seed", int, 0, _at_least(0))]
 _TOL = Opt("tol", float, check=_POSITIVE)
@@ -370,14 +372,12 @@ COMMANDS = {
         Opt("date_col", default="Date"),
         Opt("open_col", default="Open"),
         Opt("close_col", default="Close"),
-        Opt("date_format", help="strptime format if not ISO-8601"),
-        _SEED]),
-    "moments": (_cmd_moments, "empirical moments of a spin CSV", [_SPINS, _SEED]),
+        Opt("date_format", help="strptime format if not ISO-8601")]),
+    "moments": (_cmd_moments, "empirical moments of a spin CSV", [_SPINS]),
     "spectrum": (_cmd_spectrum, "correlation/covariance eigenvalue spectrum", [
         _SPINS,
         Opt("bins", int, 50, _at_least(1)),
-        Opt("kind", default="correlation", choices=("correlation", "covariance")),
-        _SEED]),
+        Opt("kind", default="correlation", choices=("correlation", "covariance"))]),
     "fit": (_cmd_fit, "infer couplings and fields", [
         Opt("method", choices=tuple(inverse.FIT_METHODS), required=True),
         Opt("moments"),
@@ -385,21 +385,18 @@ COMMANDS = {
         replace(_TOL, default=1e-8),
         replace(_MAX_ITER, default=500),
         Opt("ridge", float, check=_at_least(0)),
-        Opt("strict", bool, False),
-        _SEED]),
+        Opt("strict", bool, False)]),
     "tap": (_cmd_tap, "forward TAP solve plus stability statistic", [
         replace(_MODEL, help="model JSON or fit JSON"),
         Opt("spins", help="optional spins for an empirical-vs-TAP table"),
         Opt("damping", float, 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
         replace(_TOL, default=1e-10),
-        replace(_MAX_ITER, default=10000),
-        _SEED]),
+        replace(_MAX_ITER, default=10000)]),
     "multiinfo": (_cmd_multiinfo, "pairwise share of the total correlation structure", [
         _SPINS,
         replace(_TOL, default=1e-6),
         Opt("fit_tol", float, 1e-8, _POSITIVE),
-        replace(_MAX_ITER, default=500),
-        _SEED]),
+        replace(_MAX_ITER, default=500)]),
     "sample": (_cmd_sample, "Glauber-sample synthetic spins from a model", [
         _MODEL, Opt("rows", int, check=_at_least(1), required=True), *_SAMPLER]),
     "noise": (_cmd_noise, "noise floor of an inversion via a homogeneous surrogate", [
@@ -411,15 +408,12 @@ COMMANDS = {
         _MODEL,
         Opt("bins", int, 20, _at_least(4)),
         Opt("trim", float, 0.04, (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)")),
-        Opt("quantiles", int, 1000, _at_least(2)),
-        _SEED]),
+        Opt("quantiles", int, 1000, _at_least(2))]),
     "scaling": (_cmd_scaling, "power-law fit of mean coupling versus system size", [
         Opt("models", list),
         Opt("points", help="CSV with header and rows N,mean"),
-        Opt("use_abs", bool, False),
-        _SEED]),
-    "bias": (_cmd_bias, "field versus internal-bias decomposition table",
-             [_MODEL, _SPINS, _SEED]),
+        Opt("use_abs", bool, False)]),
+    "bias": (_cmd_bias, "field versus internal-bias decomposition table", [_MODEL, _SPINS]),
     "critical-demo": (_cmd_critical_demo, "eigenvalue escape at the critical coupling scale", [
         Opt("n", int, 100, _at_least(20)),
         Opt("t", int, 5000),
@@ -446,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ingest":
             p.add_argument("files", nargs="+", help="one OHLC CSV per ticker")
         for opt in options:
-            if not opt.flag:
-                continue
             kind = ({"action": "store_const", "const": True} if opt.type is bool
                     else {"nargs": "+"} if opt.type is list
                     else {"type": opt.type, "choices": opt.choices or None})

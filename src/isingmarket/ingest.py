@@ -8,6 +8,7 @@ no return is ever imputed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -112,21 +113,6 @@ _POW10 = 10 ** np.arange(_MAX_CHARS, dtype=np.int64)
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64[D] counts days from here
 
 
-def _lines_from(text: str, bounds: list[int], k: int):
-    """Lines k, k+1, ... of text as the input split them, each with its line ending if any.
-
-    bounds holds each line's start offset, then len(text).
-    """
-    for i in range(k, len(bounds) - 1):
-        yield text[bounds[i]:bounds[i + 1]]
-
-
-def _read_record(text: str, bounds: list[int], k: int, delimiter: str):
-    """The csv record that begins at line k (None past the end) and its line count."""
-    reader = csv.reader(_lines_from(text, bounds, k), delimiter=delimiter)
-    return next(reader, None), reader.line_num
-
-
 def _iso_days(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
     """Cells that are strict YYYY-MM-DD calendar dates, as datetime64[D].
 
@@ -151,7 +137,7 @@ def _decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
 
     Returns (values, ok); ok is False where a cell is anything else.  The
     cells are read right-aligned, a column at a time; columns left of a
-    cell read the character before it, which the count check then rejects.
+    cell read the character before it and count nothing.
     """
     length = end - start
     width = int(min(length.max(initial=0), _MAX_CHARS))
@@ -159,14 +145,74 @@ def _decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
     mantissa = digits = dots = lead = np.zeros(start.size, dtype=np.int64)
     for j in range(width, 0, -1):
         c = codes[np.maximum(end - j, before)] - _ZERO
-        digit = c < 10
-        dot = c == _DOT
+        inside = end - j > before  # else a '.' or digit delimiter would count
+        digit = inside & (c < 10)
+        dot = inside & (c == _DOT)
         mantissa = np.where(digit, mantissa * 10 + c, mantissa)
         lead = np.where(dot, digits, lead)  # digits ahead of the '.'
         digits = digits + digit
         dots = dots + dot
     ok = (digits + dots == length) & (dots <= 1) & (digits >= 1)
     return mantissa / _POW10[np.where(ok & (dots == 1), digits - lead, 0)], ok
+
+
+def _row_rule(records, cols: tuple[int, int, int], fmt: OhlcFormat):
+    """The row rule: parse csv records one at a time.
+
+    records yields (position, record) pairs in file order.  Returns the kept
+    rows as an (n, 4) float64 array of position, date ordinal, open and close
+    (all exact), and the count of dropped records; blank records are skipped.
+    """
+    i_date, i_open, i_close = cols
+    kept: list[int | float] = []
+    dropped = 0
+    for position, record in records:
+        try:
+            d = _parse_date(record[i_date], fmt).toordinal()
+            o = float(record[i_open])
+            c = float(record[i_close])
+        except (ValueError, IndexError):
+            d = None
+        if d is not None and 0.0 < o < math.inf and 0.0 < c < math.inf:  # drops nan too
+            kept += (position, d, o, c)
+        elif any(cell.strip() for cell in record):
+            dropped += 1
+    return np.array(kept, dtype=np.float64).reshape(-1, 4), dropped
+
+
+def _bulk_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcFormat):
+    """The row rule's result, computed in bulk, for text with one record per '\\n' line.
+
+    Line 0 is the header.  The lines with the header's cell count are
+    tokenized and converted in bulk, on the text's code points; a line whose
+    cells the bulk rules reject goes alone through the row rule.
+    """
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    breaks = np.flatnonzero(codes == ord("\n"))
+    starts, ends = breaks + 1, np.append(breaks[1:], codes.size)  # lines 1, 2, ...
+    delims = np.flatnonzero(codes == ord(fmt.delimiter))
+    before = np.searchsorted(delims, starts)  # delimiters ahead of each line
+    at = np.flatnonzero(np.searchsorted(delims, ends) - before == cells - 1)
+
+    def column(j: int):
+        start = starts[at] if j == 0 else delims[before[at] + j - 1] + 1
+        end = ends[at] if j == cells - 1 else delims[before[at] + j]
+        return start, end
+
+    i_date, i_open, i_close = cols
+    days, ok = _iso_days(codes, *column(i_date))
+    opens, ok_open = _decimals(codes, *column(i_open))
+    closes, ok_close = _decimals(codes, *column(i_close))
+    ok &= ok_open & ok_close & (opens > 0.0) & (closes > 0.0)
+    rejected = np.ones(starts.size, dtype=bool)
+    rejected[at[ok]] = False
+    bounds = zip(starts[rejected].tolist(), ends[rejected].tolist())
+    slow, dropped = _row_rule(
+        ((start, next(csv.reader([text[start:end]], delimiter=fmt.delimiter), []))
+         for start, end in bounds), cols, fmt)
+    fast = np.column_stack([starts[at[ok]], days[ok].astype(np.int64) + _EPOCH_ORDINAL,
+                            opens[ok], closes[ok]])
+    return np.concatenate([fast, slow]), dropped
 
 
 def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
@@ -178,117 +224,48 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
     unparseable or duplicate date) are dropped and counted rather than
     failing the file.
 
-    The lines that split plainly on the delimiter (the header's cell count,
-    no '"', and no '\\r' or '\\n' before the line ending) are tokenized and
-    converted in bulk when the dates are ISO-8601.  Every other record, and
-    every plain line with a cell the bulk rules do not accept, goes through
-    the row rule: csv tokenization, then the date and float parse of one row.
+    The route is chosen once per input.  A str with no '"' and no '\\r' (once
+    '\\r\\n' is folded to '\\n') holds one record per line; with ISO-8601
+    dates its lines are parsed in bulk.  Everything else goes through
+    csv.reader and the row rule, one record at a time.
     """
     fmt = fmt or OhlcFormat()
-    if isinstance(text, str):
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        bounds = np.append(0, np.flatnonzero(codes == ord("\n")) + 1)
-        if bounds[-1] < len(text):
-            bounds = np.append(bounds, len(text))
+    unquoted = isinstance(text, str) and '"' not in text
+    if unquoted and "\r" in text:
+        text = text.replace("\r\n", "\n")  # each record still ends its line
+    bulk = unquoted and "\r" not in text and fmt.date_format is None
+    if bulk:  # the header is line 0
+        lines = [text.partition("\n")[0]] if text else []
     else:
-        lines = list(text)
-        text = "".join(lines)
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        bounds = np.append(0, np.cumsum([len(line) for line in lines], dtype=np.int64))
-    offsets = bounds.tolist()
-    header, first = _read_record(text, offsets, 0, fmt.delimiter)
+        lines = io.StringIO(text) if isinstance(text, str) else text
+    records = csv.reader(lines, delimiter=fmt.delimiter)
+    header = next(records, None)
     if header is None:
         raise EmptyInputError(f"{ticker or 'input'}: no header row")
     header = [h.strip() for h in header]
     try:
-        i_date = header.index(fmt.date_column)
-        i_open = header.index(fmt.open_column)
-        i_close = header.index(fmt.close_column)
+        cols = tuple(header.index(c) for c in (fmt.date_column, fmt.open_column,
+                                               fmt.close_column))
     except ValueError as exc:
         raise FormatError(
             f"{ticker or 'input'}: header {header!r} is missing a mapped column "
             f"({fmt.date_column}/{fmt.open_column}/{fmt.close_column})"
         ) from exc
-
-    # Bulk pass over the plain lines, on the text's code points.  A line's
-    # cells end where its line ending ('\n', '\r\n' or '\r') begins.
-    starts, ends = bounds[:-1], bounds[1:].copy()
-    for mark in ("\n", "\r"):
-        ended = ends > starts
-        ends[ended] -= codes[ends[ended] - 1] == ord(mark)
-    delims = np.flatnonzero(codes == ord(fmt.delimiter))
-    before = np.searchsorted(delims, starts)  # delimiters ahead of each line
-    plain = np.searchsorted(delims, ends) - before == len(header) - 1
-    marks = np.flatnonzero((codes == ord('"')) | (codes == ord("\r")) | (codes == ord("\n")))
-    plain &= np.searchsorted(marks, starts) == np.searchsorted(marks, ends)  # none ahead of the ending
-    plain[:first] = False
-    if fmt.date_format is not None:
-        plain[:] = False  # custom date formats keep strptime: every record takes the row rule
-    at = np.flatnonzero(plain)
-
-    def column(j: int):
-        start = starts[at] if j == 0 else delims[before[at] + j - 1] + 1
-        end = ends[at] if j == len(header) - 1 else delims[before[at] + j]
-        return start, end
-
-    days, ok = _iso_days(codes, *column(i_date))
-    opens, ok_open = _decimals(codes, *column(i_open))
-    closes, ok_close = _decimals(codes, *column(i_close))
-    ok &= ok_open & ok_close
-
-    # Row rule, in file order, for the non-plain lines and the plain lines the
-    # bulk pass rejected.  One csv reader reads each run of such records, up
-    # to the next line the bulk pass keeps; a quoted record may span lines.
-    plain[at[~ok]] = False
-    run_ends = plain.tolist() + [True]  # a run of records ends at a line the bulk pass keeps
-    swallowed = np.zeros(plain.size, dtype=bool)
-    slow: list[int | float] = []  # line, date ordinal, open, close of each kept row
-    dropped = 0
-    line = first
-    for k in np.flatnonzero(~plain).tolist():
-        if k < line:
-            continue  # read in an earlier run
-        line = k
-        reader = csv.reader(_lines_from(text, offsets, k), delimiter=fmt.delimiter)
-        for record in reader:
-            end = k + reader.line_num
-            if end > line + 1:
-                swallowed[line + 1:end] = True
-            try:  # the row rule
-                d = _parse_date(record[i_date], fmt).toordinal()
-                o = float(record[i_open])
-                c = float(record[i_close])
-            except (ValueError, IndexError):
-                d = None
-            if d is not None and 0.0 < o < math.inf and 0.0 < c < math.inf:  # drops nan too
-                slow += (line, d, o, c)
-            elif any(cell.strip() for cell in record):  # blank records are skipped
-                dropped += 1
-            line = end
-            if run_ends[line]:
-                break
-        line = k + reader.line_num
-
-    keep = ok & ~swallowed[at]
-    positive = (opens > 0.0) & (closes > 0.0)
-    dropped += int(np.count_nonzero(keep & ~positive))
-    keep &= positive
-    slow = np.array(slow, dtype=np.float64).reshape(-1, 4)  # line and ordinal are exact
-    line = np.concatenate([at[keep], slow[:, 0].astype(np.int64)])
-    slow_days = (slow[:, 1].astype(np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
-    days = np.concatenate([days[keep], slow_days])
-    opens = np.concatenate([opens[keep], slow[:, 2]])
-    closes = np.concatenate([closes[keep], slow[:, 3]])
-    if not days.size:
+    if bulk:
+        rows, dropped = _bulk_rows(text, cols, len(header), fmt)
+    else:
+        rows, dropped = _row_rule(enumerate(records), cols, fmt)
+    if not rows.size:
         raise EmptyInputError(f"{ticker or 'input'}: no valid OHLC rows")
 
     # File order among equal dates; keep the first, count the rest.
-    order = np.lexsort((line, days))
-    days, opens, closes = days[order], opens[order], closes[order]
-    first_of_date = np.append(True, days[1:] != days[:-1])
-    dropped += int(days.size - np.count_nonzero(first_of_date))
-    return PriceSeries(ticker=ticker, dates=days[first_of_date], open=opens[first_of_date],
-                       close=closes[first_of_date], dropped=dropped)
+    order = np.lexsort((rows[:, 0], rows[:, 1]))
+    days = rows[order, 1]
+    keep = order[np.append(True, days[1:] != days[:-1])]
+    dropped += int(rows.shape[0] - keep.size)
+    days = (rows[keep, 1].astype(np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return PriceSeries(ticker=ticker, dates=days, open=rows[keep, 2], close=rows[keep, 3],
+                       dropped=dropped)
 
 
 def binarize(series: list[PriceSeries]) -> SpinMatrix:
@@ -340,6 +317,8 @@ def read_spin_csv(path) -> SpinMatrix:
             header = next(csv.reader(handle))
         except StopIteration:
             raise EmptyInputError(f"{path}: empty spin file")
+        except csv.Error as exc:  # a header the csv module rejects
+            raise FormatError(f"{path}: {exc}") from exc
         if not header or header[0] != "date" or len(header) < 2:
             raise FormatError(f"{path}: expected header 'date,<tickers...>'")
         lines = [line for line in handle.read().split("\n") if line]

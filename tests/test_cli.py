@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isingmarket
 from isingmarket.cli import COMMANDS, main
 
 PRICES = {
@@ -43,6 +46,16 @@ def test_ingest_reads_crlf_and_cr_line_endings(tmp_path):
             Path(path).write_bytes(text.replace("\n", ending).encode())
         assert main(["ingest", *files, "-o", str(tmp_path / name)]) == 0
         assert (tmp_path / name / "spins.csv").read_bytes() == expected, name
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # Start-up cost: neither module is needed until a command uses it.
+    code = ("import sys, isingmarket.cli; "
+            "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def model_json(tmp_path, n=3, scale=0.5, seed=0, name="model.json"):
@@ -174,6 +187,8 @@ def usage_error_cases(tmp_path):
         "fit_tol=-1": ["multiinfo", "--spins", spins,
                        "--config", write_file(tmp_path, "fit_tol.cfg", "fit_tol=-1\n")],
         "tap max-iter 0": ["tap", "--model", model, "--max-iter", "0"],
+        "seed=1 for moments": ["moments", "--spins", spins,
+                               "--config", write_file(tmp_path, "seed.cfg", "seed=1\n")],
     }
 
 
@@ -199,6 +214,11 @@ def domain_error_cases(tmp_path):
         "spin cell 255": ["moments", "--spins",
                           write_file(tmp_path, "wrap.csv", "date,a,b\nd1,255,1\nd2,-1,1\n")],
         "spins not UTF-8": ["moments", "--spins", str(binary)],
+        "quoted cell over the csv field limit": ["ingest", write_file(
+            tmp_path, "wide.csv", "Date,Open,Close,Note\n"
+            f'2021-03-01,10,11,"{"x" * 140_000}"\n2021-03-02,11,12,ok\n')],
+        "spin header over the csv field limit": ["moments", "--spins", write_file(
+            tmp_path, "wide_spins.csv", f'date,a,"{"b" * 140_000}"\nd1,1,-1\nd2,-1,1\n')],
     }
 
 

@@ -270,6 +270,23 @@ def _grid_files(rng):
     # A '.' delimiter: prices are whole numbers, and a '.' next to a cell is no decimal point.
     text = "Date.Open.Close\n2020-01-02.10.90\n2020-01-03.100.700\n2020-01-06.8.1000\n"
     files.append(("dots", text, text, OhlcFormat(delimiter=".")))
+    # The delimiter ahead of a short cell is neither a decimal point nor a digit.
+    text = "Date.Open.Close\n2020-01-02.-1.500\n2020-01-03.100.500\n"
+    files.append(("dot-ahead", text, text, OhlcFormat(delimiter=".")))
+    text = "Date1Open1Close\n2020-02-0212x1500\n2020-02-03170015\n"
+    files.append(("digit-ahead", text, text, OhlcFormat(delimiter="1")))
+
+    # Where the route changes: no rows, blank lines, and one quote or lone '\r'
+    # in an otherwise plain file.
+    row = "2020-01-02,10,11,9,10.5,100"
+    for k, text in enumerate([
+        "", "\n", HEADER, HEADER + "\n", HEADER + "\n\n\n", "\n" + HEADER + "\n" + row + "\n",
+        f'{HEADER}\n{row}\n2020-01-03,10,11,9,"9",100\n2020-01-06,9,11,9,8,100\n',
+        f'{HEADER}\r\n{row}\r\n2020-01-03,10,11,9,"9",100\r\n2020-01-06,9,11,9,8,100\r\n',
+        f'{HEADER}\r\n{row}\r\n2020-01-03,10,11,9,9,"1\r\n00"\r\n2020-01-06,9,11,9,8,100\r\n',
+        f"{HEADER}\n{row}\n2020-01-03,10,1\r1,9,9,100\n2020-01-06,9,11,9,8,100\n",
+    ]):
+        files.append((f"route{k}", text, text, None))
 
     # A custom delimiter together with a date format.
     fmt = OhlcFormat(delimiter="|", date_column="day", open_column="o", close_column="c",
