@@ -11,8 +11,8 @@ $ISINGMARKET_OUTDIR, then ./artifacts.
 
 Exit codes: 0 success; 1 domain error, including malformed file content;
 2 usage error: unknown flag or key, a wrong type, a value out of range, a
-missing or unreadable path.  Handlers read every input before their first
-write, so nothing is written on 1 or 2.
+missing or unreadable path.  Handlers write nothing: main writes the
+artifacts a handler returns, so nothing is written on 1 or 2.
 """
 
 from __future__ import annotations
@@ -150,19 +150,18 @@ def _load_model(path: str) -> IsingModel:
     return _load(path, lambda d: IsingModel.from_dict(d["model"] if "model" in d else d))
 
 
-def _spectrum_artifacts(outdir: Path, spectrum, bins: int, stem: str) -> list[Path]:
-    json_path = outdir / f"{stem}.json"
-    hist_path = outdir / f"{stem}_hist.csv"
-    rows = histogram_rows(spectrum.eigenvalues, bins)
-    write_json(json_path, spectrum.to_dict())
-    write_csv(hist_path, ["bin_left", "bin_right", "density"], rows)
-    return [json_path, hist_path]
+def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
+    return {f"{stem}.json": spectrum.to_dict(),
+            f"{stem}_hist.csv": (["bin_left", "bin_right", "density"],
+                                 histogram_rows(spectrum.eigenvalues, bins))}
 
 
 # ---------------------------------------------------------------- commands
-# Each handler takes the resolved config and returns (inputs, artifacts).
+# Each handler takes the resolved config and returns (inputs, artifacts): the
+# paths it read and {file name in outdir: content}, which main writes in order:
+# a dict as JSON, a SpinMatrix as a spin CSV, a (header, rows) pair as a table.
 
-def _cmd_ingest(cfg) -> tuple[list, list]:
+def _cmd_ingest(cfg) -> tuple[list, dict]:
     fmt = ingest.OhlcFormat(
         delimiter=cfg["delimiter"],
         date_column=cfg["date_col"],
@@ -170,47 +169,43 @@ def _cmd_ingest(cfg) -> tuple[list, list]:
         close_column=cfg["close_col"],
         date_format=cfg["date_format"],
     )
-    series = []
+    series, paths = [], {}
     for path in cfg["files"]:
+        ticker = Path(path).stem
+        if ticker in paths:
+            raise UsageError(f"{paths[ticker]} and {path} both name ticker {ticker!r}")
+        paths[ticker] = path
         text = Path(path).read_text()  # universal newlines: '\r\n' and '\r' become '\n'
         try:
-            series.append(ingest.parse_ohlc(text, fmt, ticker=Path(path).stem))
+            series.append(ingest.parse_ohlc(text, fmt, ticker=ticker))
         except csv.Error as exc:  # a record the csv module rejects
             raise FormatError(f"{path}: {exc}") from exc
     matrix = ingest.binarize(series)
-    outdir = Path(cfg["outdir"])
-    spins_path = outdir / "spins.csv"
-    ingest.write_spin_csv(matrix, spins_path)
-    report_path = outdir / "ingest.json"
-    write_json(report_path, {
+    return cfg["files"], {"spins.csv": matrix, "ingest.json": {
         "tickers": matrix.tickers,
         "rows": matrix.t,
         "first_date": matrix.dates[0],
         "last_date": matrix.dates[-1],
         "dropped_rows": {s.ticker: s.dropped for s in series},
-    })
-    return cfg["files"], [spins_path, report_path]
+    }}
 
 
-def _cmd_moments(cfg) -> tuple[list, list]:
+def _cmd_moments(cfg) -> tuple[list, dict]:
     matrix = ingest.read_spin_csv(cfg["spins"])
     result = moments.empirical_moments(matrix)
-    path = Path(cfg["outdir"]) / "moments.json"
-    write_json(path, result.to_dict() | {"tickers": matrix.tickers})
-    return [cfg["spins"]], [path]
+    return [cfg["spins"]], {"moments.json": result.to_dict() | {"tickers": matrix.tickers}}
 
 
-def _cmd_spectrum(cfg) -> tuple[list, list]:
+def _cmd_spectrum(cfg) -> tuple[list, dict]:
     matrix = ingest.read_spin_csv(cfg["spins"])
     if cfg["kind"] == "correlation":
         spectrum = moments.correlation_spectrum(matrix)
     else:
         spectrum = moments.covariance_spectrum(matrix)
-    artifacts = _spectrum_artifacts(Path(cfg["outdir"]), spectrum, cfg["bins"], "spectrum")
-    return [cfg["spins"]], artifacts
+    return [cfg["spins"]], _spectrum_artifacts(spectrum, cfg["bins"], "spectrum")
 
 
-def _cmd_fit(cfg) -> tuple[list, list]:
+def _cmd_fit(cfg) -> tuple[list, dict]:
     method = cfg["method"]
     from_spins = inverse.FIT_METHODS[method][1]
     if from_spins or cfg["moments"] is None:
@@ -222,16 +217,12 @@ def _cmd_fit(cfg) -> tuple[list, list]:
         source, data = cfg["moments"], _load(cfg["moments"], moments.MomentSet.from_dict)
     report = inverse.fit(method, data, tol=cfg["tol"], max_iter=cfg["max_iter"],
                          ridge=cfg["ridge"], strict=cfg["strict"])
-
-    outdir = Path(cfg["outdir"])
-    fit_path = outdir / "fit.json"
-    write_json(fit_path, report.to_dict())
-    coupling_path = outdir / "coupling.csv"
-    write_csv(coupling_path, [f"j{i}" for i in range(report.model.n)], report.model.J)
-    return [source], [fit_path, coupling_path]
+    return [source], {"fit.json": report.to_dict(),
+                      "coupling.csv": ([f"j{i}" for i in range(report.model.n)],
+                                       report.model.J)}
 
 
-def _cmd_tap(cfg) -> tuple[list, list]:
+def _cmd_tap(cfg) -> tuple[list, dict]:
     model = _load_model(cfg["model"])
     inputs = [cfg["model"]]
     if cfg["spins"] is not None:
@@ -242,35 +233,28 @@ def _cmd_tap(cfg) -> tuple[list, list]:
         inputs.append(cfg["spins"])
     solution = tap.tap_fixed_point(model, damping=cfg["damping"],
                                    tol=cfg["tol"], max_iter=cfg["max_iter"])
-    outdir = Path(cfg["outdir"])
-    artifacts = [outdir / "tap.json"]
-    write_json(artifacts[0], solution.to_dict())
+    artifacts = {"tap.json": solution.to_dict()}
     if cfg["spins"] is not None:
-        artifacts.append(outdir / "tap_pairs.csv")
-        write_csv(artifacts[1], ["ticker", "empirical_mean", "tap_mean"],
-                  zip(matrix.tickers, empirical.q, solution.m))
+        artifacts["tap_pairs.csv"] = (["ticker", "empirical_mean", "tap_mean"],
+                                      zip(matrix.tickers, empirical.q, solution.m))
     return inputs, artifacts
 
 
-def _cmd_multiinfo(cfg) -> tuple[list, list]:
+def _cmd_multiinfo(cfg) -> tuple[list, dict]:
     matrix = ingest.read_spin_csv(cfg["spins"])
     report = exact.multi_information_ratio(matrix, tol=cfg["tol"], fit_tol=cfg["fit_tol"],
                                            max_iter=cfg["max_iter"])
-    path = Path(cfg["outdir"]) / "multiinfo.json"
-    write_json(path, report.to_dict())
-    return [cfg["spins"]], [path]
+    return [cfg["spins"]], {"multiinfo.json": report.to_dict()}
 
 
-def _cmd_sample(cfg) -> tuple[list, list]:
+def _cmd_sample(cfg) -> tuple[list, dict]:
     model = _load_model(cfg["model"])
     matrix = sampler.glauber_sample(model, sampler.SamplerConfig(
         rows=cfg["rows"], burn_in=cfg["burn_in"], thin=cfg["thin"], seed=cfg["seed"]))
-    path = Path(cfg["outdir"]) / "spins.csv"
-    ingest.write_spin_csv(matrix, path)
-    return [cfg["model"]], [path]
+    return [cfg["model"]], {"spins.csv": matrix}
 
 
-def _cmd_noise(cfg) -> tuple[list, list]:
+def _cmd_noise(cfg) -> tuple[list, dict]:
     real_fit = _load(cfg["fit"], FitReport.from_dict)
     report = sampler.noise_ratio(
         real_fit,
@@ -280,27 +264,22 @@ def _cmd_noise(cfg) -> tuple[list, list]:
                                      thin=cfg["thin"], seed=cfg["seed"]),
         method=cfg["method"],
     )
-    path = Path(cfg["outdir"]) / "noise.json"
-    write_json(path, report.to_dict())
-    return [cfg["fit"]], [path]
+    return [cfg["fit"]], {"noise.json": report.to_dict()}
 
 
-def _cmd_normality(cfg) -> tuple[list, list]:
+def _cmd_normality(cfg) -> tuple[list, dict]:
     model = _load_model(cfg["model"])
     values = model.J[np.triu_indices(model.n, k=1)]
     report = stats.normality_tests(values, bins=cfg["bins"], trim_fraction=cfg["trim"])
     pairs = stats.qq_compare(stats.trim_upper_tail(values, cfg["trim"]),
                              quantile_count=cfg["quantiles"])
-    outdir = Path(cfg["outdir"])
-    report_path = outdir / "normality.json"
-    write_json(report_path, report.to_dict() | {
-        "negative_fraction": stats.negative_fraction(model.J)})
-    qq_path = outdir / "qq.csv"
-    write_csv(qq_path, ["empirical", "theoretical"], pairs)
-    return [cfg["model"]], [report_path, qq_path]
+    return [cfg["model"]], {
+        "normality.json": report.to_dict() | {
+            "negative_fraction": stats.negative_fraction(model.J)},
+        "qq.csv": (["empirical", "theoretical"], pairs)}
 
 
-def _cmd_scaling(cfg) -> tuple[list, list]:
+def _cmd_scaling(cfg) -> tuple[list, dict]:
     if cfg["points"] is not None:
         inputs = [cfg["points"]]
         with open(cfg["points"]) as handle:
@@ -324,35 +303,27 @@ def _cmd_scaling(cfg) -> tuple[list, list]:
     else:
         raise UsageError("scaling requires --points or --models")
     fit = stats.powerlaw_fit(np.asarray(sizes, float), np.asarray(means, float))
-    outdir = Path(cfg["outdir"])
-    fit_path = outdir / "scaling.json"
-    write_json(fit_path, fit.to_dict() | {"mean_kind": "abs" if cfg["use_abs"] else "signed"})
-    points_path = outdir / "scaling_points.csv"
-    write_csv(points_path, ["N", "mean_coupling"], zip(fit.sizes, fit.means))
-    return inputs, [fit_path, points_path]
+    return inputs, {
+        "scaling.json": fit.to_dict() | {"mean_kind": "abs" if cfg["use_abs"] else "signed"},
+        "scaling_points.csv": (["N", "mean_coupling"], zip(fit.sizes, fit.means))}
 
 
-def _cmd_bias(cfg) -> tuple[list, list]:
+def _cmd_bias(cfg) -> tuple[list, dict]:
     model = _load_model(cfg["model"])
     matrix = ingest.read_spin_csv(cfg["spins"])
     table = stats.bias_decomposition(model, matrix)
-    outdir = Path(cfg["outdir"])
-    json_path = outdir / "bias.json"
-    write_json(json_path, table.to_dict())
-    csv_path = outdir / "bias.csv"
-    write_csv(csv_path, ["ticker", "h", "h_int_mean", "h_int_std"],
-              ((r.ticker, r.h, r.h_int_mean, r.h_int_std) for r in table.rows))
-    return [cfg["model"], cfg["spins"]], [json_path, csv_path]
+    return [cfg["model"], cfg["spins"]], {
+        "bias.json": table.to_dict(),
+        "bias.csv": (["ticker", "h", "h_int_mean", "h_int_std"],
+                     ((r.ticker, r.h, r.h_int_mean, r.h_int_std) for r in table.rows))}
 
 
-def _cmd_critical_demo(cfg) -> tuple[list, list]:
+def _cmd_critical_demo(cfg) -> tuple[list, dict]:
     if cfg["t"] < 10 * cfg["n"]:
         raise UsageError(f"t must be >= 10*n, got {cfg['t']}")
     spectrum = stats.critical_spectrum_demo(cfg["n"], cfg["coupling"], cfg["t"],
                                             seed=cfg["seed"], burn_in=cfg["burn_in"])
-    artifacts = _spectrum_artifacts(Path(cfg["outdir"]), spectrum, cfg["bins"],
-                                    "critical_spectrum")
-    return [], artifacts
+    return [], _spectrum_artifacts(spectrum, cfg["bins"], "critical_spectrum")
 
 
 # ---------------------------------------------------------------- options
@@ -453,15 +424,23 @@ def main(argv=None) -> int:
     try:
         config = _resolve(ns, options)
         inputs, artifacts = handler(config)
+        paths = [Path(config["outdir"]) / name for name in artifacts]
+        for path, content in zip(paths, artifacts.values()):
+            if isinstance(content, dict):
+                write_json(path, content)
+            elif isinstance(content, ingest.SpinMatrix):
+                ingest.write_spin_csv(content, path)
+            else:
+                write_csv(path, *content)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ToolkitError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    manifest = write_manifest(config["outdir"], ns.command, config, inputs, artifacts)
-    for artifact in list(artifacts) + [manifest]:
-        print(artifact)
+    manifest = write_manifest(config["outdir"], ns.command, config, inputs, paths)
+    for path in paths + [manifest]:
+        print(path)
     return 0
 
 

@@ -50,6 +50,8 @@ def _inverse_correlations(c: np.ndarray, ridge: float) -> np.ndarray:
 def nmf_invert(moments: MomentSet, ridge: float = 0.0) -> FitReport:
     """First-order mean-field inversion: J = -(C^-1) off the diagonal."""
     c_inv = _inverse_correlations(moments.C, ridge)
+    if np.any(np.abs(moments.q) >= 1.0):
+        raise DivergenceError("|q_i| = 1 makes the first-order field atanh(q_i) infinite")
     coupling = symmetrize(-c_inv)
     h = np.arctanh(moments.q) - coupling @ moments.q
     return FitReport(model=IsingModel(J=coupling, h=h), method="nmf", iterations=1)

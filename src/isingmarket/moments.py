@@ -180,14 +180,14 @@ def correlation_spectrum(matrix: SpinMatrix) -> Spectrum:
 
     Warns (without failing) when T <= N, outside the usual inversion regime.
     """
-    _warn_if_rank_deficient(matrix)
     moments = empirical_moments(matrix)
+    _warn_if_rank_deficient(matrix)
     corr = pearson_correlation(moments, matrix.tickers)
     return _spectrum_of(corr, "correlation", matrix.n, matrix.t)
 
 
 def covariance_spectrum(matrix: SpinMatrix) -> Spectrum:
     """Eigenvalues of the connected-correlation (covariance) matrix."""
-    _warn_if_rank_deficient(matrix)
     moments = empirical_moments(matrix)
+    _warn_if_rank_deficient(matrix)
     return _spectrum_of(moments.C, "covariance", matrix.n, matrix.t)

@@ -185,6 +185,8 @@ def negative_fraction(coupling: np.ndarray) -> float:
     if not np.allclose(coupling, coupling.T):
         raise DomainError("coupling matrix must be symmetric")
     upper = coupling[np.triu_indices(coupling.shape[0], k=1)]
+    if upper.size == 0:
+        raise InsufficientSampleError("need N >= 2 for a coupling to be negative")
     return float(np.count_nonzero(upper < 0.0) / upper.size)
 
 

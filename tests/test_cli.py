@@ -169,6 +169,9 @@ def usage_error_cases(tmp_path):
     model = model_json(tmp_path)
     spins = write_file(tmp_path, "spins.csv", "date,a,b,c\nd1,1,-1,1\nd2,-1,-1,1\nd3,1,1,-1\n")
     missing = str(tmp_path / "missing.csv")
+    ohlc = "Date,Open,Close\n2021-03-01,10,11\n2021-03-02,11,10\n"
+    for sub in ("d1", "d2"):
+        (tmp_path / sub).mkdir()
     return {
         "kind=foo": ["spectrum", "--spins", spins,
                      "--config", write_file(tmp_path, "kind.cfg", "kind=foo\n")],
@@ -189,6 +192,10 @@ def usage_error_cases(tmp_path):
         "tap max-iter 0": ["tap", "--model", model, "--max-iter", "0"],
         "seed=1 for moments": ["moments", "--spins", spins,
                                "--config", write_file(tmp_path, "seed.cfg", "seed=1\n")],
+        "two ingest files with one ticker stem": [
+            "ingest", write_file(tmp_path / "d1", "aaa.csv", ohlc),
+            write_file(tmp_path / "d2", "aaa.csv", ohlc)],
+        "one ingest file twice": ["ingest", *[str(tmp_path / "d1" / "aaa.csv")] * 2],
     }
 
 
@@ -197,6 +204,7 @@ def domain_error_cases(tmp_path):
     model = model_json(tmp_path)
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"date,a\nd1,\xff\xfe\n")
+    constant = write_file(tmp_path, "constant.csv", "date,a,b\nd1,1,-1\nd2,1,1\nd3,1,-1\n")
     return {
         "malformed model JSON": ["tap", "--model", write_file(tmp_path, "bad.json", "{not json")],
         "model without N": ["tap", "--model",
@@ -219,6 +227,10 @@ def domain_error_cases(tmp_path):
             f'2021-03-01,10,11,"{"x" * 140_000}"\n2021-03-02,11,12,ok\n')],
         "spin header over the csv field limit": ["moments", "--spins", write_file(
             tmp_path, "wide_spins.csv", f'date,a,"{"b" * 140_000}"\nd1,1,-1\nd2,-1,1\n')],
+        "nmf with a constant column": ["fit", "--method", "nmf", "--ridge", "0.1",
+                                       "--spins", constant],
+        "spectrum of one row": ["spectrum", "--spins",
+                                write_file(tmp_path, "one_row.csv", "date,a,b\nd1,1,-1\n")],
     }
 
 
@@ -233,7 +245,9 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path):
     assert not out.exists() or not any(out.iterdir())
     for case, argv in usage_error_cases(tmp_path).items():
         out = tmp_path / "out" / case
-        assert main([*argv, "-o", str(out)]) == 2, case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a usage error is reported once, as the error
+            assert main([*argv, "-o", str(out)]) == 2, case
         assert not out.exists() or not any(out.iterdir()), case
 
 
@@ -259,6 +273,48 @@ def test_domain_error_exit_1(tmp_path):
             warnings.simplefilter("error")  # a domain error is reported once, as the error
             assert main([*argv, "-o", str(out)]) == 1, case
         assert not out.exists() or not any(out.iterdir()), case
+
+
+def test_handlers_return_artifacts_and_main_writes_them(tmp_path, monkeypatch):
+    returned = {}
+
+    def checked(command, handler):
+        def run(cfg):
+            inputs, artifacts = handler(cfg)
+            out = Path(cfg["outdir"])
+            assert not out.exists() or not any(out.iterdir()), command  # nothing written yet
+            returned[command] = list(artifacts)
+            return inputs, artifacts
+        return run
+
+    for command, (handler, help_text, options) in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, command, (checked(command, handler), help_text, options))
+    runs = tmp_path / "runs"
+    spins, fit = str(runs / "ingest" / "spins.csv"), str(runs / "fit" / "fit.json")
+    steps = [
+        ["ingest", *write_ohlc(tmp_path)],
+        ["moments", "--spins", spins],
+        ["spectrum", "--spins", spins, "--bins", "10"],
+        ["fit", "--method", "exact", "--moments", str(runs / "moments" / "moments.json")],
+        ["tap", "--model", fit, "--spins", spins],
+        ["bias", "--model", fit, "--spins", spins],
+        ["sample", "--model", model_json(tmp_path, n=3, scale=0.5, seed=1), "--rows", "3000",
+         "--burn-in", "200", "--seed", "7"],
+        ["multiinfo", "--spins", str(runs / "sample" / "spins.csv")],
+        ["noise", "--fit", fit, "--t", "500", "--method", "nmf", "--seed", "3"],
+        ["normality", "--model", model_json(tmp_path, n=50, scale=0.1, seed=2, name="big.json"),
+         "--quantiles", "500"],
+        ["scaling", "--points",
+         write_file(tmp_path, "points.csv", "N,mean\n20,0.1\n40,0.05\n80,0.025\n")],
+        ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0", "--seed", "1",
+         "--burn-in", "100"],
+    ]
+    for command, *argv in steps:
+        out = runs / command
+        assert main([command, *argv, "-o", str(out)]) == 0, command
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            returned[command] + [f"{command}.manifest.json"]), command
+    assert sorted(returned) == sorted(COMMANDS)
 
 
 def test_config_file_merging(tmp_path):

@@ -159,6 +159,8 @@ def test_negative_fraction_cases():
     flipped = negative_fraction(-coupling)
     zeros = np.count_nonzero(coupling[iu] == 0.0) / len(iu[0])
     assert flipped == pytest.approx(1.0 - frac - zeros)
+    with pytest.raises(InsufficientSampleError):  # N=1: no upper-triangle coupling
+        negative_fraction(np.zeros((1, 1)))
 
 
 @settings(max_examples=100, deadline=None)
