@@ -11,8 +11,8 @@ $ISINGMARKET_OUTDIR, then ./artifacts.
 
 Exit codes: 0 success; 1 domain error, including malformed file content;
 2 usage error: unknown flag or key, a wrong type, a value out of range, a
-missing or unreadable path.  Handlers write nothing: main writes the
-artifacts a handler returns, so nothing is written on 1 or 2.
+missing or unreadable path, an unwritable artifact.  Handlers write nothing:
+main writes the artifacts a handler returns, so nothing is written on 1 or 2.
 """
 
 from __future__ import annotations
@@ -421,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     handler, _, options = COMMANDS[ns.command]
+    written = []  # unlinked if a later write fails: a usage error leaves nothing behind
     try:
         config = _resolve(ns, options)
         inputs, artifacts = handler(config)
@@ -432,14 +433,17 @@ def main(argv=None) -> int:
                 ingest.write_spin_csv(content, path)
             else:
                 write_csv(path, *content)
+            written.append(path)
+        written.append(write_manifest(config["outdir"], ns.command, config, inputs, paths))
     except (UsageError, OSError) as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ToolkitError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    manifest = write_manifest(config["outdir"], ns.command, config, inputs, paths)
-    for path in paths + [manifest]:
+    for path in written:
         print(path)
     return 0
 

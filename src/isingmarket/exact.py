@@ -7,14 +7,14 @@ multi-information ratio I2/IN = (S1 - S2) / (S1 - SN) in nats.
 Enumeration splits the spins into a low half (spins 0..N//2-1) and a high
 half: a block of at most 2^20 states has energies E_hi[:, None] + E_lo[None, :]
 + S_hi J_hl S_lo^T, and the blocks raveled row-major run in state_index order.
-Every quantity here sums p(s) w(s) (1, s, s s^T, E) over the blocks, with
-w = 1 or the energy of a second model.
+Moments are sums of weights (1, s, s s^T) over a block.  A fit (N <= FIT_LIMIT)
+is one block: each Newton state holds that block's p, and a Hessian product
+weights p by the energies of one direction model.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import repeat
 
 import numpy as np
 from scipy.special import logsumexp, xlogy
@@ -69,26 +69,13 @@ def _blocks(model: IsingModel):
         yield energy, s_hi, s_lo
 
 
-def _sums(model: IsingModel, log_z: float, weight: IsingModel | None = None):
-    """Sums of p w (1, s, s s^T, E) over all states, p = exp(E - log_z).
-
-    w is 1, or each state's energy under the model ``weight``.
-    """
-    n = model.n
-    total, first, second, mean_energy = 0.0, np.zeros(n), np.zeros((n, n)), 0.0
-    weights = repeat(None) if weight is None else _blocks(weight)
-    for (energy, s_hi, s_lo), w in zip(_blocks(model), weights):
-        p = np.exp(energy - log_z)
-        if w is not None:
-            p *= w[0]
-        rows, cols = p.sum(axis=1), p.sum(axis=0)
-        cross = s_hi.T @ p @ s_lo
-        total += rows.sum()
-        first += np.concatenate([cols @ s_lo, rows @ s_hi])
-        second += np.block([[(s_lo.T * cols) @ s_lo, cross.T],
-                            [cross, (s_hi.T * rows) @ s_hi]])
-        mean_energy += np.vdot(p, energy)
-    return total, first, second, mean_energy
+def _sums(p: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray):
+    """Sums of p (1, s, s s^T) over one block of state weights p[a, b]."""
+    rows, cols = p.sum(axis=1), p.sum(axis=0)
+    cross = s_hi.T @ p @ s_lo
+    second = np.block([[(s_lo.T * cols) @ s_lo, cross.T],
+                       [cross, (s_hi.T * rows) @ s_hi]])
+    return rows.sum(), np.concatenate([cols @ s_lo, rows @ s_hi]), second
 
 
 def state_index(spins: np.ndarray) -> np.ndarray:
@@ -107,7 +94,9 @@ def log_partition(model: IsingModel) -> float:
 def exact_moments(model: IsingModel) -> MomentSet:
     """<s_i> and <s_i s_j> under the Gibbs distribution (sample_size = exact)."""
     _check_size(model.n, ENUMERATION_LIMIT, "exact_moments")
-    _, q, big_q, _ = _sums(model, log_partition(model))
+    log_z = log_partition(model)
+    sums = [_sums(np.exp(energy - log_z), s_hi, s_lo) for energy, s_hi, s_lo in _blocks(model)]
+    _, q, big_q = (sum(column) for column in zip(*sums))
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)
     return MomentSet(q=q, Q=big_q, C=big_q - np.outer(q, q), sample_size=EXACT_SAMPLE)
@@ -124,7 +113,8 @@ def entropy_exact(model: IsingModel) -> float:
     """Gibbs entropy in nats via S = ln Z - <E>."""
     _check_size(model.n, ENUMERATION_LIMIT, "entropy_exact")
     log_z = log_partition(model)
-    return float(log_z - _sums(model, log_z)[3])
+    mean_energy = sum(np.vdot(np.exp(energy - log_z), energy) for energy, _, _ in _blocks(model))
+    return float(log_z - mean_energy)
 
 
 def entropy_independent(q: np.ndarray) -> float:
@@ -150,10 +140,13 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     The shared damped Newton-CG solver (``newton.newton``) on the convex
     ln Z(theta) - theta . target, from h = atanh(q), J = 0.  The gradient g is
     the moment residual (target minus model moments of phi = (s_i, s_i s_j));
-    the Hessian H is Cov(phi, phi), and H v is one enumeration pass weighted
-    by the energy phi . v of the model built from v.  The solver's damping
-    keeps early steps out of near-frozen models, where H is nearly singular.
+    the Hessian H is Cov(phi, phi), and H v sums the state's p times the
+    energy phi . v of the model built from v.  The solver's damping keeps
+    early steps out of near-frozen models, where H is nearly singular.
 
+    ``warnings`` names the pairs whose 2x2 sign table (1 + a q_i + b q_j +
+    ab Q_ij) / 4, a, b = +-1, has a cell below half a count (0 for exact
+    targets): their J_ij diverges, so tol sets the fitted value.
     ``iterations`` counts Newton steps.  Raises ConvergenceError with the last
     iterate if the max-abs residual is above tol after max_iter steps, or once
     no step size reduces |g|.
@@ -172,24 +165,30 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
         coupling[iu] = theta[n:]
         return IsingModel(J=coupling + coupling.T, h=theta[:n])
 
-    def stats(model: IsingModel, log_z: float, weight: IsingModel | None = None):
-        total, first, second, _ = _sums(model, log_z, weight)
-        return total, np.concatenate([first, second[iu]])
-
     def evaluate(theta: np.ndarray):
-        model = model_of(theta)
-        log_z = log_partition(model)
-        return theta, model, log_z, target - stats(model, log_z)[1]
+        [(energy, s_hi, s_lo)] = _blocks(model_of(theta))  # N <= FIT_LIMIT: one block
+        energy -= logsumexp(energy)
+        p = np.exp(energy, out=energy)
+        _, first, second = _sums(p, s_hi, s_lo)
+        return p, target - np.concatenate([first, second[iu]])
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
-        _, model, log_z, gradient = state
-        total, weighted = stats(model, log_z, model_of(v))
-        return weighted - (target - gradient) * total
+        p, gradient = state
+        [(weighted, s_hi, s_lo)] = _blocks(model_of(v))
+        weighted *= p
+        total, first, second = _sums(weighted, s_hi, s_lo)
+        return np.concatenate([first, second[iu]]) - (target - gradient) * total
 
-    (_, model, _, _), iterations, residual = newton(
+    theta, iterations, residual = newton(
         evaluate, hessp, np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))]), tol, max_iter)
 
-    report = FitReport(model=model, method="exact", iterations=iterations, residual=residual)
+    smallest = np.min([1.0 + a * q_t[iu[0]] + b * q_t[iu[1]] + a * b * targets.Q[iu]
+                       for a in (1, -1) for b in (1, -1)], axis=0) / 4.0
+    pairs = [f"({i}, {j})" for i, j, c in zip(*iu, smallest) if c < 0.5 / targets.sample_size]
+    warnings = [f"spin pairs {', '.join(pairs)} never show one of the four sign "
+                "combinations; their couplings diverge and tol sets them"] if pairs else []
+    report = FitReport(model=model_of(theta), method="exact", iterations=iterations,
+                       residual=residual, warnings=warnings)
     if residual <= tol:
         return report
     raise ConvergenceError(

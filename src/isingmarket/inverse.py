@@ -132,7 +132,9 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int):
     t, n = spins.shape
 
     def fields(w: np.ndarray) -> np.ndarray:
-        return spins @ (w - np.diag(np.diag(w))).T + np.diag(w)
+        out = spins @ (w - np.diag(np.diag(w))).T
+        out += np.diag(w)
+        return out
 
     def rows_times_design(a: np.ndarray) -> np.ndarray:  # row i: a[:, i] @ (S, column i = 1)
         out = a.T @ spins
@@ -142,15 +144,17 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int):
     def evaluate(x: np.ndarray):
         w = x.reshape(n, n)
         miss = 1.0 - np.tanh(spins * fields(w))  # 2 (1 - sigma(2 s F))
-        return x, miss, (rows_times_design(spins * miss) / t - 2.0 * ridge * w).ravel()
+        gradient = (rows_times_design(spins * miss) / t - 2.0 * ridge * w).ravel()
+        miss *= 2.0 - miss  # 4 sigma (1 - sigma), the Hessian weights
+        return miss, gradient
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         v = v.reshape(n, n)
         weighted = fields(v)
-        weighted *= state[1] * (2.0 - state[1])  # 4 sigma (1 - sigma)
+        weighted *= state[0]
         return (rows_times_design(weighted) / t + 2.0 * ridge * v).ravel()
 
-    (x, _, _), iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
+    x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
     return x.reshape(n, n), iterations, residual
 
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, FormatError, InsufficientSampleError
 from .ingest import SpinMatrix
+from .serialize import _jsonable
 
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
 
@@ -88,17 +89,7 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
     def to_dict(self) -> dict:
-        return {
-            "matrix_kind": self.matrix_kind,
-            "N": self.N,
-            "T": self.T,
-            "mp_lower": self.mp_lower,
-            "mp_upper": self.mp_upper,
-            "edge_lower": self.edge_lower,
-            "edge_upper": self.edge_upper,
-            "market_mode": self.market_mode,
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
+        return _jsonable(asdict(self)) | {"market_mode": self.market_mode}
 
 
 def marchenko_pastur_bounds(n: int, t: int) -> tuple[float, float]:

@@ -11,18 +11,19 @@ from scipy.sparse.linalg import LinearOperator, cg
 def newton(evaluate, hessp, start: np.ndarray, tol: float, max_iter: int):
     """Step from ``start`` until the max-abs gradient is at most tol.
 
-    ``evaluate(x)`` returns a state tuple whose first entry is x and whose
-    last is the gradient g, signed so that the step d improves the objective.
+    ``evaluate(x)`` returns a state tuple: whatever ``hessp`` needs at x,
+    then the gradient g, signed so that the step d improves the objective.
     ``hessp(state, v)`` is H v there.  Each step solves (H + 0.1 |g| I) d = g
     by conjugate gradients: the damping vanishes with g and keeps early steps
     out of regions where H is nearly singular.  The step size is halved until
     |g| decreases, since near the optimum the objective is too flat to compare.
+    A state is dropped once its direction is solved and a rejected trial
+    before the next is evaluated, so at most one state is alive at a time.
 
-    Returns (state, Newton steps, max-abs gradient), unconverged after
+    Returns (x, Newton steps, max-abs gradient at x), unconverged after
     max_iter steps or once no step size reduces |g|.
     """
-    state = evaluate(start)
-    iterations = 0
+    x, state, iterations = start, evaluate(start), 0
     while (residual := float(np.abs(state[-1]).max())) > tol and iterations < max_iter:
         gradient = state[-1]
         norm = np.linalg.norm(gradient)
@@ -30,11 +31,12 @@ def newton(evaluate, hessp, start: np.ndarray, tol: float, max_iter: int):
                                 matvec=lambda v: hessp(state, v) + 0.1 * norm * v)
         direction, _ = cg(damped, gradient, atol=0.1 * norm)
         for step in 0.5 ** np.arange(40):
-            trial = evaluate(state[0] + step * direction)
-            if np.linalg.norm(trial[-1]) < norm:
+            del state
+            state = evaluate(trial := x + step * direction)
+            if np.linalg.norm(state[-1]) < norm:
                 break
         else:
             break  # |g| sits at rounding level
-        state = trial
+        x = trial
         iterations += 1
-    return state, iterations, residual
+    return x, iterations, residual

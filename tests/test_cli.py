@@ -251,6 +251,22 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path):
         assert not out.exists() or not any(out.iterdir()), case
 
 
+def test_failed_write_exits_2_and_removes_what_this_run_wrote(tmp_path, capsys):
+    # a directory where an artifact or the manifest goes makes that write fail
+    # after earlier artifacts of the same run were written
+    spins = str(tmp_path / "spins" / "spins.csv")
+    cases = {"ingest.json": ["ingest", *write_ohlc(tmp_path)],
+             "moments.manifest.json": ["moments", "--spins", spins]}
+    assert main(["ingest", *write_ohlc(tmp_path), "-o", str(tmp_path / "spins")]) == 0
+    for blocker, argv in cases.items():
+        out = tmp_path / "out" / blocker
+        (out / blocker).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([*argv, "-o", str(out)]) == 2, blocker
+        assert "usage error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [blocker], blocker
+
+
 def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -29,7 +29,8 @@ from isingmarket.errors import (
     DegenerateRatioError,
     SizeLimitError,
 )
-from isingmarket.moments import MomentSet
+from isingmarket.exact import FIT_LIMIT
+from isingmarket.moments import MomentSet, empirical_moments
 
 
 def single_spin(h):
@@ -242,6 +243,40 @@ def test_fit_single_biased_spin():
     assert fit.model.h[0] == pytest.approx(math.atanh(0.9), abs=1e-6)
     assert np.abs(fit.model.h[1:]).max() <= 1e-7
     assert np.abs(fit.model.J).max() <= 1e-7
+
+
+def test_fit_at_the_size_limit():
+    # a fit enumerates one block per trial point: a FIT_LIMIT past the block
+    # size fails here, as the block unpacking in fit_maxent_exact raises
+    true = planted_model(FIT_LIMIT, 0.05, 0.3, 1)
+    targets = exact_moments(true)
+    fit = fit_maxent_exact(targets, tol=1e-8)
+    refitted = exact_moments(fit.model)
+    assert fit.residual <= 1e-8 and fit.warnings == []
+    assert np.abs(refitted.q - targets.q).max() <= 1e-8
+    assert np.abs(refitted.Q - targets.Q).max() <= 1e-8
+    assert np.abs(fit.model.J - true.J).max() <= 1e-6
+
+
+def test_fit_warns_about_pairs_with_an_empty_sign_cell():
+    rng = np.random.default_rng(3)
+    rows = rng.choice([-1, 1], size=(400, 5)).astype(np.int8)
+    rows[rows[:, 0] == 1, 1] = 1  # (s_0, s_1) = (+1, -1) never shows
+    moments = empirical_moments(spins_of(rows))
+    couplings = []
+    for tol in (1e-6, 1e-8, 1e-10):
+        fit = fit_maxent_exact(moments, tol=tol)
+        assert len(fit.warnings) == 1 and "pairs (0, 1) never show" in fit.warnings[0]
+        couplings.append(abs(fit.model.J[0, 1]))
+    assert couplings[0] < couplings[1] < couplings[2]  # tol, not the data, sets J_01
+    assert np.isfinite(multi_information_ratio(spins_of(rows)).ratio)  # still a ratio
+
+    duplicated = rng.choice([-1, 1], size=(400, 6)).astype(np.int8)
+    duplicated[:, 4] = duplicated[:, 2]
+    fit = fit_maxent_exact(empirical_moments(spins_of(duplicated)))
+    assert len(fit.warnings) == 1 and "pairs (2, 4) never show" in fit.warnings[0]
+    duplicated[:, 4] = rng.choice([-1, 1], size=400)
+    assert fit_maxent_exact(empirical_moments(spins_of(duplicated))).warnings == []
 
 
 def test_fit_not_converged_raises_with_best_iterate():
