@@ -6,10 +6,12 @@ multi-information ratio I2/IN = (S1 - S2) / (S1 - SN) in nats.
 
 Enumeration splits the spins into a low half (spins 0..N//2-1) and a high
 half: a block of at most 2^20 states has energies E_hi[:, None] + E_lo[None, :]
-+ S_hi J_hl S_lo^T, and the blocks raveled row-major run in state_index order.
-Moments are sums of weights (1, s, s s^T) over a block.  A fit (N <= FIT_LIMIT)
-is one block: each Newton state holds that block's p, and a Hessian product
-weights p by the energies of one direction model.
++ S_hi J_hl S_lo^T, computed from (J, h) arrays, and the blocks raveled
+row-major run in state_index order.  ln Z and <E> come from one pass that
+reduces each block in place.  Moments are sums of weights (1, s, s s^T) over a
+block.  A fit (N <= FIT_LIMIT) is one block whose spin tables are built once
+per fit: each Newton state holds that block's p, and a Hessian product weights
+p by the energies of one direction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .errors import (
     BoundaryError,
@@ -26,7 +28,7 @@ from .errors import (
     SizeLimitError,
 )
 from .ingest import SpinMatrix
-from .model import FitReport, IsingModel
+from .model import FitReport, IsingModel, energies
 from .moments import EXACT_SAMPLE, MomentSet, empirical_moments
 from .newton import newton
 
@@ -49,33 +51,62 @@ def _spins(bits: int, start: int, stop: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(bits)) & 1) * 2.0 - 1.0
 
 
-def _blocks(model: IsingModel):
-    """Yield (E, S_hi, S_lo) blocks covering all 2^N states in state_index order.
-
-    E[a, b] is the energy of the state whose high spins are S_hi[a] and whose
-    low spins are S_lo[b].
-    """
-    n, n_lo = model.n, model.n // 2
-    lo, hi = slice(0, n_lo), slice(n_lo, n)
+def _tables(n: int):
+    """Yield the (S_hi, S_lo) spin tables of the blocks, in state_index order."""
+    n_lo = n // 2
     s_lo = _spins(n_lo, 0, 1 << n_lo)
-    e_lo = IsingModel(J=model.J[lo, lo], h=model.h[lo]).energies(s_lo)
-    upper = IsingModel(J=model.J[hi, hi], h=model.h[hi])
     rows = 1 << (_BLOCK_BITS - n_lo)
     for start in range(0, 1 << (n - n_lo), rows):
-        s_hi = _spins(n - n_lo, start, min(start + rows, 1 << (n - n_lo)))
-        energy = (s_hi @ model.J[hi, lo]) @ s_lo.T
-        energy += upper.energies(s_hi)[:, None]
-        energy += e_lo
-        yield energy, s_hi, s_lo
+        yield _spins(n - n_lo, start, min(start + rows, 1 << (n - n_lo))), s_lo
 
 
-def _sums(p: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray):
-    """Sums of p (1, s, s s^T) over one block of state weights p[a, b]."""
+def _energy(coupling: np.ndarray, field: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray):
+    """E[a, b]: the energy of the state whose high spins are S_hi[a], low spins S_lo[b].
+
+    One product [S_hi J_hl, E_hi, 1] [S_lo^T; 1; E_lo] writes the whole block.
+    """
+    lo, hi = slice(0, s_lo.shape[1]), slice(s_lo.shape[1], None)
+    left = np.column_stack([s_hi @ coupling[hi, lo], energies(coupling[hi, hi], field[hi], s_hi),
+                            np.ones(len(s_hi))])
+    right = np.vstack([s_lo.T, np.ones(len(s_lo)), energies(coupling[lo, lo], field[lo], s_lo)])
+    return left @ right
+
+
+def _blocks(model: IsingModel):
+    """Yield (E, S_hi, S_lo) blocks covering all 2^N states in state_index order."""
+    for s_hi, s_lo in _tables(model.n):
+        yield _energy(model.J, model.h, s_hi, s_lo), s_hi, s_lo
+
+
+def _sums(p: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray, second: np.ndarray):
+    """Sums of p (1, s) over one block of state weights p[a, b]; the s s^T sums fill second."""
+    lo, hi = slice(0, s_lo.shape[1]), slice(s_lo.shape[1], None)
     rows, cols = p.sum(axis=1), p.sum(axis=0)
-    cross = s_hi.T @ p @ s_lo
-    second = np.block([[(s_lo.T * cols) @ s_lo, cross.T],
-                       [cross, (s_hi.T * rows) @ s_hi]])
-    return rows.sum(), np.concatenate([cols @ s_lo, rows @ s_hi]), second
+    second[lo, lo] = (s_lo.T * cols) @ s_lo
+    second[hi, hi] = (s_hi.T * rows) @ s_hi
+    second[hi, lo] = s_hi.T @ p @ s_lo
+    second[lo, hi] = second[hi, lo].T
+    return rows.sum(), np.concatenate([cols @ s_lo, rows @ s_hi])
+
+
+def _reduce(model: IsingModel, energy_sums: bool):
+    """(max E, ln Z - max E, <E> - max E) from one pass over the blocks.
+
+    Each block is reduced in place to (max, sum e^(E - max), sum e^(E - max) (E - max))
+    and the blocks are combined around the largest max, so nothing overflows.
+    <E> is computed only if energy_sums (it costs one block-sized temporary).
+    """
+    parts = []
+    for energy, _, _ in _blocks(model):
+        top = energy.max()
+        energy -= top
+        weights = np.exp(energy, out=None if energy_sums else energy)
+        parts.append((top, weights.sum(), np.vdot(weights, energy) if energy_sums else 0.0))
+    top, total, weighted = np.array(parts).T
+    peak = top.max()
+    scale = np.exp(top - peak)
+    z = scale @ total
+    return peak, np.log(z), scale @ (weighted + (top - peak) * total) / z
 
 
 def state_index(spins: np.ndarray) -> np.ndarray:
@@ -86,17 +117,22 @@ def state_index(spins: np.ndarray) -> np.ndarray:
 
 
 def log_partition(model: IsingModel) -> float:
-    """ln Z, a logsumexp over the per-block logsumexps (overflow safe)."""
+    """ln Z from the in-place per-block reduction (overflow safe)."""
     _check_size(model.n, ENUMERATION_LIMIT, "log_partition")
-    return float(logsumexp([logsumexp(energy) for energy, _, _ in _blocks(model)]))
+    peak, log_z, _ = _reduce(model, energy_sums=False)
+    return float(peak + log_z)
 
 
 def exact_moments(model: IsingModel) -> MomentSet:
     """<s_i> and <s_i s_j> under the Gibbs distribution (sample_size = exact)."""
     _check_size(model.n, ENUMERATION_LIMIT, "exact_moments")
     log_z = log_partition(model)
-    sums = [_sums(np.exp(energy - log_z), s_hi, s_lo) for energy, s_hi, s_lo in _blocks(model)]
-    _, q, big_q = (sum(column) for column in zip(*sums))
+    n = model.n
+    q, big_q, second = np.zeros(n), np.zeros((n, n)), np.empty((n, n))
+    for energy, s_hi, s_lo in _blocks(model):
+        energy -= log_z
+        q += _sums(np.exp(energy, out=energy), s_hi, s_lo, second)[1]
+        big_q += second
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)
     return MomentSet(q=q, Q=big_q, C=big_q - np.outer(q, q), sample_size=EXACT_SAMPLE)
@@ -106,14 +142,17 @@ def gibbs_probabilities(model: IsingModel) -> np.ndarray:
     """All 2^N state probabilities, indexed by state_index ordering (N <= FIT_LIMIT)."""
     _check_size(model.n, FIT_LIMIT, "gibbs_probabilities")
     log_z = log_partition(model)
-    return np.concatenate([np.exp(energy - log_z).ravel() for energy, _, _ in _blocks(model)])
+    probabilities = []
+    for energy, _, _ in _blocks(model):
+        energy -= log_z
+        probabilities.append(np.exp(energy, out=energy).ravel())
+    return np.concatenate(probabilities)
 
 
 def entropy_exact(model: IsingModel) -> float:
-    """Gibbs entropy in nats via S = ln Z - <E>."""
+    """Gibbs entropy in nats via S = ln Z - <E>, from one enumeration."""
     _check_size(model.n, ENUMERATION_LIMIT, "entropy_exact")
-    log_z = log_partition(model)
-    mean_energy = sum(np.vdot(np.exp(energy - log_z), energy) for energy, _, _ in _blocks(model))
+    _, log_z, mean_energy = _reduce(model, energy_sums=True)  # both relative to max E
     return float(log_z - mean_energy)
 
 
@@ -141,7 +180,7 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     ln Z(theta) - theta . target, from h = atanh(q), J = 0.  The gradient g is
     the moment residual (target minus model moments of phi = (s_i, s_i s_j));
     the Hessian H is Cov(phi, phi), and H v sums the state's p times the
-    energy phi . v of the model built from v.  The solver's damping keeps
+    energy phi . v of the couplings and fields read from v.  The solver's damping keeps
     early steps out of near-frozen models, where H is nearly singular.
 
     ``warnings`` names the pairs whose 2x2 sign table (1 + a q_i + b q_j +
@@ -160,23 +199,27 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     iu = np.triu_indices(n, k=1)
     target = np.concatenate([q_t, targets.Q[iu]])
 
-    def model_of(theta: np.ndarray) -> IsingModel:
+    [(s_hi, s_lo)] = _tables(n)  # N <= FIT_LIMIT: one block, built once per fit
+    second = np.empty((n, n))
+
+    def couplings(theta: np.ndarray) -> np.ndarray:
         coupling = np.zeros((n, n))
         coupling[iu] = theta[n:]
-        return IsingModel(J=coupling + coupling.T, h=theta[:n])
+        return coupling + coupling.T
 
     def evaluate(theta: np.ndarray):
-        [(energy, s_hi, s_lo)] = _blocks(model_of(theta))  # N <= FIT_LIMIT: one block
-        energy -= logsumexp(energy)
-        p = np.exp(energy, out=energy)
-        _, first, second = _sums(p, s_hi, s_lo)
+        p = _energy(couplings(theta), theta[:n], s_hi, s_lo)
+        p -= p.max()
+        np.exp(p, out=p)
+        p /= p.sum()
+        first = _sums(p, s_hi, s_lo, second)[1]
         return p, target - np.concatenate([first, second[iu]])
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         p, gradient = state
-        [(weighted, s_hi, s_lo)] = _blocks(model_of(v))
+        weighted = _energy(couplings(v), v[:n], s_hi, s_lo)
         weighted *= p
-        total, first, second = _sums(weighted, s_hi, s_lo)
+        total, first = _sums(weighted, s_hi, s_lo, second)
         return np.concatenate([first, second[iu]]) - (target - gradient) * total
 
     theta, iterations, residual = newton(
@@ -187,8 +230,8 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     pairs = [f"({i}, {j})" for i, j, c in zip(*iu, smallest) if c < 0.5 / targets.sample_size]
     warnings = [f"spin pairs {', '.join(pairs)} never show one of the four sign "
                 "combinations; their couplings diverge and tol sets them"] if pairs else []
-    report = FitReport(model=model_of(theta), method="exact", iterations=iterations,
-                       residual=residual, warnings=warnings)
+    report = FitReport(model=IsingModel(J=couplings(theta), h=theta[:n]), method="exact",
+                       iterations=iterations, residual=residual, warnings=warnings)
     if residual <= tol:
         return report
     raise ConvergenceError(

@@ -301,17 +301,76 @@ def binarize(series: list[PriceSeries]) -> SpinMatrix:
 def write_spin_csv(matrix: SpinMatrix, path) -> None:
     """Interchange format: header 'date,<tickers...>', one ±1 column per ticker.
 
-    Written atomically (temp file + rename) like every other artifact.
+    Each row's cell text ',1,-1...\\n' is cut from one ',-1' byte pattern per
+    cell by the sign mask.  Written atomically (temp file + rename) like every
+    other artifact.
     """
     from .serialize import atomic_write_text
 
-    lines = [",".join(["date"] + list(matrix.tickers))]
-    cells = np.where(matrix.values > 0, "1", "-1")
-    lines += [d + "," + ",".join(row.tolist()) for d, row in zip(matrix.dates, cells)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    t, n = matrix.values.shape
+    cells = np.empty((t, 3 * n + 1), dtype=np.uint8)
+    cells[:, :-1] = np.tile(np.frombuffer(b",-1", dtype=np.uint8), n)
+    cells[:, -1] = ord("\n")
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, 1::3] = matrix.values < 0  # the '-'
+    rows = cells[keep].tobytes().decode("ascii").splitlines(keepends=True)
+    parts = [",".join(["date", *matrix.tickers]) + "\n"] + [""] * (2 * t)
+    parts[1::2], parts[2::2] = matrix.dates, rows
+    atomic_write_text(path, "".join(parts))
+
+
+_NEWLINE, _COMMA, _DASH_BYTE, _ONE = (ord(c) for c in "\n,-1")
+
+
+def _plain_spins(body: str, n: int):
+    """(dates, values) of a plain spin-file body, or None if the body is not plain.
+
+    Plain: ASCII with no '"' and no NUL, and every line a date and then n cells
+    that are each exactly '1' or '-1' (so no line is blank).  Such a body is read
+    from the bytes just ahead of each ',' or '\n', gathered at one offset per
+    field; the date is the text before a line's first ',', as loadtxt reads it.
+    """
+    if not body.isascii() or '"' in body or "\0" in body:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    b = np.frombuffer(b"\0\0\0" + body.encode("ascii"), dtype=np.uint8)  # 3 bytes ahead
+    text = b[3:]
+    stop = text == _NEWLINE
+    stop |= text == _COMMA
+    stops = np.flatnonzero(stop)  # one offset per field: the only int64 array
+    del stop  # the dels keep the peak near the body's bytes and those offsets
+    t = body.count("\n")
+    if stops.size != t * (n + 1):
+        return None
+    # Row r of fields holds line r's if every line has n + 1 fields.  If one has
+    # not, a line's first field, which follows a '\n', falls among the cells,
+    # and the cell check below rejects it.
+    fields = stops.reshape(t, n + 1)
+    runs = np.column_stack([fields[:, 0] + 1, fields[:, -1] - fields[:, 0]])
+    runs[1:, 0] -= fields[:-1, -1] + 1  # per line: its date and ',', then the rest
+    # the 1, 2 and 3 bytes ahead of each cell's end
+    last, second, third = (b[shift:][stops].reshape(t, n + 1)[:, 1:] for shift in (2, 1, 0))
+    del stops, fields
+    negative = second == _DASH_BYTE
+    cells_ok = third == _COMMA  # '-1' is ',-1'; '1' is ',1'
+    cells_ok &= negative
+    cells_ok |= second == _COMMA
+    cells_ok &= last == _ONE
+    if not cells_ok.all():
+        return None
+    del last, second, third, cells_ok
+    kept = np.repeat(np.tile([True, False], t), runs.ravel())
+    dates = text[kept].tobytes().decode("ascii").split(",")[:-1]
+    return dates, np.where(negative, np.int8(-1), np.int8(1))
 
 
 def read_spin_csv(path) -> SpinMatrix:
+    """Read a spin file; the route is chosen once per file.
+
+    A plain body (see _plain_spins) is parsed in bulk; every other body goes
+    through np.loadtxt, which reports what is wrong with it.
+    """
     with open(path) as handle:
         try:
             header = next(csv.reader(handle))
@@ -321,7 +380,14 @@ def read_spin_csv(path) -> SpinMatrix:
             raise FormatError(f"{path}: {exc}") from exc
         if not header or header[0] != "date" or len(header) < 2:
             raise FormatError(f"{path}: expected header 'date,<tickers...>'")
-        lines = [line for line in handle.read().split("\n") if line]
+        body = handle.read()
+    dates, values = _plain_spins(body, len(header) - 1) or _loadtxt_spins(body, len(header), path)
+    return SpinMatrix(tickers=header[1:], dates=dates, values=values)
+
+
+def _loadtxt_spins(body: str, width: int, path):
+    """(dates, values) of any spin-file body of width fields a line, through np.loadtxt."""
+    lines = [line for line in body.split("\n") if line]
     if not lines:
         raise EmptyInputError(f"{path}: no spin rows")
     table = {"delimiter": ",", "comments": None, "quotechar": '"'}
@@ -331,9 +397,9 @@ def read_spin_csv(path) -> SpinMatrix:
                             ndmin=2, **table)
     except ValueError as exc:
         raise FormatError(f"{path}: bad spin rows ({exc})") from exc
-    if values.shape[1] != len(header):
-        raise FormatError(f"{path}: rows have {values.shape[1]} cells, expected {len(header)}")
+    if values.shape[1] != width:
+        raise FormatError(f"{path}: rows have {values.shape[1]} cells, expected {width}")
     if np.any(np.abs(values) > 1):  # SpinMatrix's int8 cast would wrap these around
         raise FormatError(f"{path}: spin cell outside -1..1")
     dates = np.loadtxt(lines, dtype=str, usecols=0, ndmin=1, **table).tolist()
-    return SpinMatrix(tickers=header[1:], dates=dates, values=values[:, 1:])
+    return dates, values[:, 1:]

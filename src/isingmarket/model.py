@@ -18,6 +18,12 @@ import numpy as np
 from .errors import FormatError
 
 
+def energies(coupling: np.ndarray, field: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """E(s) under couplings J and fields h for each row of a (T, N) ±1 array."""
+    s = np.asarray(spins, dtype=np.float64)
+    return 0.5 * np.einsum("ti,ti->t", s @ coupling, s) + s @ field
+
+
 @dataclass
 class IsingModel:
     """Symmetric zero-diagonal coupling matrix J plus field vector h."""
@@ -48,8 +54,7 @@ class IsingModel:
 
     def energies(self, spins: np.ndarray) -> np.ndarray:
         """E(s) for each row of a (T, N) ±1 array."""
-        s = np.asarray(spins, dtype=np.float64)
-        return 0.5 * np.einsum("ti,ti->t", s @ self.J, s) + s @ self.h
+        return energies(self.J, self.h, spins)
 
     def to_dict(self) -> dict:
         return {

@@ -112,11 +112,11 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
                            out[recorded:].ctypes.data)
         fields = coupling @ s  # shed accumulated rounding between batches
 
-    width_t = len(str(config.rows))
     width_n = len(str(max(n - 1, 1)))
+    label = "t%0{}d".format(len(str(config.rows)))
     return SpinMatrix(
         tickers=[f"s{i:0{width_n}d}" for i in range(n)],
-        dates=[f"t{k + 1:0{width_t}d}" for k in range(config.rows)],
+        dates=[label % k for k in range(1, config.rows + 1)],
         values=out,
     )
 

@@ -8,7 +8,8 @@ pseudo-likelihood one spin at a time, each with its own dense Newton solve and
 Armijo line search: the oracle for the joint fit in inverse.plm_fit.
 reference_parse_ohlc and reference_binarize are the per-row csv parser and the
 dict-per-ticker binarization, the oracles for the bulk parse and the array
-join in isingmarket.ingest.
+join in isingmarket.ingest; reference_write_spin_csv is the per-row spin-file
+writer, the oracle for the byte-mask cell text of ingest.write_spin_csv.
 """
 
 import csv
@@ -17,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +317,14 @@ def reference_binarize(series: list[ReferenceSeries]) -> SpinMatrix:
         dates=[d.isoformat() for d in dates],
         values=values,
     )
+
+
+def reference_write_spin_csv(matrix: SpinMatrix, path) -> None:
+    """The spin file, header 'date,<tickers...>' and one line per row, joined per row."""
+    lines = [",".join(["date"] + list(matrix.tickers))]
+    cells = np.where(matrix.values > 0, "1", "-1")
+    lines += [d + "," + ",".join(row.tolist()) for d, row in zip(matrix.dates, cells)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture

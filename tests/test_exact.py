@@ -75,6 +75,8 @@ def test_logz_permutation_invariant():
 def test_logz_overflow_safe():
     model = IsingModel(J=np.zeros((3, 3)), h=np.full(3, 400.0))
     assert log_partition(model) == pytest.approx(1200.0, abs=1e-6)
+    entropy = entropy_exact(model)
+    assert math.isfinite(entropy) and entropy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_logz_size_guard():

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_binarize, reference_parse_ohlc
+from conftest import reference_binarize, reference_parse_ohlc, reference_write_spin_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingmarket import OhlcFormat, SpinMatrix, binarize, parse_ohlc
 from isingmarket.errors import AlignmentError, EmptyInputError, FormatError
-from isingmarket.ingest import read_spin_csv, write_spin_csv
+from isingmarket.ingest import _loadtxt_spins, _plain_spins, read_spin_csv, write_spin_csv
 
 HEADER = "Date,Open,High,Low,Close,Volume"
 
@@ -167,6 +169,55 @@ def test_read_spin_csv_rejects_bad_cell(tmp_path):
         path.write_text(text)
         with pytest.raises(error):
             read_spin_csv(path)
+
+
+# "\0" too: loadtxt drops a date's trailing NUL, so a NUL is not plain
+SPIN_ALPHABET = ["d", "1", "-", "0", "+", ",", " ", '"', "\n", "é", "\0"]
+SPIN_CELLS = ["1", "-1", "0", "-0", "+1", " 1", "1 ", "", "-", "11", "--1", '"1"', "é"]
+
+
+@st.composite
+def spin_bodies(draw):
+    """(body, cells per line): free text, or lines of a date and mostly ±1 cells."""
+    width = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=SPIN_ALPHABET, max_size=40)), width
+    date = st.text(alphabet=[c for c in SPIN_ALPHABET if c not in ",\n"], max_size=4)
+    if draw(st.integers(0, 2)):  # mostly well-formed cells, so that the plain route runs
+        cells = st.lists(st.sampled_from(["1", "-1"]), min_size=width, max_size=width)
+    else:
+        cells = st.lists(st.sampled_from(SPIN_CELLS), min_size=max(width - 1, 1),
+                         max_size=width + 1)
+    lines = draw(st.lists(st.tuples(date, cells), min_size=1, max_size=4))
+    ending = draw(st.sampled_from(["\n", "", "\n\n"]))
+    return "\n".join(d + "," + ",".join(row) for d, row in lines) + ending, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(spin_bodies())
+def test_plain_spin_route_declines_or_matches_loadtxt(case):
+    body, width = case
+    plain = _plain_spins(body, width)
+    if plain is not None:
+        dates, values = _loadtxt_spins(body, width + 1, "body")
+        assert plain[0] == dates
+        assert np.array_equal(plain[1], values)
+
+
+def test_write_spin_csv_matches_reference_bytes(tmp_path):
+    rng = np.random.default_rng(11)
+    cases = [(["1"], 1), (["-1"], 1), (["-1", "1", "", "d 1"], 3), (["2020-01-02"], 7),
+             ([f"t{k}" for k in range(50)], 1), ([f"2001-{k:04d}" for k in range(300)], 12)]
+    for dates, n in cases:
+        matrix = SpinMatrix(tickers=[f"x{i}" for i in range(n)], dates=dates,
+                            values=rng.choice([-1, 1], size=(len(dates), n)))
+        write_spin_csv(matrix, tmp_path / "spins.csv")
+        reference_write_spin_csv(matrix, tmp_path / "reference.csv")
+        written = (tmp_path / "spins.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert _plain_spins(written.decode().partition("\n")[2], n) is not None
+        back = read_spin_csv(tmp_path / "spins.csv")
+        assert back.dates == dates and np.array_equal(back.values, matrix.values)
 
 
 # Cells for the differential test against the per-row oracle in conftest.
