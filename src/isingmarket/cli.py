@@ -258,11 +258,9 @@ def _cmd_noise(cfg) -> tuple[list, dict]:
     real_fit = _load(cfg["fit"], FitReport.from_dict)
     report = sampler.noise_ratio(
         real_fit,
-        n=real_fit.model.n,
-        t=cfg["t"],
-        config=sampler.SamplerConfig(rows=cfg["t"], burn_in=cfg["burn_in"],
-                                     thin=cfg["thin"], seed=cfg["seed"]),
-        method=cfg["method"],
+        sampler.SamplerConfig(rows=cfg["t"], burn_in=cfg["burn_in"],
+                              thin=cfg["thin"], seed=cfg["seed"]),
+        cfg["method"],
     )
     return [cfg["fit"]], {"noise.json": report.to_dict()}
 

@@ -135,7 +135,7 @@ def exact_moments(model: IsingModel) -> MomentSet:
         big_q += second
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)
-    return MomentSet(q=q, Q=big_q, C=big_q - np.outer(q, q), sample_size=EXACT_SAMPLE)
+    return MomentSet(q=q, Q=big_q, sample_size=EXACT_SAMPLE)
 
 
 def gibbs_probabilities(model: IsingModel) -> np.ndarray:

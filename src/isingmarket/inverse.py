@@ -3,12 +3,18 @@
 All three return a FitReport with a symmetric zero-diagonal coupling matrix;
 ``fit`` dispatches to them, and to the exact fit, by method name.  The
 pseudo-likelihood and the exact fit share one damped Newton-CG solver.
-The second-order inversion solves, pair by pair,
+The second-order inversion solves, pair by pair with a = q_i q_j and
+c = (C^-1)_ij,
 
-    (C^-1)_ij = -J_ij - J_ij^2 q_i q_j
+    c = -J_ij - a J_ij^2,
 
-keeping the root that reduces to the first-order value -(C^-1)_ij as
-q_i q_j -> 0.
+keeping the small root in its rationalized form
+
+    J_ij = -2c / (1 + sqrt(1 - 4ac)),
+
+which never divides by a: at a = 0 it is the first-order value -c.  A pair
+with 4ac > 1 has no real root and takes the double root -1 / (2a), written
+-2c / (4ac) so that one expression covers both cases.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .moments import MomentSet, empirical_moments
 from .newton import newton
 
 CONDITION_LIMIT = 1e12
-_SERIES_CUTOFF = 1e-6  # |q_i q_j| below this uses the series branch
 _CLAMP_ESCALATION = 0.2
 _UNBOUNDED_PARAM = 30.0  # |parameter| beyond this with ridge=0 means separability
 
@@ -60,8 +65,8 @@ def nmf_invert(moments: MomentSet, ridge: float = 0.0) -> FitReport:
 def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> FitReport:
     """Second-order mean-field inversion with clamped-discriminant telemetry.
 
-    Negative discriminants (noise-driven insoluble pairs) are clamped to
-    zero, counted and reported; a clamp fraction above 20% raises under
+    Negative discriminants 1 - 4ac (noise-driven insoluble pairs) are clamped
+    to zero, counted and reported; a clamp fraction above 20% raises under
     strict mode.  Fields are recovered from the TAP relation
     h_i = atanh(q_i) - sum_j J_ij q_j + q_i sum_j J_ij^2 (1 - q_j^2).
     """
@@ -70,18 +75,11 @@ def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> 
         raise DivergenceError("|q_i| = 1 makes the second-order inversion singular")
     c_inv = _inverse_correlations(moments.C, ridge)
 
-    a = np.outer(q, q)
-    disc = 1.0 - 4.0 * a * c_inv
-    off = ~np.eye(moments.n, dtype=bool)
-    clamped = int(np.count_nonzero((disc < 0.0) & off)) // 2
-    disc = np.maximum(disc, 0.0)
-
-    series = np.abs(a) < _SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = (-1.0 + np.sqrt(disc)) / (2.0 * a)
-    ac = a * c_inv
-    expansion = -c_inv * (1.0 + ac + 2.0 * ac**2)
-    coupling = symmetrize(np.where(series, expansion, quad))
+    four_ac = 4.0 * np.outer(q, q) * c_inv
+    np.fill_diagonal(four_ac, 0.0)  # no pair: symmetrize zeroes its coupling
+    clamped = int(np.count_nonzero(four_ac > 1.0)) // 2
+    root = 1.0 + np.sqrt(np.maximum(1.0 - four_ac, 0.0))
+    coupling = symmetrize(-2.0 * c_inv / np.maximum(root, four_ac))
 
     warnings_list = []
     n_pairs = moments.n * (moments.n - 1) // 2

@@ -22,17 +22,20 @@ EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
 
 @dataclass
 class MomentSet:
-    """Mean orientations q, pair moments Q, connected correlations C."""
+    """Mean orientations q and pair moments Q; C is derived from them."""
 
     q: np.ndarray
     Q: np.ndarray
-    C: np.ndarray
     sample_size: float  # T, or EXACT_SAMPLE for enumeration moments
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
         self.Q = np.asarray(self.Q, dtype=np.float64)
-        self.C = np.asarray(self.C, dtype=np.float64)
+
+    @property
+    def C(self) -> np.ndarray:
+        """Connected correlations Q - q q^T."""
+        return self.Q - np.outer(self.q, self.q)
 
     @property
     def n(self) -> int:
@@ -53,14 +56,14 @@ class MomentSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MomentSet":
+        """Read q and Q; the "C" that to_dict writes is not read back."""
         q = np.asarray(d["q"], dtype=np.float64)
         big_q = np.asarray(d["Q"], dtype=np.float64)
-        c = np.asarray(d["C"], dtype=np.float64)
         n = q.shape[0]
-        if big_q.shape != (n, n) or c.shape != (n, n):
-            raise FormatError("moment matrices must be N x N")
+        if big_q.shape != (n, n):
+            raise FormatError("moment matrix Q must be N x N")
         size = d.get("sample_size")
-        return cls(q=q, Q=big_q, C=c, sample_size=EXACT_SAMPLE if size is None else float(size))
+        return cls(q=q, Q=big_q, sample_size=EXACT_SAMPLE if size is None else float(size))
 
 
 @dataclass
@@ -121,13 +124,13 @@ def empirical_moments(matrix: SpinMatrix) -> MomentSet:
     big_q = (s.T @ s) / t
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)  # s_i^2 = 1 exactly
-    c = big_q - np.outer(q, q)
-    return MomentSet(q=q, Q=big_q, C=c, sample_size=float(t))
+    return MomentSet(q=q, Q=big_q, sample_size=float(t))
 
 
 def pearson_correlation(moments: MomentSet, tickers: list[str] | None = None) -> np.ndarray:
     """Correlation matrix from a moment set; errors on any zero-variance column."""
-    variances = np.diag(moments.C).copy()
+    corr = moments.C
+    variances = np.diag(corr).copy()
     dead = np.flatnonzero(variances <= 0.0)
     if dead.size:
         names = (
@@ -137,7 +140,7 @@ def pearson_correlation(moments: MomentSet, tickers: list[str] | None = None) ->
         )
         raise DegenerateDataError(f"constant column(s), correlation undefined: {names}")
     scale = 1.0 / np.sqrt(variances)
-    corr = moments.C * np.outer(scale, scale)
+    corr *= np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
     return corr
 

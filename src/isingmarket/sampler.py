@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inverse
-from .errors import (ConfigError, DegenerateRatioError, DimensionMismatchError,
-                     KernelBuildError)
+from .errors import ConfigError, DegenerateRatioError, KernelBuildError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
 from .serialize import _jsonable
@@ -139,24 +138,15 @@ def _offdiag(matrix: np.ndarray) -> np.ndarray:
     return matrix[np.triu_indices(n, k=1)]
 
 
-def noise_ratio(
-    real_fit: FitReport,
-    n: int,
-    t: int,
-    config: SamplerConfig,
-    method: str,
-) -> NoiseReport:
-    """Noise floor of an inversion method at sample length T.
+def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> NoiseReport:
+    """Noise floor of an inversion method at sample length T = config.rows.
 
     Builds a homogeneous surrogate (every off-diagonal coupling equal to the
-    mean inferred coupling, zero fields), samples T rows, re-infers with the
-    same method, and compares coupling spreads: any spread in the re-inferred
-    matrix is pure estimation noise.
+    mean inferred coupling, zero fields) of the real fit's size N, samples T
+    rows, re-infers with the same method, and compares coupling spreads: any
+    spread in the re-inferred matrix is pure estimation noise.
     """
-    if real_fit.model.n != n:
-        raise DimensionMismatchError(
-            f"real fit has N={real_fit.model.n}, requested N={n}"
-        )
+    n = real_fit.model.n
     real_off = _offdiag(real_fit.model.J)
     sigma_j = float(real_off.std())
     if sigma_j <= 1e-12 * (1.0 + np.abs(real_off).max()):
@@ -167,11 +157,9 @@ def noise_ratio(
     np.fill_diagonal(homogeneous, 0.0)
     surrogate = IsingModel(J=homogeneous, h=np.zeros(n))
 
-    sampled = glauber_sample(surrogate, SamplerConfig(rows=t, burn_in=config.burn_in,
-                                                      thin=config.thin, seed=config.seed))
-    refit = inverse.fit(method, sampled)
+    refit = inverse.fit(method, glauber_sample(surrogate, config))
     sigma_noise = float(_offdiag(refit.model.J).std())
-    echo = config.to_dict() | {"method": method, "N": n, "T": t, "mean_J": mean_j}
+    echo = config.to_dict() | {"method": method, "N": n, "T": config.rows, "mean_J": mean_j}
     return NoiseReport(
         sigma_noise=sigma_noise,
         sigma_J=sigma_j,

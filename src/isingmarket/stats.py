@@ -159,7 +159,7 @@ def normality_tests(values: np.ndarray, bins: int = 20,
                     trim_fraction: float = 0.0) -> NormalityReport:
     """Chi-square and Jarque-Bera tests after optional upper-tail trimming."""
     values = np.asarray(values, dtype=np.float64)
-    retained = trim_upper_tail(values, trim_fraction) if trim_fraction > 0.0 else values
+    retained = trim_upper_tail(values, trim_fraction)
     n = retained.size
     if n < _MIN_NORMALITY_SAMPLE:
         raise InsufficientSampleError(

@@ -86,7 +86,7 @@ def test_logz_size_guard():
 
 def test_fit_and_histogram_size_guards():
     n = 21
-    targets = MomentSet(q=np.zeros(n), Q=np.eye(n), C=np.eye(n), sample_size=math.inf)
+    targets = MomentSet(q=np.zeros(n), Q=np.eye(n), sample_size=math.inf)
     with pytest.raises(SizeLimitError):
         fit_maxent_exact(targets)
     rows = np.ones((3, n), dtype=np.int8)
@@ -228,7 +228,7 @@ def test_fit_identifiability():
 
 def test_fit_uniform_targets_give_zero_model():
     n = 4
-    targets = MomentSet(q=np.zeros(n), Q=np.eye(n), C=np.eye(n), sample_size=math.inf)
+    targets = MomentSet(q=np.zeros(n), Q=np.eye(n), sample_size=math.inf)
     fit = fit_maxent_exact(targets)
     assert np.abs(fit.model.h).max() <= 1e-8
     assert np.abs(fit.model.J).max() <= 1e-8
@@ -240,7 +240,7 @@ def test_fit_single_biased_spin():
     big_q = np.eye(n)
     big_q[0, 1] = big_q[1, 0] = q[0] * q[1]
     big_q[0, 2] = big_q[2, 0] = q[0] * q[2]
-    targets = MomentSet(q=q, Q=big_q, C=big_q - np.outer(q, q), sample_size=math.inf)
+    targets = MomentSet(q=q, Q=big_q, sample_size=math.inf)
     fit = fit_maxent_exact(targets)
     assert fit.model.h[0] == pytest.approx(math.atanh(0.9), abs=1e-6)
     assert np.abs(fit.model.h[1:]).max() <= 1e-7
@@ -292,8 +292,7 @@ def test_fit_not_converged_raises_with_best_iterate():
 
 
 def test_fit_boundary_targets_error():
-    targets = MomentSet(q=np.array([1.0, 0.0]), Q=np.eye(2), C=np.eye(2),
-                        sample_size=math.inf)
+    targets = MomentSet(q=np.array([1.0, 0.0]), Q=np.eye(2), sample_size=math.inf)
     with pytest.raises(BoundaryError):
         fit_maxent_exact(targets)
 

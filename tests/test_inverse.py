@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,11 +29,9 @@ from isingmarket.moments import MomentSet
 
 def diag_moments(q):
     q = np.asarray(q, dtype=float)
-    n = q.size
     big_q = np.outer(q, q)
     np.fill_diagonal(big_q, 1.0)
-    c = np.diag(1.0 - q**2)
-    return MomentSet(q=q, Q=big_q, C=c, sample_size=math.inf)
+    return MomentSet(q=q, Q=big_q, sample_size=math.inf)
 
 
 def upper(mat):
@@ -100,12 +99,46 @@ def test_tap_clamps_insoluble_pairs():
     c = np.array([[0.19, -0.1], [-0.1, 0.19]])
     big_q = c + np.outer(q, q)
     np.fill_diagonal(big_q, 1.0)
-    moments = MomentSet(q=q, Q=big_q, C=c, sample_size=math.inf)
+    moments = MomentSet(q=q, Q=big_q, sample_size=math.inf)
     fit = tap_invert(moments)
     assert fit.warnings and "clamped 1 of 1" in fit.warnings[0]
     assert fit.model.J[0, 1] == pytest.approx(-1.0 / (2 * 0.81))
     with pytest.raises(ReliabilityError):
         tap_invert(moments, strict=True)
+
+
+def _decimal_root(a, c):
+    """The second-order root of c = -J - a J^2, or the double root -1/(2a) if none."""
+    if 4 * a * c > 1:
+        return -1 / (2 * a)
+    return -2 * c / (1 + (1 - 4 * a * c).sqrt())
+
+
+def test_tap_root_to_rounding_against_40_digits():
+    # a = q_i q_j just above 1e-6 (where the unrationalized root loses ~1e-10),
+    # a = 0 and a < 0, then a clamped pair; each J_ij against a 40-digit root
+    # of the program's own C^-1, symmetrized as the program does
+    g = np.random.default_rng(5).normal(size=(7, 21))
+    cov = g @ g.T
+    spread = np.array([1.001e-3, 1.0015e-3, -1.002e-3, 0.0, -0.4, 0.3, 0.6])
+    scale = np.sqrt((1.0 - spread**2) / np.diag(cov))
+    cases = [(spread, cov * np.outer(scale, scale)),
+             (np.array([0.9, 0.9]), np.array([[0.19, -0.1], [-0.1, 0.19]]))]
+    for q, c in cases:
+        big_q = c + np.outer(q, q)
+        np.fill_diagonal(big_q, 1.0)
+        moments = MomentSet(q=q, Q=big_q, sample_size=math.inf)
+        fit = tap_invert(moments)
+        c_inv = np.linalg.inv(moments.C)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for i, j in zip(*np.triu_indices(q.size, 1)):
+                a = Decimal(q[i]) * Decimal(q[j])
+                exact = (_decimal_root(a, Decimal(c_inv[i, j]))
+                         + _decimal_root(a, Decimal(c_inv[j, i]))) / 2
+                error = abs(Decimal(fit.model.J[i, j]) - exact) / abs(exact)
+                assert error <= 4 * Decimal(np.finfo(float).eps), (q[i], q[j])
+        assert bool(fit.warnings) == (q.size == 2)  # only the second case clamps
 
 
 def test_tap_symmetric_output():
@@ -283,5 +316,5 @@ def test_fit_registry_calls_the_current_module_binding(monkeypatch):
 
     monkeypatch.setattr(inverse, "tap_invert", spy)
     fit = FitReport(model=planted_model(6, 0.1, 0.0, 33), method="tap-inv", iterations=1)
-    noise_ratio(fit, 6, 500, SamplerConfig(rows=500, burn_in=50, seed=34), "tap-inv")
+    noise_ratio(fit, SamplerConfig(rows=500, burn_in=50, seed=34), "tap-inv")
     assert calls == [{}]

@@ -76,6 +76,9 @@ def test_moments_json_round_trip(rng):
     assert np.allclose(back.q, m.q)
     assert np.allclose(back.C, m.C)
     assert back.sample_size == 20
+    # the written C is for readers; C is derived from q and Q on the way back
+    written = m.to_dict() | {"C": [[0.0]]}
+    assert np.array_equal(MomentSet.from_dict(written).C, m.C)
 
 
 def test_spectrum_anticorrelated_pair(rng):

@@ -16,8 +16,7 @@ from isingmarket import (
     sampler,
 )
 from isingmarket.cli import main
-from isingmarket.errors import (ConfigError, DegenerateRatioError, DimensionMismatchError,
-                                KernelBuildError)
+from isingmarket.errors import ConfigError, DegenerateRatioError, KernelBuildError
 from isingmarket.exact import gibbs_probabilities, state_index
 
 
@@ -141,10 +140,8 @@ def real_fit_surrogate(n=12, seed=600):
 
 def test_noise_ratio_decreases_with_t():
     fit = real_fit_surrogate()
-    lo = noise_ratio(fit, 12, 1500,
-                     SamplerConfig(rows=1500, burn_in=500, thin=1, seed=601), "tap-inv")
-    hi = noise_ratio(fit, 12, 30000,
-                     SamplerConfig(rows=30000, burn_in=500, thin=1, seed=601), "tap-inv")
+    lo = noise_ratio(fit, SamplerConfig(rows=1500, burn_in=500, thin=1, seed=601), "tap-inv")
+    hi = noise_ratio(fit, SamplerConfig(rows=30000, burn_in=500, thin=1, seed=601), "tap-inv")
     assert hi.ratio < lo.ratio
     assert lo.sigma_noise >= 0 and lo.sigma_J > 0
 
@@ -152,8 +149,8 @@ def test_noise_ratio_decreases_with_t():
 def test_noise_ratio_deterministic():
     fit = real_fit_surrogate()
     config = SamplerConfig(rows=2000, burn_in=200, thin=1, seed=42)
-    a = noise_ratio(fit, 12, 2000, config, "nmf")
-    b = noise_ratio(fit, 12, 2000, config, "nmf")
+    a = noise_ratio(fit, config, "nmf")
+    b = noise_ratio(fit, config, "nmf")
     assert a.to_dict() == b.to_dict()
 
 
@@ -164,16 +161,9 @@ def test_noise_ratio_constant_couplings_degenerate():
     fit = FitReport(model=IsingModel(J=homogeneous, h=np.zeros(n)),
                     method="nmf", iterations=1)
     with pytest.raises(DegenerateRatioError):
-        noise_ratio(fit, n, 1000, SamplerConfig(rows=1000, seed=0), "nmf")
+        noise_ratio(fit, SamplerConfig(rows=1000, seed=0), "nmf")
 
 
 def test_noise_ratio_unknown_method():
     with pytest.raises(ConfigError):
-        noise_ratio(real_fit_surrogate(), 12, 1000,
-                    SamplerConfig(rows=1000, seed=0), "bogus")
-
-
-def test_noise_ratio_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        noise_ratio(real_fit_surrogate(), 13, 1000,
-                    SamplerConfig(rows=1000, seed=0), "nmf")
+        noise_ratio(real_fit_surrogate(), SamplerConfig(rows=1000, seed=0), "bogus")

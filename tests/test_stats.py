@@ -76,6 +76,8 @@ def test_trim_half_minus_eps_keeps_lower_half():
 def test_trim_rejects_bad_fraction():
     with pytest.raises(DomainError):
         trim_upper_tail(np.arange(5.0), 0.5)
+    with pytest.raises(DomainError):
+        normality_tests(np.random.default_rng(0).normal(size=200), trim_fraction=-0.1)
 
 
 @settings(max_examples=200, deadline=None)
