@@ -33,7 +33,6 @@ from .moments import (
 )
 from .sampler import NoiseReport, SamplerConfig, glauber_sample, noise_ratio
 from .stats import (
-    BiasTable,
     NormalityReport,
     ScalingFit,
     bias_decomposition,
@@ -47,7 +46,6 @@ from .stats import (
 from .tap import TapSolution, stability_x, tap_fixed_point
 
 __all__ = [
-    "BiasTable",
     "EntropyReport",
     "FitReport",
     "IsingModel",

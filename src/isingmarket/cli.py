@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +151,7 @@ def _load_model(path: str) -> IsingModel:
 
 
 def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
-    return {f"{stem}.json": spectrum.to_dict(),
+    return {f"{stem}.json": asdict(spectrum) | {"market_mode": spectrum.market_mode},
             f"{stem}_hist.csv": (["bin_left", "bin_right", "density"],
                                  histogram_rows(spectrum.eigenvalues, bins))}
 
@@ -159,7 +159,8 @@ def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
 # ---------------------------------------------------------------- commands
 # Each handler takes the resolved config and returns (inputs, artifacts): the
 # paths it read and {file name in outdir: content}, which main writes in order:
-# a dict as JSON, a SpinMatrix as a spin CSV, a (header, rows) pair as a table.
+# a SpinMatrix as a spin CSV, a (header, rows) tuple as a table, anything else
+# (a dict or a report dataclass) as JSON.
 
 def _cmd_ingest(cfg) -> tuple[list, dict]:
     fmt = ingest.OhlcFormat(
@@ -233,7 +234,7 @@ def _cmd_tap(cfg) -> tuple[list, dict]:
         inputs.append(cfg["spins"])
     solution = tap.tap_fixed_point(model, damping=cfg["damping"],
                                    tol=cfg["tol"], max_iter=cfg["max_iter"])
-    artifacts = {"tap.json": solution.to_dict()}
+    artifacts = {"tap.json": solution}
     if cfg["spins"] is not None:
         artifacts["tap_pairs.csv"] = (["ticker", "empirical_mean", "tap_mean"],
                                       zip(matrix.tickers, empirical.q, solution.m))
@@ -244,7 +245,7 @@ def _cmd_multiinfo(cfg) -> tuple[list, dict]:
     matrix = ingest.read_spin_csv(cfg["spins"])
     report = exact.multi_information_ratio(matrix, tol=cfg["tol"], fit_tol=cfg["fit_tol"],
                                            max_iter=cfg["max_iter"])
-    return [cfg["spins"]], {"multiinfo.json": report.to_dict()}
+    return [cfg["spins"]], {"multiinfo.json": report}
 
 
 def _cmd_sample(cfg) -> tuple[list, dict]:
@@ -262,7 +263,7 @@ def _cmd_noise(cfg) -> tuple[list, dict]:
                               thin=cfg["thin"], seed=cfg["seed"]),
         cfg["method"],
     )
-    return [cfg["fit"]], {"noise.json": report.to_dict()}
+    return [cfg["fit"]], {"noise.json": report}
 
 
 def _cmd_normality(cfg) -> tuple[list, dict]:
@@ -272,7 +273,7 @@ def _cmd_normality(cfg) -> tuple[list, dict]:
     pairs = stats.qq_compare(stats.trim_upper_tail(values, cfg["trim"]),
                              quantile_count=cfg["quantiles"])
     return [cfg["model"]], {
-        "normality.json": report.to_dict() | {
+        "normality.json": asdict(report) | {
             "negative_fraction": stats.negative_fraction(model.J)},
         "qq.csv": (["empirical", "theoretical"], pairs)}
 
@@ -302,18 +303,18 @@ def _cmd_scaling(cfg) -> tuple[list, dict]:
         raise UsageError("scaling requires --points or --models")
     fit = stats.powerlaw_fit(np.asarray(sizes, float), np.asarray(means, float))
     return inputs, {
-        "scaling.json": fit.to_dict() | {"mean_kind": "abs" if cfg["use_abs"] else "signed"},
+        "scaling.json": asdict(fit) | {"mean_kind": "abs" if cfg["use_abs"] else "signed"},
         "scaling_points.csv": (["N", "mean_coupling"], zip(fit.sizes, fit.means))}
 
 
 def _cmd_bias(cfg) -> tuple[list, dict]:
     model = _load_model(cfg["model"])
     matrix = ingest.read_spin_csv(cfg["spins"])
-    table = stats.bias_decomposition(model, matrix)
+    rows = stats.bias_decomposition(model, matrix)
     return [cfg["model"], cfg["spins"]], {
-        "bias.json": table.to_dict(),
+        "bias.json": {"rows": rows},
         "bias.csv": (["ticker", "h", "h_int_mean", "h_int_std"],
-                     ((r.ticker, r.h, r.h_int_mean, r.h_int_std) for r in table.rows))}
+                     ((r.ticker, r.h, r.h_int_mean, r.h_int_std) for r in rows))}
 
 
 def _cmd_critical_demo(cfg) -> tuple[list, dict]:
@@ -425,12 +426,12 @@ def main(argv=None) -> int:
         inputs, artifacts = handler(config)
         paths = [Path(config["outdir"]) / name for name in artifacts]
         for path, content in zip(paths, artifacts.values()):
-            if isinstance(content, dict):
-                write_json(path, content)
-            elif isinstance(content, ingest.SpinMatrix):
+            if isinstance(content, ingest.SpinMatrix):
                 ingest.write_spin_csv(content, path)
-            else:
+            elif isinstance(content, tuple):
                 write_csv(path, *content)
+            else:
+                write_json(path, content)
             written.append(path)
         written.append(write_manifest(config["outdir"], ns.command, config, inputs, paths))
     except (UsageError, OSError) as exc:

@@ -52,10 +52,6 @@ class IsingModel:
         if np.any(np.diag(self.J) != 0.0):
             raise FormatError("coupling matrix diagonal must be exactly zero")
 
-    def energies(self, spins: np.ndarray) -> np.ndarray:
-        """E(s) for each row of a (T, N) ±1 array."""
-        return energies(self.J, self.h, spins)
-
     def to_dict(self) -> dict:
         return {
             "N": self.n,
@@ -65,9 +61,9 @@ class IsingModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IsingModel":
-        n = int(d["N"])
-        if n < 1:
-            raise FormatError(f"N must be >= 1, got {n}")
+        n = d["N"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise FormatError(f"N must be an integer >= 1, got {n!r}")
         h = np.asarray(d["h"], dtype=np.float64)
         j = np.asarray(d["J"], dtype=np.float64)
         if j.size != n * n:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, FormatError, InsufficientSampleError
 from .ingest import SpinMatrix
-from .serialize import _jsonable
 
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
 
@@ -91,9 +90,6 @@ class Spectrum:
         """Largest eigenvalue: the candidate collective market mode."""
         return float(self.eigenvalues[-1])
 
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self)) | {"market_mode": self.market_mode}
-
 
 def marchenko_pastur_bounds(n: int, t: int) -> tuple[float, float]:
     """Asymptotic noise support (1 -+ sqrt(N/T))^2 for unit-variance data."""
@@ -127,17 +123,13 @@ def empirical_moments(matrix: SpinMatrix) -> MomentSet:
     return MomentSet(q=q, Q=big_q, sample_size=float(t))
 
 
-def pearson_correlation(moments: MomentSet, tickers: list[str] | None = None) -> np.ndarray:
+def pearson_correlation(moments: MomentSet, tickers: list[str]) -> np.ndarray:
     """Correlation matrix from a moment set; errors on any zero-variance column."""
     corr = moments.C
     variances = np.diag(corr).copy()
     dead = np.flatnonzero(variances <= 0.0)
     if dead.size:
-        names = (
-            ", ".join(tickers[i] for i in dead)
-            if tickers is not None
-            else ", ".join(str(i) for i in dead)
-        )
+        names = ", ".join(tickers[i] for i in dead)
         raise DegenerateDataError(f"constant column(s), correlation undefined: {names}")
     scale = 1.0 / np.sqrt(variances)
     corr *= np.outer(scale, scale)

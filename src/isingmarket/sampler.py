@@ -21,7 +21,6 @@ from . import inverse
 from .errors import ConfigError, DegenerateRatioError, KernelBuildError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
-from .serialize import _jsonable
 
 _SWEEP_BATCH = 512  # sweeps per batched RNG draw and local-field recomputation
 _KERNEL_SOURCE = Path(__file__).with_name("_glauber.c")
@@ -43,9 +42,8 @@ class SamplerConfig:
             raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @functools.cache
@@ -129,9 +127,6 @@ class NoiseReport:
     ratio: float
     config: dict
 
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
-
 
 def _offdiag(matrix: np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
@@ -159,7 +154,7 @@ def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> Nois
 
     refit = inverse.fit(method, glauber_sample(surrogate, config))
     sigma_noise = float(_offdiag(refit.model.J).std())
-    echo = config.to_dict() | {"method": method, "N": n, "T": config.rows, "mean_J": mean_j}
+    echo = asdict(config) | {"method": method, "N": n, "T": config.rows, "mean_J": mean_j}
     return NoiseReport(
         sigma_noise=sigma_noise,
         sigma_J=sigma_j,

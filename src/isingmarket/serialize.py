@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,24 +31,19 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _plain(obj):
+    """A dataclass as its fields, a numpy array or scalar as a list or number."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def write_json(path, payload: dict) -> None:
-    atomic_write_text(Path(path), json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+def write_json(path, payload) -> None:
+    """A dict or dataclass as sorted, indented JSON (np.float64 is a float: repr)."""
+    text = json.dumps(payload, default=_plain, sort_keys=True, indent=2)
+    atomic_write_text(Path(path), text + "\n")
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -9,7 +9,7 @@ internal-bias decomposition, and the critical-coupling eigenvalue demo.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc, ndtri
@@ -24,7 +24,6 @@ from .ingest import SpinMatrix
 from .model import IsingModel
 from .moments import Spectrum, covariance_spectrum
 from .sampler import SamplerConfig, glauber_sample
-from .serialize import _jsonable
 
 _MIN_NORMALITY_SAMPLE = 50
 
@@ -40,9 +39,6 @@ class NormalityReport:
     mean: float
     std: float
 
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
-
 
 @dataclass
 class ScalingFit:
@@ -53,9 +49,6 @@ class ScalingFit:
     a_hat: float
     r2: float
 
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
-
 
 @dataclass
 class BiasRow:
@@ -63,14 +56,6 @@ class BiasRow:
     h: float
     h_int_mean: float
     h_int_std: float
-
-
-@dataclass
-class BiasTable:
-    rows: list[BiasRow]
-
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
 
 
 def qq_compare(values: np.ndarray, quantile_count: int = 1000) -> np.ndarray:
@@ -221,7 +206,7 @@ def powerlaw_fit(sizes: np.ndarray, means: np.ndarray) -> ScalingFit:
     fitted = intercept + slope * x
     ssr = float(((y - fitted) ** 2).sum())
     sst = float(((y - y.mean()) ** 2).sum())
-    se = float(np.sqrt(ssr / (n - 2) / sxx)) if n > 2 else 0.0
+    se = float(np.sqrt(ssr / (n - 2) / sxx))
     return ScalingFit(
         sizes=sizes,
         means=means,
@@ -232,14 +217,14 @@ def powerlaw_fit(sizes: np.ndarray, means: np.ndarray) -> ScalingFit:
     )
 
 
-def bias_decomposition(model: IsingModel, matrix: SpinMatrix) -> BiasTable:
+def bias_decomposition(model: IsingModel, matrix: SpinMatrix) -> list[BiasRow]:
     """Per-ticker internal bias 0.5 * sum_j J_ij s_j versus the field h_i."""
     if model.n != matrix.n:
         raise DimensionMismatchError(
             f"model has N={model.n}, spin matrix has N={matrix.n}"
         )
     internal = 0.5 * (matrix.values.astype(np.float64) @ model.J)
-    rows = [
+    return [
         BiasRow(
             ticker=matrix.tickers[i],
             h=float(model.h[i]),
@@ -248,7 +233,6 @@ def bias_decomposition(model: IsingModel, matrix: SpinMatrix) -> BiasTable:
         )
         for i in range(model.n)
     ]
-    return BiasTable(rows=rows)
 
 
 def critical_spectrum_demo(
@@ -270,6 +254,8 @@ def critical_spectrum_demo(
         raise DomainError(f"demo needs N >= 20, got {n}")
     if t < 10 * n:
         raise DomainError(f"demo needs T >= 10*N = {10 * n}, got {t}")
+    if seed < 0:
+        raise DomainError(f"demo needs seed >= 0, got {seed}")
     seeds = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(seeds[0])
     coupling = np.zeros((n, n))

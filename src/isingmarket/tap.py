@@ -11,13 +11,12 @@ the mean-field solution is trusted.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
 from .model import IsingModel
-from .serialize import _jsonable
 
 
 @dataclass
@@ -30,9 +29,6 @@ class TapSolution:
     x_stability: float
     variances: np.ndarray  # 1 - m^2
     third_cumulants: np.ndarray  # 2 (m^3 - m)
-
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
 
 
 def stability_x(q: np.ndarray) -> float:

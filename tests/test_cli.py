@@ -211,6 +211,10 @@ def domain_error_cases(tmp_path):
                             write_file(tmp_path, "no_n.json", '{"h": [0.0], "J": [0.0]}')],
         "model with N=0": ["tap", "--model",
                            write_file(tmp_path, "n0.json", '{"N": 0, "h": [], "J": []}')],
+        "model with N=2.5": ["tap", "--model", write_file(
+            tmp_path, "n_float.json", '{"N": 2.5, "h": [0, 0], "J": [0, 0, 0, 0]}')],
+        "model with N=true": ["tap", "--model", write_file(
+            tmp_path, "n_bool.json", '{"N": true, "h": [0], "J": [0]}')],
         "model is a list": ["tap", "--model", write_file(tmp_path, "list.json", "[1, 2]")],
         "noise on a bare model": ["noise", "--fit", model, "--t", "100"],
         "header-only points": ["scaling", "--points",

@@ -27,6 +27,8 @@ def test_config_invariants():
         SamplerConfig(rows=10, burn_in=-1)
     with pytest.raises(ConfigError):
         SamplerConfig(rows=10, thin=0)
+    with pytest.raises(ConfigError):
+        SamplerConfig(rows=5, seed=-1)
 
 
 def test_matches_reference_loop_bit_for_bit():
@@ -151,7 +153,7 @@ def test_noise_ratio_deterministic():
     config = SamplerConfig(rows=2000, burn_in=200, thin=1, seed=42)
     a = noise_ratio(fit, config, "nmf")
     b = noise_ratio(fit, config, "nmf")
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_noise_ratio_constant_couplings_degenerate():

@@ -1,0 +1,58 @@
+import json
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from isingmarket.serialize import write_json
+
+
+@dataclass
+class Row:
+    name: str
+    value: np.float64
+
+
+@dataclass
+class Report:
+    mean: np.float64
+    count: np.int64
+    flag: np.bool_
+    single: np.float32
+    vector: np.ndarray
+    matrix: np.ndarray
+    pair: tuple
+    rows: list[Row]
+
+
+def test_write_json_turns_dataclasses_and_numpy_values_into_plain_json(tmp_path):
+    report = Report(
+        mean=np.float64(0.1),
+        count=np.int64(7),
+        flag=np.bool_(True),
+        single=np.float32(0.1),
+        vector=np.array([1.5, -2.0]),
+        matrix=np.arange(4, dtype=np.int64).reshape(2, 2),
+        pair=(np.float64(1e-17), "b"),
+        rows=[Row("a", np.float64(2.0 / 3.0)), Row("b", np.float64(-0.0))],
+    )
+    by_hand = {
+        "mean": 0.1,
+        "count": 7,
+        "flag": True,
+        "single": 0.10000000149011612,
+        "vector": [1.5, -2.0],
+        "matrix": [[0, 1], [2, 3]],
+        "pair": [1e-17, "b"],
+        "rows": [{"name": "a", "value": 0.6666666666666666},
+                 {"name": "b", "value": -0.0}],
+    }
+    path = tmp_path / "report.json"
+    write_json(path, report)
+    assert path.read_text() == json.dumps(by_hand, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_rejects_other_objects_and_writes_nothing(tmp_path):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "bad.json", {"x": object()})
+    assert list(tmp_path.iterdir()) == []

@@ -229,16 +229,16 @@ def spins_of(rows):
 def test_bias_zero_couplings():
     model = IsingModel(J=np.zeros((3, 3)), h=np.array([0.1, 0.2, 0.3]))
     table = bias_decomposition(model, spins_of([[1, -1, 1], [-1, 1, 1]]))
-    assert all(r.h_int_mean == 0.0 and r.h_int_std == 0.0 for r in table.rows)
-    assert [r.h for r in table.rows] == [0.1, 0.2, 0.3]
+    assert all(r.h_int_mean == 0.0 and r.h_int_std == 0.0 for r in table)
+    assert [r.h for r in table] == [0.1, 0.2, 0.3]
 
 
 def test_bias_single_row_formula():
     coupling = np.array([[0.0, 1.0], [1.0, 0.0]])
     model = IsingModel(J=coupling, h=np.zeros(2))
     table = bias_decomposition(model, spins_of([[1, 1]]))
-    assert table.rows[0].h_int_mean == pytest.approx(0.5)  # 0.5 * J_12 * s_2
-    assert table.rows[1].h_int_mean == pytest.approx(0.5)
+    assert table[0].h_int_mean == pytest.approx(0.5)  # 0.5 * J_12 * s_2
+    assert table[1].h_int_mean == pytest.approx(0.5)
 
 
 def test_bias_linear_in_couplings():
@@ -250,7 +250,7 @@ def test_bias_linear_in_couplings():
     rows = rng.integers(0, 2, (30, 4)) * 2 - 1
     single = bias_decomposition(IsingModel(J=coupling, h=np.zeros(4)), spins_of(rows))
     double = bias_decomposition(IsingModel(J=2 * coupling, h=np.zeros(4)), spins_of(rows))
-    for a, b in zip(single.rows, double.rows):
+    for a, b in zip(single, double):
         assert b.h_int_mean == pytest.approx(2 * a.h_int_mean)
         assert b.h_int_std == pytest.approx(2 * a.h_int_std)
 
@@ -283,3 +283,5 @@ def test_critical_demo_preconditions():
         critical_spectrum_demo(10, 1.0, 500, seed=0)
     with pytest.raises(DomainError):
         critical_spectrum_demo(40, 1.0, 100, seed=0)
+    with pytest.raises(DomainError):
+        critical_spectrum_demo(20, 1.0, 200, seed=-1)
