@@ -7,11 +7,12 @@ multi-information ratio I2/IN = (S1 - S2) / (S1 - SN) in nats.
 Enumeration splits the spins into a low half (spins 0..N//2-1) and a high
 half: a block of at most 2^20 states has energies E_hi[:, None] + E_lo[None, :]
 + S_hi J_hl S_lo^T, computed from (J, h) arrays, and the blocks raveled
-row-major run in state_index order.  ln Z and <E> come from one pass that
-reduces each block in place.  Moments are sums of weights (1, s, s s^T) over a
-block.  A fit (N <= FIT_LIMIT) is one block whose spin tables are built once
-per fit: each Newton state holds that block's p, and a Hessian product weights
-p by the energies of one direction.
+row-major run in state_index order.  ln Z comes from one pass that reduces
+each block in place around its max; moments, probabilities and entropy read a
+second pass of ln p = E - ln Z blocks.  Moments are sums of weights (1, s,
+s s^T) over a block.  A fit (N <= FIT_LIMIT) is one block whose spin tables
+are built once per fit: each Newton state holds that block's p, and a Hessian
+product weights p by the energies of one direction.
 """
 
 from __future__ import annotations
@@ -89,26 +90,6 @@ def _sums(p: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray, second: np.ndarray)
     return rows.sum(), np.concatenate([cols @ s_lo, rows @ s_hi])
 
 
-def _reduce(model: IsingModel, energy_sums: bool):
-    """(max E, ln Z - max E, <E> - max E) from one pass over the blocks.
-
-    Each block is reduced in place to (max, sum e^(E - max), sum e^(E - max) (E - max))
-    and the blocks are combined around the largest max, so nothing overflows.
-    <E> is computed only if energy_sums (it costs one block-sized temporary).
-    """
-    parts = []
-    for energy, _, _ in _blocks(model):
-        top = energy.max()
-        energy -= top
-        weights = np.exp(energy, out=None if energy_sums else energy)
-        parts.append((top, weights.sum(), np.vdot(weights, energy) if energy_sums else 0.0))
-    top, total, weighted = np.array(parts).T
-    peak = top.max()
-    scale = np.exp(top - peak)
-    z = scale @ total
-    return peak, np.log(z), scale @ (weighted + (top - peak) * total) / z
-
-
 def state_index(spins: np.ndarray) -> np.ndarray:
     """Configuration index for ±1 rows: spin j maps to bit j, lowest bit first."""
     s = np.asarray(spins)
@@ -117,21 +98,33 @@ def state_index(spins: np.ndarray) -> np.ndarray:
 
 
 def log_partition(model: IsingModel) -> float:
-    """ln Z from the in-place per-block reduction (overflow safe)."""
+    """ln Z from blocks reduced in place to (max E, sum e^(E - max E)); overflow safe."""
     _check_size(model.n, ENUMERATION_LIMIT, "log_partition")
-    peak, log_z, _ = _reduce(model, energy_sums=False)
-    return float(peak + log_z)
+    parts = []
+    for energy, _, _ in _blocks(model):
+        top = energy.max()
+        energy -= top
+        parts.append((top, np.exp(energy, out=energy).sum()))
+    top, total = np.array(parts).T
+    peak = top.max()
+    return float(peak + np.log(np.exp(top - peak) @ total))
+
+
+def _log_probabilities(model: IsingModel):
+    """Yield (ln p, S_hi, S_lo) blocks in state_index order; ln p overwrites E in place."""
+    log_z = log_partition(model)
+    for energy, s_hi, s_lo in _blocks(model):
+        energy -= log_z
+        yield energy, s_hi, s_lo
 
 
 def exact_moments(model: IsingModel) -> MomentSet:
     """<s_i> and <s_i s_j> under the Gibbs distribution (sample_size = exact)."""
     _check_size(model.n, ENUMERATION_LIMIT, "exact_moments")
-    log_z = log_partition(model)
     n = model.n
     q, big_q, second = np.zeros(n), np.zeros((n, n)), np.empty((n, n))
-    for energy, s_hi, s_lo in _blocks(model):
-        energy -= log_z
-        q += _sums(np.exp(energy, out=energy), s_hi, s_lo, second)[1]
+    for ln_p, s_hi, s_lo in _log_probabilities(model):
+        q += _sums(np.exp(ln_p, out=ln_p), s_hi, s_lo, second)[1]
         big_q += second
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)
@@ -141,19 +134,14 @@ def exact_moments(model: IsingModel) -> MomentSet:
 def gibbs_probabilities(model: IsingModel) -> np.ndarray:
     """All 2^N state probabilities, indexed by state_index ordering (N <= FIT_LIMIT)."""
     _check_size(model.n, FIT_LIMIT, "gibbs_probabilities")
-    log_z = log_partition(model)
-    probabilities = []
-    for energy, _, _ in _blocks(model):
-        energy -= log_z
-        probabilities.append(np.exp(energy, out=energy).ravel())
-    return np.concatenate(probabilities)
+    return np.concatenate([np.exp(ln_p, out=ln_p).ravel()
+                           for ln_p, _, _ in _log_probabilities(model)])
 
 
 def entropy_exact(model: IsingModel) -> float:
-    """Gibbs entropy in nats via S = ln Z - <E>, from one enumeration."""
+    """Gibbs entropy in nats, S = -sum p ln p."""
     _check_size(model.n, ENUMERATION_LIMIT, "entropy_exact")
-    _, log_z, mean_energy = _reduce(model, energy_sums=True)  # both relative to max E
-    return float(log_z - mean_energy)
+    return -float(sum(np.vdot(np.exp(ln_p), ln_p) for ln_p, _, _ in _log_probabilities(model)))
 
 
 def entropy_independent(q: np.ndarray) -> float:

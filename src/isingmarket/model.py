@@ -18,6 +18,13 @@ import numpy as np
 from .errors import FormatError
 
 
+def checked_int(value, least: int, what: str) -> int:
+    """value if it is an int >= least (a bool is not one); else FormatError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise FormatError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def energies(coupling: np.ndarray, field: np.ndarray, spins: np.ndarray) -> np.ndarray:
     """E(s) under couplings J and fields h for each row of a (T, N) ±1 array."""
     s = np.asarray(spins, dtype=np.float64)
@@ -61,9 +68,7 @@ class IsingModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IsingModel":
-        n = d["N"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise FormatError(f"N must be an integer >= 1, got {n!r}")
+        n = checked_int(d["N"], 1, "N")
         h = np.asarray(d["h"], dtype=np.float64)
         j = np.asarray(d["J"], dtype=np.float64)
         if j.size != n * n:
@@ -106,7 +111,7 @@ class FitReport:
         return cls(
             model=IsingModel.from_dict(d["model"]),
             method=d["method"],
-            iterations=int(d["iterations"]),
+            iterations=checked_int(d["iterations"], 0, "iterations"),
             residual=None if d.get("residual") is None else float(d["residual"]),
             warnings=list(d.get("warnings", [])),
         )

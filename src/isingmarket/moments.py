@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, FormatError, InsufficientSampleError
 from .ingest import SpinMatrix
+from .model import checked_int
 
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
 
@@ -55,14 +56,21 @@ class MomentSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MomentSet":
-        """Read q and Q; the "C" that to_dict writes is not read back."""
+        """Read q and Q (the "C" that to_dict writes is not read back); FormatError unless
+        they are moments of +-1 spins and sample_size is null (exact) or an integer >= 2."""
         q = np.asarray(d["q"], dtype=np.float64)
         big_q = np.asarray(d["Q"], dtype=np.float64)
-        n = q.shape[0]
-        if big_q.shape != (n, n):
-            raise FormatError("moment matrix Q must be N x N")
+        if q.ndim != 1 or big_q.shape != (len(q), len(q)):
+            raise FormatError("moments need a vector q of N means and an N x N matrix Q")
+        if not (np.isfinite(q).all() and np.isfinite(big_q).all()):
+            raise FormatError("moments q and Q must be finite")
+        if not np.array_equal(big_q, big_q.T) or np.any(np.diag(big_q) != 1.0):
+            raise FormatError("moment matrix Q must be symmetric with a unit diagonal")
+        if np.any(np.abs(q) > 1.0) or np.any(np.abs(big_q) > 1.0):
+            raise FormatError("moments of +-1 spins must lie in [-1, 1]")
         size = d.get("sample_size")
-        return cls(q=q, Q=big_q, sample_size=EXACT_SAMPLE if size is None else float(size))
+        return cls(q=q, Q=big_q, sample_size=EXACT_SAMPLE if size is None
+                   else float(checked_int(size, 2, "sample_size")))
 
 
 @dataclass

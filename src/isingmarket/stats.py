@@ -92,15 +92,9 @@ def trim_upper_tail(values: np.ndarray, fraction: float = 0.04) -> np.ndarray:
     nearest = round(target)
     # fractions like 200/4950 carry representation dust; snap before the ceiling
     k = int(nearest) if abs(target - nearest) <= 1e-9 * values.size else int(np.ceil(target))
-    if k <= 0:
-        return values.copy()
-    cutoff = np.sort(values)[values.size - k]
-    keep = values < cutoff
-    # Ties at the cutoff: drop just enough of them, later occurrences first.
-    short = values.size - k - int(keep.sum())
-    if short > 0:
-        tied = np.flatnonzero(values == cutoff)[:short]
-        keep[tied] = True
+    keep = np.ones(values.size, dtype=bool)
+    # A stable sort puts later ties last, so of equal values the later ones are dropped.
+    keep[np.argsort(values, kind="stable")[values.size - k:]] = False
     return values[keep]
 
 

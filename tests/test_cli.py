@@ -196,12 +196,23 @@ def usage_error_cases(tmp_path):
             "ingest", write_file(tmp_path / "d1", "aaa.csv", ohlc),
             write_file(tmp_path / "d2", "aaa.csv", ohlc)],
         "one ingest file twice": ["ingest", *[str(tmp_path / "d1" / "aaa.csv")] * 2],
+        "demo t below 10 n": ["critical-demo", "--n", "20", "--t", "199", "--burn-in", "10"],
+        "plm without spins": ["fit", "--method", "plm"],
+        "scaling without points or models": ["scaling"],
     }
+
+
+def moments_json(tmp_path, name, **change):
+    """A 2-spin moments file, with the given keys changed."""
+    payload = {"N": 2, "sample_size": 100, "q": [0.1, -0.2], "Q": [[1.0, 0.3], [0.3, 1.0]]}
+    return write_file(tmp_path, name, json.dumps(payload | change))
 
 
 def domain_error_cases(tmp_path):
     """argv lists that must exit 1: a file whose content is malformed or does not fit."""
     model = model_json(tmp_path)
+    fit = {"method": "nmf", "iterations": 2.5, "residual": None, "warnings": [],
+           "model": json.loads(Path(model).read_text())}
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"date,a\nd1,\xff\xfe\n")
     constant = write_file(tmp_path, "constant.csv", "date,a,b\nd1,1,-1\nd2,1,1\nd3,1,-1\n")
@@ -217,6 +228,16 @@ def domain_error_cases(tmp_path):
             tmp_path, "n_bool.json", '{"N": true, "h": [0], "J": [0]}')],
         "model is a list": ["tap", "--model", write_file(tmp_path, "list.json", "[1, 2]")],
         "noise on a bare model": ["noise", "--fit", model, "--t", "100"],
+        "noise on a fit of 2.5 iterations": ["noise", "--fit", write_file(
+            tmp_path, "fit_iterations.json", json.dumps(fit)), "--t", "100"],
+        "moments with Q_12 = 2.5": ["fit", "--method", "nmf", "--moments", moments_json(
+            tmp_path, "q25.json", Q=[[1.0, 2.5], [2.5, 1.0]])],
+        "moments with an asymmetric Q": ["fit", "--method", "tap-inv", "--moments", moments_json(
+            tmp_path, "asymmetric.json", Q=[[1.0, 0.3], [0.4, 1.0]])],
+        "moments of sample size -5": ["fit", "--method", "exact", "--moments", moments_json(
+            tmp_path, "size.json", sample_size=-5)],
+        "moments with q_1 = 1.5": ["fit", "--method", "exact", "--moments", moments_json(
+            tmp_path, "q15.json", q=[1.5, -0.2])],
         "header-only points": ["scaling", "--points",
                                write_file(tmp_path, "points.csv", "N,mean\n")],
         "scaling an N=1 model": ["scaling", "--models", model, write_file(

@@ -17,6 +17,7 @@ from isingmarket import (
     entropy_empirical,
     entropy_exact,
     entropy_independent,
+    exact,
     exact_moments,
     fit_maxent_exact,
     gibbs_probabilities,
@@ -145,6 +146,18 @@ def test_gibbs_probabilities_normalized():
             # reindex oracle states to the package convention: bit j <-> spin j
             idx = [int(sum((1 << j) for j in range(n) if s[j] > 0)) for s in brute_states(n)]
             assert np.allclose(p[idx], brute_probabilities(model.J, model.h), atol=1e-13)
+
+
+def test_each_enumeration_takes_ln_z_from_one_log_partition_call(monkeypatch):
+    # the benchmark's tracer counts log_partition calls and the states they enumerate
+    calls = []
+    real = exact.log_partition
+    monkeypatch.setattr(exact, "log_partition", lambda model: calls.append(model) or real(model))
+    model = planted_model(6, 0.5, 0.5, 3)
+    for function in (exact_moments, gibbs_probabilities, entropy_exact):
+        calls.clear()
+        function(model)
+        assert calls == [model], function.__name__
 
 
 def test_multi_block_enumeration_joins_decoupled_clusters():

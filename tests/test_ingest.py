@@ -130,6 +130,19 @@ def test_spin_matrix_rejects_non_pm_one():
         SpinMatrix(tickers=["a"], dates=["d"], values=np.array([[2]]))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SpinMatrix(tickers=[], dates=[], values=np.ones((0, 0))), FormatError, "one row"),
+    (lambda: SpinMatrix(tickers=["a"], dates=["d"], values=np.ones((1, 2))), FormatError,
+     "tickers"),
+    (lambda: SpinMatrix(tickers=["a"], dates=["d", "e"], values=np.ones((1, 1))), FormatError,
+     "dates"),
+    (lambda: binarize([]), EmptyInputError, "no price series"),
+])
+def test_malformed_spin_matrices_raise(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_spin_csv_round_trip(tmp_path, rng):
     m = SpinMatrix(
         tickers=["aa", "bb", "cc"],

@@ -19,6 +19,7 @@ from isingmarket import (
 from isingmarket.errors import (
     ConfigError,
     DivergenceError,
+    InsufficientSampleError,
     ReliabilityError,
     SingularMatrixError,
 )
@@ -302,6 +303,18 @@ def test_fit_registry_matches_direct_calls():
         inverse.fit("plm", moments)
     with pytest.raises(ConfigError):
         inverse.fit("bogus", moments)
+
+
+@pytest.mark.parametrize("fit, error", [
+    (lambda: tap_invert(diag_moments([1.0, 0.2])), DivergenceError),
+    (lambda: plm_fit(SpinMatrix(["a", "b"], ["d"], np.array([[1, -1]]))),
+     InsufficientSampleError),
+    (lambda: plm_fit(SpinMatrix(["a", "b"], ["d", "e"], np.array([[1, -1], [-1, -1]])),
+                     ridge=-0.1), DivergenceError),
+])
+def test_inversions_reject_inputs_outside_their_domain(fit, error):
+    with pytest.raises(error):
+        fit()
 
 
 def test_fit_registry_calls_the_current_module_binding(monkeypatch):

@@ -9,7 +9,7 @@ from isingmarket import (
     finite_size_band,
     marchenko_pastur_bounds,
 )
-from isingmarket.errors import DegenerateDataError, InsufficientSampleError
+from isingmarket.errors import DegenerateDataError, FormatError, InsufficientSampleError
 
 
 def matrix_of(rows, tickers=None):
@@ -79,6 +79,32 @@ def test_moments_json_round_trip(rng):
     # the written C is for readers; C is derived from q and Q on the way back
     written = m.to_dict() | {"C": [[0.0]]}
     assert np.array_equal(MomentSet.from_dict(written).C, m.C)
+
+
+GOOD_MOMENTS = {"N": 2, "sample_size": 100, "q": [0.1, -0.2], "Q": [[1.0, 0.3], [0.3, 1.0]]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"Q": [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0]]}, "N x N"),
+    ({"q": [[0.1, -0.2], [0.1, -0.2]]}, "vector"),
+    ({"q": [0.1, float("nan")]}, "finite"),
+    ({"Q": [[1.0, float("inf")], [float("inf"), 1.0]]}, "finite"),
+    ({"Q": [[1.0, 0.3], [0.4, 1.0]]}, "symmetric"),
+    ({"Q": [[0.9, 0.3], [0.3, 1.0]]}, "unit diagonal"),
+    ({"q": [1.5, -0.2]}, r"\[-1, 1\]"),
+    ({"Q": [[1.0, 2.5], [2.5, 1.0]]}, r"\[-1, 1\]"),
+    ({"sample_size": -5}, "sample_size"),
+    ({"sample_size": 1}, "sample_size"),
+    ({"sample_size": 2.5}, "sample_size"),
+    ({"sample_size": True}, "sample_size"),
+    ({"sample_size": "100"}, "sample_size"),
+])
+def test_moments_from_dict_rejects_impossible_moments(change, message):
+    from isingmarket.moments import MomentSet
+
+    assert MomentSet.from_dict(GOOD_MOMENTS).sample_size == 100
+    with pytest.raises(FormatError, match=message):
+        MomentSet.from_dict(GOOD_MOMENTS | change)
 
 
 def test_spectrum_anticorrelated_pair(rng):

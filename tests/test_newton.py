@@ -34,3 +34,12 @@ def test_step_halving_converges_with_one_state_alive():
     assert np.abs(x).max() < 1e-12
     assert len(seen_at_evaluate) > steps + 1  # some trial point was rejected
     assert seen_at_evaluate == [0] * len(seen_at_evaluate)  # no earlier state alive
+
+
+def test_stops_when_no_step_size_reduces_the_gradient():
+    # at tol=0 the quadratic's gradient b - A x ends at rounding level, not at 0
+    a, b = np.array([[1.0, 0.9], [0.9, 1.0]]), np.array([0.1, 0.2])
+    x, steps, residual = newton(lambda x: (b - a @ x,), lambda state, v: a @ v,
+                                np.zeros(2), 0.0, 100)
+    assert steps < 100 and residual > 0.0
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-15)

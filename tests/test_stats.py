@@ -126,6 +126,12 @@ def test_normality_insufficient_sample():
         normality_tests(np.random.default_rng(0).normal(0, 1, 30))
 
 
+@pytest.mark.parametrize("test", [jarque_bera, chi2_gaussian])
+def test_constant_sample_is_degenerate(test):
+    with pytest.raises(DegenerateDataError):
+        test(np.full(100, 0.3))
+
+
 def test_chi2_reduces_bins_for_small_samples():
     rng = np.random.default_rng(6)
     _, _, bins_used = chi2_gaussian(rng.normal(0, 1, 60), bins=20)
@@ -163,6 +169,8 @@ def test_negative_fraction_cases():
     assert flipped == pytest.approx(1.0 - frac - zeros)
     with pytest.raises(InsufficientSampleError):  # N=1: no upper-triangle coupling
         negative_fraction(np.zeros((1, 1)))
+    with pytest.raises(DomainError):
+        negative_fraction(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,6 +217,12 @@ def test_powerlaw_permutation_invariant():
 def test_powerlaw_preconditions():
     with pytest.raises(InsufficientSampleError):
         powerlaw_fit(np.array([10.0, 20.0]), np.array([1.0, 0.5]))
+    with pytest.raises(DimensionMismatchError):
+        powerlaw_fit(np.array([10.0, 20.0, 40.0]), np.array([1.0, 0.5]))
+    with pytest.raises(DomainError, match="finite"):
+        powerlaw_fit(np.array([10.0, 20.0, 40.0]), np.array([1.0, np.nan, 0.2]))
+    with pytest.raises(DomainError, match="sizes must be strictly positive"):
+        powerlaw_fit(np.array([-10.0, 20.0, 40.0]), np.array([1.0, 0.5, 0.2]))
     with pytest.raises(DomainError):
         powerlaw_fit(np.array([10.0, 20.0, 40.0]), np.array([1.0, -0.5, 0.2]))
     with pytest.raises(DegenerateDataError):  # the slope would be 0/0

@@ -70,6 +70,12 @@ def test_bad_damping_raises():
         tap_fixed_point(model, damping=2.0)
 
 
+def test_nan_init_raises():
+    model = planted_model(3, 0.1, 0.1, 1)
+    with pytest.raises(DivergenceError):
+        tap_fixed_point(model, init=np.array([0.0, np.nan, 0.0]))
+
+
 def test_custom_init_used():
     model = planted_model(5, 0.1, 0.3, 2)
     sol_default = tap_fixed_point(model)
