@@ -138,9 +138,11 @@ def _resolve(ns: argparse.Namespace, options: list[Opt]) -> dict:
 
 
 def _load(path: str, parse):
-    """parse(JSON content of path); malformed content is a FormatError."""
+    """parse(JSON content of path); malformed content is a FormatError naming path."""
     try:
         return parse(json.loads(Path(path).read_text()))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed content ({exc!r})") from exc
 

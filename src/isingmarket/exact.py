@@ -17,10 +17,10 @@ product weights p by the energies of one direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     BoundaryError,
@@ -144,13 +144,21 @@ def entropy_exact(model: IsingModel) -> float:
     return -float(sum(np.vdot(np.exp(ln_p), ln_p) for ln_p, _, _ in _log_probabilities(model)))
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, 0 where x = 0; libm's log, like scipy.special.xlogy(x, x)."""
+    out = np.zeros_like(x)
+    nonzero = x != 0
+    out[nonzero] = [v * math.log(v) for v in x[nonzero].tolist()]
+    return out
+
+
 def entropy_independent(q: np.ndarray) -> float:
     """Entropy of the independent-spin model with means q, in nats."""
     q = np.asarray(q, dtype=np.float64)
     if np.any(np.abs(q) > 1.0):
         raise BoundaryError("mean orientations must lie in [-1, 1]")
     p = 0.5 * (1.0 + q)
-    return float(-(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)).sum())
+    return float(-(_xlogx(p) + _xlogx(1.0 - p)).sum())
 
 
 def entropy_empirical(matrix: SpinMatrix) -> float:
@@ -158,7 +166,7 @@ def entropy_empirical(matrix: SpinMatrix) -> float:
     _check_size(matrix.n, FIT_LIMIT, "entropy_empirical")
     counts = np.bincount(state_index(matrix.values), minlength=1 << matrix.n)
     p = counts / matrix.t
-    return float(-xlogy(p, p).sum())
+    return float(-_xlogx(p).sum())
 
 
 def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500) -> FitReport:

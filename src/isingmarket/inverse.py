@@ -22,7 +22,6 @@ from __future__ import annotations
 import inspect
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import (
     ConfigError,
@@ -105,6 +104,8 @@ def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> 
 def _check_design_rank(matrix: SpinMatrix) -> None:
     """At ridge 0 every spin's design (the other spins and an intercept) needs
     full column rank, or its conditional likelihood has no unique maximum."""
+    from scipy.linalg import qr  # only at ridge 0; scipy.linalg is slow to import
+
     design = np.column_stack([np.ones(matrix.t), matrix.values])
     r, pivots = qr(design, mode="r", pivoting=True)
     diagonal = np.abs(np.diag(r))

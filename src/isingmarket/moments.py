@@ -57,11 +57,14 @@ class MomentSet:
     @classmethod
     def from_dict(cls, d: dict) -> "MomentSet":
         """Read q and Q (the "C" that to_dict writes is not read back); FormatError unless
-        they are moments of +-1 spins and sample_size is null (exact) or an integer >= 2."""
+        they are moments of +-1 spins, N (if given) is their size and sample_size is null
+        (exact) or an integer >= 2."""
         q = np.asarray(d["q"], dtype=np.float64)
         big_q = np.asarray(d["Q"], dtype=np.float64)
         if q.ndim != 1 or big_q.shape != (len(q), len(q)):
             raise FormatError("moments need a vector q of N means and an N x N matrix Q")
+        if "N" in d and checked_int(d["N"], 1, "N") != len(q):
+            raise FormatError(f"moments file says N = {d['N']} but q has {len(q)} entries")
         if not (np.isfinite(q).all() and np.isfinite(big_q).all()):
             raise FormatError("moments q and Q must be finite")
         if not np.array_equal(big_q, big_q.T) or np.any(np.diag(big_q) != 1.0):

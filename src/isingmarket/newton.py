@@ -1,11 +1,39 @@
 """Damped Newton-CG, shared by the exact and the pseudo-likelihood fits.
 
 Both minimize a smooth convex objective whose Hessian H is available only
-through products H v.
+through products H v.  The conjugate-gradient solve does the arithmetic of
+scipy.sparse.linalg.cg, so its iterates are bit-identical to scipy's.
 """
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+
+
+def _cg(matvec, b: np.ndarray, atol: float) -> np.ndarray:
+    """Solve A x = b by conjugate gradients, A symmetric positive definite, A v = matvec(v).
+
+    scipy's cg arithmetic with x0 = 0, no preconditioner and maxiter 10n,
+    stopping before an iteration once |r| < atol.  atol is used as given:
+    scipy raises an atol below 1e-5 |b| to that, and newton's 0.1 |b| is not.
+    """
+    x = np.zeros_like(b)
+    if np.linalg.norm(b) == 0:
+        return x
+    r, p, rho_prev = b.copy(), None, None
+    for _ in range(10 * b.size):
+        if np.linalg.norm(r) < atol:
+            break
+        rho = np.dot(r, r)
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
 
 
 def newton(evaluate, hessp, start: np.ndarray, tol: float, max_iter: int):
@@ -27,9 +55,7 @@ def newton(evaluate, hessp, start: np.ndarray, tol: float, max_iter: int):
     while (residual := float(np.abs(state[-1]).max())) > tol and iterations < max_iter:
         gradient = state[-1]
         norm = np.linalg.norm(gradient)
-        damped = LinearOperator((gradient.size,) * 2, dtype=np.float64,
-                                matvec=lambda v: hessp(state, v) + 0.1 * norm * v)
-        direction, _ = cg(damped, gradient, atol=0.1 * norm)
+        direction = _cg(lambda v: hessp(state, v) + 0.1 * norm * v, gradient, 0.1 * norm)
         for step in 0.5 ** np.arange(40):
             del state
             state = evaluate(trial := x + step * direction)

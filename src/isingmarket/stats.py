@@ -12,7 +12,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
 
 from .errors import (
     DegenerateDataError,
@@ -64,6 +63,8 @@ def qq_compare(values: np.ndarray, quantile_count: int = 1000) -> np.ndarray:
     Returns quantile_count - 1 interior pairs; a Gaussian sample lies on the
     diagonal.  A constant input yields degenerate pairs and a warning.
     """
+    from scipy.special import ndtri  # scipy.special is slow to import
+
     values = np.asarray(values, dtype=np.float64)
     if values.size < quantile_count:
         raise InsufficientSampleError(
@@ -100,6 +101,8 @@ def trim_upper_tail(values: np.ndarray, fraction: float = 0.04) -> np.ndarray:
 
 def jarque_bera(values: np.ndarray) -> tuple[float, float]:
     """JB = n/6 * (skew^2 + excess_kurtosis^2 / 4), p-value from chi2(2)."""
+    from scipy.special import chdtrc  # scipy.special is slow to import
+
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     centered = values - values.mean()
@@ -119,6 +122,8 @@ def chi2_gaussian(values: np.ndarray, bins: int = 20) -> tuple[float, float, int
     needed so every expected count is >= 5.  Degrees of freedom bins - 3
     (two fitted parameters).  Returns (stat, p, bins_used).
     """
+    from scipy.special import chdtrc, ndtri  # scipy.special is slow to import
+
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     bins_used = max(4, min(bins, n // 5))

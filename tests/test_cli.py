@@ -58,6 +58,48 @@ def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
     assert out.strip() == "[]"
 
 
+def run_fresh(code, *args):
+    """stdout of code run by a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, isingmarket.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_commands_off_normality_and_ridge_0_plm_load_no_scipy_subpackage(tmp_path):
+    # Only the manifest's version string imports scipy itself, which is cheap.
+    runs = tmp_path / "runs"
+    spins, fit = runs / "ingest" / "spins.csv", runs / "exact" / "fit.json"
+    steps = [
+        ["ingest", *write_ohlc(tmp_path)],
+        ["moments", "--spins", spins],
+        ["fit", "--method", "tap-inv", "--moments", runs / "moments" / "moments.json"],
+        ["fit", "--method", "exact", "--moments", runs / "moments" / "moments.json"],
+        ["fit", "--method", "plm", "--ridge", "0.01", "--spins", spins],
+        ["sample", "--model", model_json(tmp_path, n=3, scale=0.5, seed=1), "--rows", "3000",
+         "--burn-in", "200", "--seed", "7"],
+        ["multiinfo", "--spins", runs / "sample" / "spins.csv"],
+        ["noise", "--fit", fit, "--t", "500", "--seed", "3"],
+        ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0", "--seed", "1",
+         "--burn-in", "100"],
+    ]
+    argvs = [[*map(str, argv), "-o", str(runs / (argv[2] if argv[0] == "fit" else argv[0]))]
+             for argv in steps]
+    code = ("import json, sys; from isingmarket.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "loaded = {'scipy.sparse', 'scipy.linalg', 'scipy.special', 'scipy.stats', "
+            "'scipy.optimize'} & set(sys.modules); "
+            "print(json.dumps([codes, sorted(loaded)]))")
+    codes, loaded = json.loads(run_fresh(code, json.dumps(argvs)).splitlines()[-1])
+    assert codes == [0] * len(steps)
+    assert loaded == []
+
+
 def model_json(tmp_path, n=3, scale=0.5, seed=0, name="model.json"):
     rng = np.random.default_rng(seed)
     coupling = np.zeros((n, n))
@@ -238,6 +280,8 @@ def domain_error_cases(tmp_path):
             tmp_path, "size.json", sample_size=-5)],
         "moments with q_1 = 1.5": ["fit", "--method", "exact", "--moments", moments_json(
             tmp_path, "q15.json", q=[1.5, -0.2])],
+        "moments with N=5 and two means": ["fit", "--method", "nmf", "--moments", moments_json(
+            tmp_path, "n5.json", N=5)],
         "header-only points": ["scaling", "--points",
                                write_file(tmp_path, "points.csv", "N,mean\n")],
         "scaling an N=1 model": ["scaling", "--models", model, write_file(
@@ -314,6 +358,13 @@ def test_domain_error_exit_1(tmp_path):
             warnings.simplefilter("error")  # a domain error is reported once, as the error
             assert main([*argv, "-o", str(out)]) == 1, case
         assert not out.exists() or not any(out.iterdir()), case
+
+
+def test_format_error_names_the_file(tmp_path, capsys):
+    good = model_json(tmp_path, n=3)
+    bad = write_file(tmp_path, "bad.json", '{"N": 2.5, "h": [0, 0], "J": [0, 0, 0, 0]}')
+    assert main(["scaling", "--models", good, bad, "-o", str(tmp_path / "out")]) == 1
+    assert f"{bad}: N must be an integer >= 1, got 2.5" in capsys.readouterr().err
 
 
 def test_handlers_return_artifacts_and_main_writes_them(tmp_path, monkeypatch):

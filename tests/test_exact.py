@@ -364,6 +364,21 @@ def test_entropy_empirical_cases():
     assert entropy_empirical(full) == pytest.approx(2 * math.log(2))
 
 
+def test_xlogx_matches_scipy_xlogy_bit_for_bit():
+    # scipy's xlogy is the oracle; numpy's SIMD log differs from libm's by an ulp
+    from scipy.special import xlogy
+
+    rng = np.random.default_rng(14)
+    p = rng.random(100_000)
+    p[:30_000] = rng.integers(0, 2501, 30_000) / 2500  # histogram frequencies
+    p[:1000] = 0.0
+    p[1000:2000] = 1.0
+    p[2000:3000] = 10.0 ** rng.uniform(-300, -1, 1000)
+    rng.shuffle(p)
+    assert np.array_equal(exact._xlogx(p), xlogy(p, p))
+    assert np.array_equal(exact._xlogx(np.zeros(3)), np.zeros(3))
+
+
 # --------------------------------------------------------- multi-information
 
 def test_multi_information_planted_pairwise():

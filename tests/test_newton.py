@@ -1,8 +1,10 @@
 import weakref
 
 import numpy as np
+import pytest
+from scipy.sparse.linalg import cg
 
-from isingmarket.newton import newton
+from isingmarket.newton import _cg, newton
 
 
 def test_step_halving_converges_with_one_state_alive():
@@ -43,3 +45,20 @@ def test_stops_when_no_step_size_reduces_the_gradient():
                                 np.zeros(2), 0.0, 100)
     assert steps < 100 and residual > 0.0
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("case", ["solve", "maxiter", "zero"])
+def test_cg_matches_scipy_bit_for_bit(n, case):
+    # scipy's cg is the oracle: the same arithmetic gives the same bits
+    rng = np.random.default_rng(n)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    condition = 1e12 if case == "maxiter" else 1e2
+    a = (rotation * np.logspace(0, np.log10(condition), n)) @ rotation.T
+    b = np.zeros(n) if case == "zero" else rng.normal(size=n)
+    # newton's atol 0.1 |b|, or one never reached (with scipy's 1e-5 |b| floor off)
+    atol, rtol = (1e-300, 0.0) if case == "maxiter" else (0.1 * np.linalg.norm(b), 1e-5)
+    expected, info = cg(a, b, atol=atol, rtol=rtol)
+    assert np.array_equal(_cg(lambda v: a @ v, b, atol), expected)
+    if case == "maxiter" and n > 1:  # one step solves a 1 x 1 system exactly
+        assert info == 10 * n
