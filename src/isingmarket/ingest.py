@@ -85,6 +85,13 @@ class SpinMatrix:
             raise FormatError(f"{len(self.tickers)} tickers for {n} columns")
         if len(self.dates) != t:
             raise FormatError(f"{len(self.dates)} dates for {t} rows")
+        for names in (self.tickers, self.dates):
+            text = "".join(names)  # one scan per character, not one per name
+            for char in ',"\r\n\0':
+                if char in text:
+                    name = next(name for name in names if char in name)
+                    raise FormatError(f"ticker or date {name!r} holds {char!r}, "
+                                      "which a spin file cannot hold")
         bad = np.abs(self.values) != 1
         if bad.any():
             r, c = np.argwhere(bad)[0]
@@ -207,9 +214,10 @@ def _bulk_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcForma
     rejected = np.ones(starts.size, dtype=bool)
     rejected[at[ok]] = False
     bounds = zip(starts[rejected].tolist(), ends[rejected].tolist())
-    slow, dropped = _row_rule(
-        ((start, next(csv.reader([text[start:end]], delimiter=fmt.delimiter), []))
-         for start, end in bounds), cols, fmt)
+    # with no '"' and no '\r', split cuts a line as csv.reader does (a blank
+    # line gives [''], not [], and the row rule skips either)
+    slow, dropped = _row_rule(((start, text[start:end].split(fmt.delimiter))
+                               for start, end in bounds), cols, fmt)
     fast = np.column_stack([starts[at[ok]], days[ok].astype(np.int64) + _EPOCH_ORDINAL,
                             opens[ok], closes[ok]])
     return np.concatenate([fast, slow]), dropped
@@ -325,16 +333,17 @@ _NEWLINE, _COMMA, _DASH_BYTE, _ONE = (ord(c) for c in "\n,-1")
 def _plain_spins(body: str, n: int):
     """(dates, values) of a plain spin-file body, or None if the body is not plain.
 
-    Plain: ASCII with no '"' and no NUL, and every line a date and then n cells
-    that are each exactly '1' or '-1' (so no line is blank).  Such a body is read
-    from the bytes just ahead of each ',' or '\n', gathered at one offset per
-    field; the date is the text before a line's first ',', as loadtxt reads it.
+    Plain: no '"' and no NUL, and every line a date and then n cells that are
+    each exactly '1' or '-1' (so no line is blank).  Such a body is read from
+    the UTF-8 bytes just ahead of each ',' or '\\n', gathered at one offset per
+    field; those two bytes occur inside no multi-byte character.  The date is
+    the text before a line's first ','.
     """
-    if not body.isascii() or '"' in body or "\0" in body:
+    if '"' in body or "\0" in body:
         return None
     if not body.endswith("\n"):
         body += "\n"
-    b = np.frombuffer(b"\0\0\0" + body.encode("ascii"), dtype=np.uint8)  # 3 bytes ahead
+    b = np.frombuffer(b"\0\0\0" + body.encode("utf-8"), dtype=np.uint8)  # 3 bytes ahead
     text = b[3:]
     stop = text == _NEWLINE
     stop |= text == _COMMA
@@ -361,45 +370,35 @@ def _plain_spins(body: str, n: int):
         return None
     del last, second, third, cells_ok
     kept = np.repeat(np.tile([True, False], t), runs.ravel())
-    dates = text[kept].tobytes().decode("ascii").split(",")[:-1]
+    dates = text[kept].tobytes().decode("utf-8").split(",")[:-1]
     return dates, np.where(negative, np.int8(-1), np.int8(1))
 
 
 def read_spin_csv(path) -> SpinMatrix:
-    """Read a spin file; the route is chosen once per file.
+    """Read a spin file: exactly what write_spin_csv writes (see _plain_spins).
 
-    A plain body (see _plain_spins) is parsed in bulk; every other body goes
-    through np.loadtxt, which reports what is wrong with it.
+    Blank lines at the end are ignored; any other body is a FormatError that
+    names its first bad line.
     """
     with open(path) as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise EmptyInputError(f"{path}: empty spin file")
-        except csv.Error as exc:  # a header the csv module rejects
-            raise FormatError(f"{path}: {exc}") from exc
-        if not header or header[0] != "date" or len(header) < 2:
-            raise FormatError(f"{path}: expected header 'date,<tickers...>'")
-        body = handle.read()
-    dates, values = _plain_spins(body, len(header) - 1) or _loadtxt_spins(body, len(header), path)
-    return SpinMatrix(tickers=header[1:], dates=dates, values=values)
-
-
-def _loadtxt_spins(body: str, width: int, path):
-    """(dates, values) of any spin-file body of width fields a line, through np.loadtxt."""
-    lines = [line for line in body.split("\n") if line]
-    if not lines:
+        header, body = handle.readline(), handle.read()
+    if not header:
+        raise EmptyInputError(f"{path}: empty spin file")
+    header = header.removesuffix("\n").split(",")
+    if header[0] != "date" or len(header) < 2:
+        raise FormatError(f"{path}: expected header 'date,<tickers...>'")
+    if body.endswith("\n\n"):  # only then is there a copy to make
+        body = body.rstrip("\n") + "\n"
+    if body in ("", "\n"):
         raise EmptyInputError(f"{path}: no spin rows")
-    table = {"delimiter": ",", "comments": None, "quotechar": '"'}
+    n = len(header) - 1
+    spins = _plain_spins(body, n)
+    if spins is None:  # the first line that is not plain on its own; the header is line 1
+        k, line = next((k, line) for k, line in enumerate(body.split("\n"), 2)
+                       if _plain_spins(line, n) is None)
+        raise FormatError(
+            f"{path}: line {k} is not a date and {n} cells of 1 or -1: {line[:80]!r}")
     try:
-        # every column is read, so loadtxt itself rejects rows of differing widths
-        values = np.loadtxt(lines, dtype=np.int64, converters={0: lambda date: 0},
-                            ndmin=2, **table)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad spin rows ({exc})") from exc
-    if values.shape[1] != width:
-        raise FormatError(f"{path}: rows have {values.shape[1]} cells, expected {width}")
-    if np.any(np.abs(values) > 1):  # SpinMatrix's int8 cast would wrap these around
-        raise FormatError(f"{path}: spin cell outside -1..1")
-    dates = np.loadtxt(lines, dtype=str, usecols=0, ndmin=1, **table).tolist()
-    return dates, values[:, 1:]
+        return SpinMatrix(tickers=header[1:], dates=spins[0], values=spins[1])
+    except FormatError as exc:  # a name holding a character no spin file can
+        raise FormatError(f"{path}: {exc}") from exc

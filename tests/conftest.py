@@ -9,7 +9,9 @@ Armijo line search: the oracle for the joint fit in inverse.plm_fit.
 reference_parse_ohlc and reference_binarize are the per-row csv parser and the
 dict-per-ticker binarization, the oracles for the bulk parse and the array
 join in isingmarket.ingest; reference_write_spin_csv is the per-row spin-file
-writer, the oracle for the byte-mask cell text of ingest.write_spin_csv.
+writer, the oracle for the byte-mask cell text of ingest.write_spin_csv;
+reference_loadtxt_spins reads a spin-file body through np.loadtxt, the oracle
+for the byte-mask reader ingest._plain_spins.
 """
 
 import csv
@@ -325,6 +327,26 @@ def reference_write_spin_csv(matrix: SpinMatrix, path) -> None:
     cells = np.where(matrix.values > 0, "1", "-1")
     lines += [d + "," + ",".join(row.tolist()) for d, row in zip(matrix.dates, cells)]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_loadtxt_spins(body: str, width: int, path):
+    """(dates, values) of any spin-file body of width fields a line, through np.loadtxt."""
+    lines = [line for line in body.split("\n") if line]
+    if not lines:
+        raise EmptyInputError(f"{path}: no spin rows")
+    table = {"delimiter": ",", "comments": None, "quotechar": '"'}
+    try:
+        # every column is read, so loadtxt itself rejects rows of differing widths
+        values = np.loadtxt(lines, dtype=np.int64, converters={0: lambda date: 0},
+                            ndmin=2, **table)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad spin rows ({exc})") from exc
+    if values.shape[1] != width:
+        raise FormatError(f"{path}: rows have {values.shape[1]} cells, expected {width}")
+    if np.any(np.abs(values) > 1):  # SpinMatrix's int8 cast would wrap these around
+        raise FormatError(f"{path}: spin cell outside -1..1")
+    dates = np.loadtxt(lines, dtype=str, usecols=0, ndmin=1, **table).tolist()
+    return dates, values[:, 1:]
 
 
 @pytest.fixture

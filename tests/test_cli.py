@@ -258,6 +258,7 @@ def domain_error_cases(tmp_path):
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"date,a\nd1,\xff\xfe\n")
     constant = write_file(tmp_path, "constant.csv", "date,a,b\nd1,1,-1\nd2,1,1\nd3,1,-1\n")
+    ohlc = "Date,Open,Close\n2021-03-01,10,11\n2021-03-02,11,10\n"
     return {
         "malformed model JSON": ["tap", "--model", write_file(tmp_path, "bad.json", "{not json")],
         "model without N": ["tap", "--model",
@@ -291,10 +292,12 @@ def domain_error_cases(tmp_path):
         "spin cell 255": ["moments", "--spins",
                           write_file(tmp_path, "wrap.csv", "date,a,b\nd1,255,1\nd2,-1,1\n")],
         "spins not UTF-8": ["moments", "--spins", str(binary)],
+        "ticker stem holding a comma": ["ingest", write_file(tmp_path, "a,b.csv", ohlc),
+                                        write_file(tmp_path, "c.csv", ohlc)],
         "quoted cell over the csv field limit": ["ingest", write_file(
             tmp_path, "wide.csv", "Date,Open,Close,Note\n"
             f'2021-03-01,10,11,"{"x" * 140_000}"\n2021-03-02,11,12,ok\n')],
-        "spin header over the csv field limit": ["moments", "--spins", write_file(
+        "quoted 140,000-character ticker in a spin header": ["moments", "--spins", write_file(
             tmp_path, "wide_spins.csv", f'date,a,"{"b" * 140_000}"\nd1,1,-1\nd2,-1,1\n')],
         "nmf with a constant column": ["fit", "--method", "nmf", "--ridge", "0.1",
                                        "--spins", constant],

@@ -7,13 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_binarize, reference_parse_ohlc, reference_write_spin_csv
+from conftest import (
+    reference_binarize,
+    reference_loadtxt_spins,
+    reference_parse_ohlc,
+    reference_write_spin_csv,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingmarket import OhlcFormat, SpinMatrix, binarize, parse_ohlc
 from isingmarket.errors import AlignmentError, EmptyInputError, FormatError
-from isingmarket.ingest import _loadtxt_spins, _plain_spins, read_spin_csv, write_spin_csv
+from isingmarket.ingest import _plain_spins, read_spin_csv, write_spin_csv
 
 HEADER = "Date,Open,High,Low,Close,Volume"
 
@@ -137,6 +142,10 @@ def test_spin_matrix_rejects_non_pm_one():
     (lambda: SpinMatrix(tickers=["a"], dates=["d", "e"], values=np.ones((1, 1))), FormatError,
      "dates"),
     (lambda: binarize([]), EmptyInputError, "no price series"),
+    (lambda: SpinMatrix(tickers=["a,b"], dates=["d"], values=np.ones((1, 1))), FormatError,
+     "'a,b' holds ','"),
+    (lambda: SpinMatrix(tickers=["a"], dates=["d", "e\nf"], values=np.ones((2, 1))),
+     FormatError, "which a spin file cannot hold"),
 ])
 def test_malformed_spin_matrices_raise(make, error, message):
     with pytest.raises(error, match=message):
@@ -178,10 +187,48 @@ def test_read_spin_csv_rejects_bad_cell(tmp_path):
         ("date,a,b\nd1,1,1\nd2,1\n", FormatError),  # a missing cell
         ("date,a,b\nd1,1,1\n  \n", FormatError),
         ("day,a,b\nd1,1,1\n", FormatError),
+        ('date,a,b\nd1,"1",-1\n', FormatError),
+        ("date,a,b\nd1, 1,-1\n", FormatError),
+        ("date,a,b\nd1,+1,-1\n", FormatError),
+        ('date,"a",b\nd1,1,-1\n', FormatError),
     ]:
         path.write_text(text)
         with pytest.raises(error):
             read_spin_csv(path)
+    path.write_text("date,a,b\nd1,1,-1\n\nd2,-1,1\n")  # a blank line between two rows
+    with pytest.raises(FormatError, match="line 3"):
+        read_spin_csv(path)
+
+
+def test_read_spin_csv_still_loads_end_blank_lines_crlf_and_non_ascii_dates(tmp_path):
+    path = tmp_path / "spins.csv"
+    for body in ["d1,1,-1\n\n\n", "d1,1,-1", "d1,1,-1\r\nd2,-1,1\r\n", "2020-é,1,-1\n"]:
+        path.write_bytes(("date,a,b\n" + body).encode())
+        matrix = read_spin_csv(path)
+        assert matrix.tickers == ["a", "b"] and matrix.values[0].tolist() == [1, -1], body
+
+
+NAMES = st.text(alphabet=["é", " ", "\t", "-", *"0123456789", *"abcxyzABCXYZ"], max_size=8)
+
+
+@st.composite
+def spin_matrices(draw):
+    t, n = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
+                           min_size=t, max_size=t))
+    return SpinMatrix(tickers=draw(st.lists(NAMES, min_size=n, max_size=n)),
+                      dates=draw(st.lists(NAMES, min_size=t, max_size=t)), values=values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spin_matrices())
+def test_every_spin_matrix_round_trips_through_its_file(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("spins") / "spins.csv"
+    write_spin_csv(matrix, path)
+    back = read_spin_csv(path)
+    assert back.tickers == matrix.tickers
+    assert back.dates == matrix.dates
+    assert np.array_equal(back.values, matrix.values)
 
 
 # "\0" too: loadtxt drops a date's trailing NUL, so a NUL is not plain
@@ -212,7 +259,7 @@ def test_plain_spin_route_declines_or_matches_loadtxt(case):
     body, width = case
     plain = _plain_spins(body, width)
     if plain is not None:
-        dates, values = _loadtxt_spins(body, width + 1, "body")
+        dates, values = reference_loadtxt_spins(body, width + 1, "body")
         assert plain[0] == dates
         assert np.array_equal(plain[1], values)
 
