@@ -178,6 +178,10 @@ def _cmd_ingest(cfg) -> tuple[list, dict]:
         if ticker in paths:
             raise UsageError(f"{paths[ticker]} and {path} both name ticker {ticker!r}")
         paths[ticker] = path
+        try:  # the ticker must be a name that a spin file can hold
+            ingest.SpinMatrix(tickers=[ticker], dates=["date"], values=[[1]])
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         text = Path(path).read_text()  # universal newlines: '\r\n' and '\r' become '\n'
         try:
             series.append(ingest.parse_ohlc(text, fmt, ticker=ticker))

@@ -374,6 +374,21 @@ def _plain_spins(body: str, n: int):
     return dates, np.where(negative, np.int8(-1), np.int8(1))
 
 
+def _first_bad_line(lines: list[str], n: int) -> int:
+    """Index of the first line that is not plain on its own, among the lines of
+    a body that is not plain, split at '\\n'.  A run of lines is plain iff each
+    line is, so bisection finds it in about two passes over the text.  Each run
+    is checked with a '\\n' after its last line, so a blank last line counts."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _plain_spins("\n".join(lines[lo:mid]) + "\n", n) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def read_spin_csv(path) -> SpinMatrix:
     """Read a spin file: exactly what write_spin_csv writes (see _plain_spins).
 
@@ -393,11 +408,11 @@ def read_spin_csv(path) -> SpinMatrix:
         raise EmptyInputError(f"{path}: no spin rows")
     n = len(header) - 1
     spins = _plain_spins(body, n)
-    if spins is None:  # the first line that is not plain on its own; the header is line 1
-        k, line = next((k, line) for k, line in enumerate(body.split("\n"), 2)
-                       if _plain_spins(line, n) is None)
+    if spins is None:  # the header is line 1
+        lines = body.split("\n")
+        k = _first_bad_line(lines, n)
         raise FormatError(
-            f"{path}: line {k} is not a date and {n} cells of 1 or -1: {line[:80]!r}")
+            f"{path}: line {k + 2} is not a date and {n} cells of 1 or -1: {lines[k][:80]!r}")
     try:
         return SpinMatrix(tickers=header[1:], dates=spins[0], values=spins[1])
     except FormatError as exc:  # a name holding a character no spin file can

@@ -20,6 +20,7 @@ with 4ac > 1 has no real root and takes the double root -1 / (2a), written
 from __future__ import annotations
 
 import inspect
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .newton import newton
 
 CONDITION_LIMIT = 1e12
 _CLAMP_ESCALATION = 0.2
-_UNBOUNDED_PARAM = 30.0  # |parameter| beyond this with ridge=0 means separability
 
 
 def _inverse_correlations(c: np.ndarray, ridge: float) -> np.ndarray:
@@ -101,22 +101,22 @@ def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> 
     )
 
 
-def _check_design_rank(matrix: SpinMatrix) -> None:
-    """At ridge 0 every spin's design (the other spins and an intercept) needs
-    full column rank, or its conditional likelihood has no unique maximum."""
-    from scipy.linalg import qr  # only at ridge 0; scipy.linalg is slow to import
+def _uncertified(matrix: SpinMatrix, w: np.ndarray) -> Iterator[str]:
+    """The spins whose ridge-0 estimate W certifies no finite maximum.
 
-    design = np.column_stack([np.ones(matrix.t), matrix.values])
-    r, pivots = qr(design, mode="r", pivoting=True)
-    diagonal = np.abs(np.diag(r))
-    rank = np.count_nonzero(diagonal > diagonal[0] * max(design.shape) * np.finfo(float).eps)
-    if rank < design.shape[1]:
-        names = ", ".join(["the intercept", *matrix.tickers][j] for j in sorted(pivots[rank:]))
-        raise DivergenceError(
-            f"spin columns linearly dependent on the others and the intercept: {names} "
-            "(such as a constant or duplicated column); the unregularized "
-            "pseudo-likelihood has no unique maximum, use ridge > 0"
-        )
+    Spin i's rows a_t = s_i(t) (1, s_j(t), j != i) admit one iff some y > 0 has
+    A^T y = 0 (Stiemke's lemma).  The fit's weights y = 1 - tanh(A w_i) pass if
+    the least relative change balancing them, shrink = B (B^T B)^+ A^T y with
+    B = diag(y) A, keeps them positive (below 1/2) and leaves at most 1e-6 of A^T y.
+    """
+    for i, s in enumerate(matrix.values.T.astype(np.float64)):
+        a = np.where(np.arange(matrix.n) == i, 1, matrix.values) * s[:, None]  # i: intercept
+        y = 1.0 - np.tanh(a @ w[i])  # exactly 0 where tanh rounds to 1: no certificate
+        b, balance = a * y[:, None], a.T @ y
+        shrink = b @ np.linalg.lstsq(b.T @ b, balance, rcond=None)[0]
+        if ((y * (0.5 - shrink)).min() <= 0.0
+                or np.abs(balance - b.T @ shrink).max() > 1e-6 * np.abs(balance).max()):
+            yield matrix.tickers[i]
 
 
 def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int):
@@ -165,19 +165,19 @@ def plm_fit(matrix: SpinMatrix, ridge: float = 1e-3, tol: float = 1e-8,
     the asymmetric estimates symmetrized by averaging (Aurell & Ekeberg, PRL
     108, 090201, 2012).  ridge is the L2 penalty per sample on (h_i, J_i.).
     ``residual`` is the final max-abs gradient, also after max_iter steps.
+
+    At ridge 0 DivergenceError names each spin whose fit certifies no finite
+    maximum (``_uncertified``), as separable rows have none (Albert & Anderson,
+    Biometrika 71:1, 1984).  If none is named, each maximum is also unique: a
+    column of (1, S) fixed by the others would make its spin separable.
     """
     if matrix.t < 2:
         raise InsufficientSampleError("pseudo-likelihood needs at least 2 rows")
     if ridge < 0.0:
         raise DivergenceError(f"ridge must be >= 0, got {ridge}")
-    if ridge == 0.0:
-        _check_design_rank(matrix)
     raw, iterations, residual = _plm_rows(matrix.values.astype(np.float64), ridge, tol, max_iter)
-    unbounded = np.flatnonzero(np.abs(raw).max(axis=1) > _UNBOUNDED_PARAM)
-    if ridge == 0.0 and unbounded.size:
-        names = ", ".join(matrix.tickers[i] for i in unbounded)
-        raise DivergenceError(f"spins (near) deterministic given the others: {names}; "
-                              "the unregularized fit diverges, use ridge > 0")
+    if ridge == 0.0 and (names := ", ".join(_uncertified(matrix, raw))):
+        raise DivergenceError(f"no finite maximum is certified for spins {names}; use ridge > 0")
     return FitReport(model=IsingModel(J=symmetrize(raw), h=np.diag(raw).copy()),
                      method="plm", iterations=iterations, residual=residual)
 

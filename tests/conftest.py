@@ -6,12 +6,17 @@ reference_glauber is the sampler's sweep loop in plain Python, the oracle
 that the compiled kernel must reproduce bit for bit.  reference_plm fits the
 pseudo-likelihood one spin at a time, each with its own dense Newton solve and
 Armijo line search: the oracle for the joint fit in inverse.plm_fit.
+reference_separated_spins finds the spins whose conditional likelihood some
+direction separates by linear programming, the oracle for the ridge-0
+existence check in inverse.plm_fit.
 reference_parse_ohlc and reference_binarize are the per-row csv parser and the
 dict-per-ticker binarization, the oracles for the bulk parse and the array
 join in isingmarket.ingest; reference_write_spin_csv is the per-row spin-file
 writer, the oracle for the byte-mask cell text of ingest.write_spin_csv;
 reference_loadtxt_spins reads a spin-file body through np.loadtxt, the oracle
-for the byte-mask reader ingest._plain_spins.
+for the byte-mask reader ingest._plain_spins; reference_first_bad_line checks
+a body's lines one at a time, the oracle for the bisection in
+ingest._first_bad_line.
 """
 
 import csv
@@ -208,6 +213,32 @@ def reference_plm(matrix, ridge, tol=1e-8, max_iter=500):
     return coupling, h
 
 
+def reference_separated_spins(values) -> list[int]:
+    """The spins whose rows a_t = s_i(t) (1, s_j(t), j != i) some w separates.
+
+    Such a w has a_t . w >= 0 on every row and > 0 on some, so the spin's
+    unregularized conditional likelihood has no finite maximum (Albert &
+    Anderson, Biometrika 71:1, 1984).  One LP holds every spin in its own
+    block: maximize sum_t a_t . w_i over 0 <= a_t . w_i <= 1.  A block's
+    optimum is 0, or at least 1 where w_i separates.  The LP is dense, n^3 t
+    numbers, so it suits the small matrices of the tests.
+    """
+    from scipy.optimize import linprog
+
+    spins = np.asarray(values, dtype=np.float64)
+    t, n = spins.shape
+    blocks = np.zeros((n, t, n, n))
+    for i in range(n):
+        blocks[i, :, i] = spins * spins[:, [i]]
+        blocks[i, :, i, i] = spins[:, i]  # the intercept's slot
+    rows = blocks.reshape(n * t, n * n)
+    result = linprog(-rows.sum(axis=0), A_ub=np.vstack([-rows, rows]),
+                     b_ub=np.concatenate([np.zeros(n * t), np.ones(n * t)]),
+                     bounds=(None, None), method="highs")
+    assert result.status == 0, result.message
+    return np.flatnonzero((rows @ result.x).reshape(n, t).sum(axis=1) > 0.5).tolist()
+
+
 @dataclass
 class ReferenceSeries:
     """The row-list PriceSeries that reference_parse_ohlc returns.
@@ -347,6 +378,13 @@ def reference_loadtxt_spins(body: str, width: int, path):
         raise FormatError(f"{path}: spin cell outside -1..1")
     dates = np.loadtxt(lines, dtype=str, usecols=0, ndmin=1, **table).tolist()
     return dates, values[:, 1:]
+
+
+def reference_first_bad_line(body: str, n: int) -> int:
+    """Index of the first line of body, split at '\\n', that is not plain on its own."""
+    from isingmarket.ingest import _plain_spins
+
+    return next(k for k, line in enumerate(body.split("\n")) if _plain_spins(line, n) is None)
 
 
 @pytest.fixture

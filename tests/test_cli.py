@@ -72,7 +72,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_commands_off_normality_and_ridge_0_plm_load_no_scipy_subpackage(tmp_path):
-    # Only the manifest's version string imports scipy itself, which is cheap.
+    # Only normality loads a SciPy subpackage. The manifest's version string
+    # imports scipy itself, which is cheap, and a ridge-0 plm fit certifies its
+    # maximum with numpy alone.
     runs = tmp_path / "runs"
     spins, fit = runs / "ingest" / "spins.csv", runs / "exact" / "fit.json"
     steps = [
@@ -84,6 +86,7 @@ def test_commands_off_normality_and_ridge_0_plm_load_no_scipy_subpackage(tmp_pat
         ["sample", "--model", model_json(tmp_path, n=3, scale=0.5, seed=1), "--rows", "3000",
          "--burn-in", "200", "--seed", "7"],
         ["multiinfo", "--spins", runs / "sample" / "spins.csv"],
+        ["fit", "--method", "plm", "--ridge", "0", "--spins", runs / "sample" / "spins.csv"],
         ["noise", "--fit", fit, "--t", "500", "--seed", "3"],
         ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0", "--seed", "1",
          "--burn-in", "100"],
@@ -301,6 +304,9 @@ def domain_error_cases(tmp_path):
             tmp_path, "wide_spins.csv", f'date,a,"{"b" * 140_000}"\nd1,1,-1\nd2,-1,1\n')],
         "nmf with a constant column": ["fit", "--method", "nmf", "--ridge", "0.1",
                                        "--spins", constant],
+        "ridge-0 plm on three rows that separate b": [
+            "fit", "--method", "plm", "--ridge", "0", "--spins",
+            write_file(tmp_path, "separable.csv", "date,a,b\nd1,1,-1\nd2,1,1\nd3,-1,-1\n")],
         "spectrum of one row": ["spectrum", "--spins",
                                 write_file(tmp_path, "one_row.csv", "date,a,b\nd1,1,-1\n")],
     }
@@ -366,8 +372,15 @@ def test_domain_error_exit_1(tmp_path):
 def test_format_error_names_the_file(tmp_path, capsys):
     good = model_json(tmp_path, n=3)
     bad = write_file(tmp_path, "bad.json", '{"N": 2.5, "h": [0, 0], "J": [0, 0, 0, 0]}')
-    assert main(["scaling", "--models", good, bad, "-o", str(tmp_path / "out")]) == 1
-    assert f"{bad}: N must be an integer >= 1, got 2.5" in capsys.readouterr().err
+    ohlc = "Date,Open,Close\n2021-03-01,10,11\n2021-03-02,11,10\n"
+    stem = write_file(tmp_path, "a,b.csv", ohlc)
+    for argv, message in [
+        (["scaling", "--models", good, bad], f"{bad}: N must be an integer >= 1, got 2.5"),
+        (["ingest", stem, write_file(tmp_path, "c.csv", ohlc)],
+         f"{stem}: ticker or date 'a,b' holds ','"),
+    ]:
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_handlers_return_artifacts_and_main_writes_them(tmp_path, monkeypatch):

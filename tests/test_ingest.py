@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     reference_binarize,
+    reference_first_bad_line,
     reference_loadtxt_spins,
     reference_parse_ohlc,
     reference_write_spin_csv,
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from isingmarket import OhlcFormat, SpinMatrix, binarize, parse_ohlc
 from isingmarket.errors import AlignmentError, EmptyInputError, FormatError
-from isingmarket.ingest import _plain_spins, read_spin_csv, write_spin_csv
+from isingmarket.ingest import _first_bad_line, _plain_spins, read_spin_csv, write_spin_csv
 
 HEADER = "Date,Open,High,Low,Close,Volume"
 
@@ -262,6 +263,16 @@ def test_plain_spin_route_declines_or_matches_loadtxt(case):
         dates, values = reference_loadtxt_spins(body, width + 1, "body")
         assert plain[0] == dates
         assert np.array_equal(plain[1], values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spin_bodies(), st.integers(0, 5))
+def test_first_bad_line_matches_the_per_line_scan(case, blank):
+    body, width = case
+    lines = body.split("\n")
+    for body in (body, "\n".join([*lines[:blank], "", *lines[blank:]])):  # and a blank line
+        if _plain_spins(body, width) is None:
+            assert _first_bad_line(body.split("\n"), width) == reference_first_bad_line(body, width)
 
 
 def test_write_spin_csv_matches_reference_bytes(tmp_path):

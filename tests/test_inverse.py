@@ -1,10 +1,11 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from conftest import planted_model, reference_plm
+from conftest import planted_model, reference_plm, reference_separated_spins
 from isingmarket import (
     SamplerConfig,
     SpinMatrix,
@@ -187,17 +188,50 @@ def test_plm_separable_spin_diverges_without_ridge():
     rng = np.random.default_rng(4)
     col = rng.integers(0, 2, 80) * 2 - 1
     other = rng.integers(0, 2, 80) * 2 - 1
-    # a duplicated column, a constant column, and a spin fixed by a weighted
-    # vote of seven others (full rank, but its fit runs past |w| = 30)
+    # a duplicated column, a constant column, a spin fixed by a weighted vote
+    # of seven others (full rank), three rows that separate b (b = -1 whenever
+    # a = -1), and spins equal to the majority of three others
     voters = rng.integers(0, 2, (80, 7)) * 2 - 1
     voted = np.sign(voters @ np.arange(1, 8) + 0.5)
-    for values in (np.column_stack([col, col, other]),
-                   np.column_stack([col, np.ones(80), other]),
-                   np.column_stack([voted, voters])):
+    cases = [np.column_stack([col, col, other]),
+             np.column_stack([col, np.ones(80), other]),
+             np.column_stack([voted, voters]),
+             np.array([[1, -1], [1, 1], [-1, -1]])]
+    for seed in range(3):
+        three = np.random.default_rng(seed).integers(0, 2, (80, 3)) * 2 - 1
+        cases.append(np.column_stack([np.sign(three.sum(axis=1)), three]))
+    for values in cases:
         mat = SpinMatrix(tickers=[f"t{i}" for i in range(values.shape[1])],
-                         dates=[f"d{i}" for i in range(80)], values=values)
-        with pytest.raises(DivergenceError, match="ridge"):
-            plm_fit(mat, ridge=0.0)
+                         dates=[f"d{i}" for i in range(values.shape[0])], values=values)
+        for tol in (1e-6, 1e-8, 1e-10, 1e-13):
+            with pytest.raises(DivergenceError, match="ridge"):
+                plm_fit(mat, ridge=0.0, tol=tol)
+
+
+def one_factor_spins(seed):
+    """T in 3..60 rows of N in 2..6 spins driven by one common factor."""
+    rng = np.random.default_rng(seed)
+    t, n = rng.integers(3, 61), rng.integers(2, 7)
+    drive = rng.uniform(0.0, 2.0, n) * rng.normal(size=(t, 1)) + rng.normal(size=(t, n))
+    return np.where(drive >= 0.0, 1, -1)
+
+
+def test_plm_ridge_0_raises_iff_some_spin_is_separated():
+    raised = 0
+    for seed in range(1000):
+        values = one_factor_spins(seed)
+        tickers = [f"t{i}" for i in range(values.shape[1])]
+        separated = [tickers[i] for i in reference_separated_spins(values)]
+        try:
+            plm_fit(SpinMatrix(tickers, [f"d{k}" for k in range(len(values))], values),
+                    ridge=0.0)
+            named = []
+        except DivergenceError as exc:
+            named = re.search(r"for spins (.*); use ridge > 0", str(exc)).group(1).split(", ")
+        assert bool(named) == bool(separated), seed
+        assert set(separated) <= set(named), seed
+        raised += bool(named)
+    assert 50 <= raised <= 950  # both outcomes are exercised
 
 
 def _plm_objective(spins, w, ridge):
