@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel, energies
-from .moments import EXACT_SAMPLE, MomentSet, empirical_moments
+from .moments import EXACT_SAMPLE, MomentSet, empirical_moments, unseen_sign_warnings
 from .newton import newton
 
 ENUMERATION_LIMIT = 25  # partition function / moments / entropy
@@ -179,9 +179,8 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     energy phi . v of the couplings and fields read from v.  The solver's damping keeps
     early steps out of near-frozen models, where H is nearly singular.
 
-    ``warnings`` names the pairs whose 2x2 sign table (1 + a q_i + b q_j +
-    ab Q_ij) / 4, a, b = +-1, has a cell below half a count (0 for exact
-    targets): their J_ij diverges, so tol sets the fitted value.
+    ``warnings`` names the pairs with an empty 2x2 sign-table cell
+    (``unseen_sign_warnings``): their J_ij diverges, so tol sets the fitted value.
     ``iterations`` counts Newton steps.  Raises ConvergenceError with the last
     iterate if the max-abs residual is above tol after max_iter steps, or once
     no step size reduces |g|.
@@ -221,13 +220,9 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     theta, iterations, residual = newton(
         evaluate, hessp, np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))]), tol, max_iter)
 
-    smallest = np.min([1.0 + a * q_t[iu[0]] + b * q_t[iu[1]] + a * b * targets.Q[iu]
-                       for a in (1, -1) for b in (1, -1)], axis=0) / 4.0
-    pairs = [f"({i}, {j})" for i, j, c in zip(*iu, smallest) if c < 0.5 / targets.sample_size]
-    warnings = [f"spin pairs {', '.join(pairs)} never show one of the four sign "
-                "combinations; their couplings diverge and tol sets them"] if pairs else []
     report = FitReport(model=IsingModel(J=couplings(theta), h=theta[:n]), method="exact",
-                       iterations=iterations, residual=residual, warnings=warnings)
+                       iterations=iterations, residual=residual,
+                       warnings=unseen_sign_warnings(targets))
     if residual <= tol:
         return report
     raise ConvergenceError(

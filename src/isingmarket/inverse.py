@@ -34,7 +34,7 @@ from .errors import (
 from .exact import fit_maxent_exact
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel, symmetrize
-from .moments import MomentSet, empirical_moments
+from .moments import MomentSet, empirical_moments, unseen_sign_warnings
 from .newton import newton
 
 CONDITION_LIMIT = 1e12
@@ -58,7 +58,8 @@ def nmf_invert(moments: MomentSet, ridge: float = 0.0) -> FitReport:
         raise DivergenceError("|q_i| = 1 makes the first-order field atanh(q_i) infinite")
     coupling = symmetrize(-c_inv)
     h = np.arctanh(moments.q) - coupling @ moments.q
-    return FitReport(model=IsingModel(J=coupling, h=h), method="nmf", iterations=1)
+    return FitReport(model=IsingModel(J=coupling, h=h), method="nmf", iterations=1,
+                     warnings=unseen_sign_warnings(moments))
 
 
 def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> FitReport:
@@ -81,24 +82,19 @@ def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> 
     coupling = symmetrize(-2.0 * c_inv / np.maximum(root, four_ac))
 
     warnings_list = []
-    n_pairs = moments.n * (moments.n - 1) // 2
     if clamped:
+        n_pairs = moments.n * (moments.n - 1) // 2
         fraction = clamped / n_pairs
-        message = (
-            f"clamped {clamped} of {n_pairs} pair discriminants "
-            f"({100.0 * fraction:.1f}%) to zero"
-        )
+        message = (f"clamped {clamped} of {n_pairs} pair discriminants "
+                   f"({100.0 * fraction:.1f}%) to zero")
         if strict and fraction > _CLAMP_ESCALATION:
             raise ReliabilityError(message + "; inversion unreliable under strict mode")
         warnings_list.append(message)
+    warnings_list += unseen_sign_warnings(moments)  # the clamp count stays first
 
     h = np.arctanh(q) - coupling @ q + q * ((coupling**2) @ (1.0 - q**2))
-    return FitReport(
-        model=IsingModel(J=coupling, h=h),
-        method="tap-inv",
-        iterations=1,
-        warnings=warnings_list,
-    )
+    return FitReport(model=IsingModel(J=coupling, h=h), method="tap-inv", iterations=1,
+                     warnings=warnings_list)
 
 
 def _uncertified(matrix: SpinMatrix, w: np.ndarray) -> Iterator[str]:

@@ -76,6 +76,18 @@ class MomentSet:
                    else float(checked_int(size, 2, "sample_size")))
 
 
+def unseen_sign_warnings(moments: MomentSet) -> list[str]:
+    """A warning naming the pairs whose 2x2 sign table (1 + a q_i + b q_j + ab Q_ij) / 4,
+    a, b = +-1, has a cell below half a count (0 if exact): no finite J_ij fits them."""
+    q, iu = moments.q, np.triu_indices(moments.n, k=1)
+    smallest = np.min([1.0 + a * q[iu[0]] + b * q[iu[1]] + a * b * moments.Q[iu]
+                       for a in (1, -1) for b in (1, -1)], axis=0) / 4.0
+    empty = smallest < 0.5 / moments.sample_size
+    pairs = [f"({i}, {j})" for i, j in zip(iu[0][empty], iu[1][empty])]
+    return [f"spin pairs {', '.join(pairs)} never show one of the four sign combinations; "
+            "their couplings diverge, so the fitted values are not estimates"] if pairs else []
+
+
 @dataclass
 class Spectrum:
     """Sorted eigenvalues of a correlation/covariance matrix plus noise bands.

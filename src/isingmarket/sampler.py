@@ -128,11 +128,6 @@ class NoiseReport:
     config: dict
 
 
-def _offdiag(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    return matrix[np.triu_indices(n, k=1)]
-
-
 def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> NoiseReport:
     """Noise floor of an inversion method at sample length T = config.rows.
 
@@ -142,7 +137,8 @@ def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> Nois
     spread in the re-inferred matrix is pure estimation noise.
     """
     n = real_fit.model.n
-    real_off = _offdiag(real_fit.model.J)
+    iu = np.triu_indices(n, k=1)
+    real_off = real_fit.model.J[iu]
     sigma_j = float(real_off.std())
     if sigma_j <= 1e-12 * (1.0 + np.abs(real_off).max()):
         raise DegenerateRatioError("real couplings are constant; noise ratio undefined")
@@ -153,8 +149,8 @@ def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> Nois
     surrogate = IsingModel(J=homogeneous, h=np.zeros(n))
 
     refit = inverse.fit(method, glauber_sample(surrogate, config))
-    sigma_noise = float(_offdiag(refit.model.J).std())
-    echo = asdict(config) | {"method": method, "N": n, "T": config.rows, "mean_J": mean_j}
+    sigma_noise = float(refit.model.J[iu].std())
+    echo = asdict(config) | {"method": method, "N": n, "mean_J": mean_j}
     return NoiseReport(
         sigma_noise=sigma_noise,
         sigma_J=sigma_j,

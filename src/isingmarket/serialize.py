@@ -84,8 +84,6 @@ def write_manifest(outdir, command: str, config: dict, inputs: list, artifacts: 
     """
     import platform
 
-    import scipy
-
     from . import __version__
 
     manifest = {
@@ -95,7 +93,6 @@ def write_manifest(outdir, command: str, config: dict, inputs: list, artifacts: 
         "versions": {
             "isingmarket": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "inputs": {str(p): sha256_file(p) for p in inputs},

@@ -4,12 +4,15 @@ Gaussianity of the coupling bulk (quantile comparison, chi-square and
 Jarque-Bera after trimming the upper tail), the negative-coupling fraction,
 the power-law fit of mean coupling versus system size, the field-versus-
 internal-bias decomposition, and the critical-coupling eigenvalue demo.
+Normal quantiles and chi-square tails come from ``statistics`` and ``math``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -57,14 +60,28 @@ class BiasRow:
     h_int_std: float
 
 
+def _normal_quantiles(probs: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of probabilities in (0, 1) (Wichura's AS 241)."""
+    return np.array(list(map(NormalDist().inv_cdf, probs.tolist())))
+
+
+def _chi2_sf(k: int, x: float) -> float:
+    """Chi-square upper tail Q(k/2, x/2), integer k >= 1, as a sum of positive terms:
+    erfc(sqrt(y)) if k is odd, then y^(j+d) e^-y / Gamma(j+1+d) for j < k//2, y = x/2,
+    d = (k mod 2)/2 (Abramowitz & Stegun 26.4.4-26.4.5)."""
+    d, y = 0.5 * (k % 2), 0.5 * x
+    if y <= 0.0:  # also x = 5e-324, whose half rounds to 0
+        return 1.0
+    return math.fsum([math.erfc(math.sqrt(y))] * (k % 2) + [
+        math.exp((j + d) * math.log(y) - y - math.lgamma(j + 1 + d)) for j in range(k // 2)])
+
+
 def qq_compare(values: np.ndarray, quantile_count: int = 1000) -> np.ndarray:
     """(empirical, theoretical-Gaussian) quantile pairs with matched mean/std.
 
     Returns quantile_count - 1 interior pairs; a Gaussian sample lies on the
     diagonal.  A constant input yields degenerate pairs and a warning.
     """
-    from scipy.special import ndtri  # scipy.special is slow to import
-
     values = np.asarray(values, dtype=np.float64)
     if values.size < quantile_count:
         raise InsufficientSampleError(
@@ -80,7 +97,7 @@ def qq_compare(values: np.ndarray, quantile_count: int = 1000) -> np.ndarray:
                        stacklevel=2)
         theoretical = np.full(probs.shape, mu)
     else:
-        theoretical = ndtri(probs) * sd + mu
+        theoretical = _normal_quantiles(probs) * sd + mu
     return np.column_stack([empirical, theoretical])
 
 
@@ -101,8 +118,6 @@ def trim_upper_tail(values: np.ndarray, fraction: float = 0.04) -> np.ndarray:
 
 def jarque_bera(values: np.ndarray) -> tuple[float, float]:
     """JB = n/6 * (skew^2 + excess_kurtosis^2 / 4), p-value from chi2(2)."""
-    from scipy.special import chdtrc  # scipy.special is slow to import
-
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     centered = values - values.mean()
@@ -111,8 +126,8 @@ def jarque_bera(values: np.ndarray) -> tuple[float, float]:
         raise DegenerateDataError("constant sample: Jarque-Bera undefined")
     skew = np.mean(centered**3) / m2**1.5
     excess = np.mean(centered**4) / m2**2 - 3.0
-    stat = n / 6.0 * (skew**2 + 0.25 * excess**2)
-    return float(stat), float(chdtrc(2, stat))
+    stat = float(n / 6.0 * (skew**2 + 0.25 * excess**2))
+    return stat, _chi2_sf(2, stat)
 
 
 def chi2_gaussian(values: np.ndarray, bins: int = 20) -> tuple[float, float, int]:
@@ -122,8 +137,6 @@ def chi2_gaussian(values: np.ndarray, bins: int = 20) -> tuple[float, float, int
     needed so every expected count is >= 5.  Degrees of freedom bins - 3
     (two fitted parameters).  Returns (stat, p, bins_used).
     """
-    from scipy.special import chdtrc, ndtri  # scipy.special is slow to import
-
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     bins_used = max(4, min(bins, n // 5))
@@ -131,12 +144,12 @@ def chi2_gaussian(values: np.ndarray, bins: int = 20) -> tuple[float, float, int
     sd = values.std()
     if sd == 0.0:
         raise DegenerateDataError("constant sample: chi-square bins undefined")
-    edges = ndtri(np.arange(1, bins_used) / bins_used) * sd + mu
+    edges = _normal_quantiles(np.arange(1, bins_used) / bins_used) * sd + mu
     counts = np.bincount(np.searchsorted(edges, values, side="right"),
                          minlength=bins_used)
     expected = n / bins_used
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, float(chdtrc(bins_used - 3, stat)), bins_used
+    return stat, _chi2_sf(bins_used - 3, stat), bins_used
 
 
 def normality_tests(values: np.ndarray, bins: int = 20,

@@ -103,6 +103,34 @@ def test_commands_off_normality_and_ridge_0_plm_load_no_scipy_subpackage(tmp_pat
     assert loaded == []
 
 
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency; C12's steps cover all 12 commands.
+    runs = tmp_path / "runs"
+    spins, fit = runs / "spins.csv", runs / "fit.json"
+    steps = [
+        ["ingest", *write_ohlc(tmp_path)],
+        ["sample", "--model", model_json(tmp_path, n=12, scale=0.2, seed=1), "--rows", "2000",
+         "--burn-in", "200", "--seed", "13"],
+        ["moments", "--spins", spins],
+        ["spectrum", "--spins", spins, "--bins", "12"],
+        ["fit", "--method", "tap-inv", "--spins", spins],
+        ["tap", "--model", fit, "--spins", spins],
+        ["multiinfo", "--spins", spins],
+        ["bias", "--model", fit, "--spins", spins],
+        ["normality", "--model", fit, "--quantiles", "10", "--bins", "4", "--trim", "0.0"],
+        ["scaling", "--points",
+         write_file(tmp_path, "points.csv", "N,mean\n20,0.11\n40,0.049\n80,0.026\n")],
+        ["noise", "--fit", fit, "--t", "400", "--method", "nmf", "--seed", "4"],
+        ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0", "--seed", "6",
+         "--burn-in", "100"],
+    ]
+    assert sorted({argv[0] for argv in steps}) == sorted(COMMANDS)
+    argvs = [[*map(str, argv), "-o", str(runs)] for argv in steps]
+    code = ("import json, sys; sys.modules['scipy'] = None; from isingmarket.cli import main; "
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+    assert json.loads(run_fresh(code, json.dumps(argvs)).splitlines()[-1]) == [0] * len(steps)
+
+
 def model_json(tmp_path, n=3, scale=0.5, seed=0, name="model.json"):
     rng = np.random.default_rng(seed)
     coupling = np.zeros((n, n))

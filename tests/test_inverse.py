@@ -109,6 +109,25 @@ def test_tap_clamps_insoluble_pairs():
         tap_invert(moments, strict=True)
 
 
+def test_mean_field_inversions_warn_like_the_exact_fit_on_an_empty_sign_cell():
+    rng = np.random.default_rng(2)
+    for rows, pairs in [(rng.choice([-1, 1], size=(7, 6)), "pairs (0, 1), (1, 3), (2, 4)"),
+                        (rng.choice([-1, 1], size=(400, 6)), None)]:
+        moments = empirical_moments(SpinMatrix(
+            tickers=[f"s{i}" for i in range(6)], dates=[f"d{t}" for t in range(len(rows))],
+            values=rows))
+        expected = fit_maxent_exact(moments).warnings
+        assert nmf_invert(moments).warnings == tap_invert(moments).warnings == expected
+        assert (len(expected) == 1 and f"{pairs} never show" in expected[0]
+                if pairs else expected == [])
+    # an empty cell of exact moments (a negative one here) comes after the clamp count
+    moments = MomentSet(q=np.array([0.9, 0.9]), Q=np.array([[1.0, 0.71], [0.71, 1.0]]),
+                        sample_size=math.inf)
+    warnings = tap_invert(moments).warnings
+    assert len(warnings) == 2 and warnings[0].startswith("clamped 1 of 1")
+    assert "pairs (0, 1) never show" in warnings[1]
+
+
 def _decimal_root(a, c):
     """The second-order root of c = -J - a J^2, or the double root -1/(2a) if none."""
     if 4 * a * c > 1:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc, ndtri  # test oracles only
 
 from isingmarket import (
     IsingModel,
@@ -20,7 +23,7 @@ from isingmarket.errors import (
     DomainError,
     InsufficientSampleError,
 )
-from isingmarket.stats import chi2_gaussian, jarque_bera
+from isingmarket.stats import _chi2_sf, _normal_quantiles, chi2_gaussian, jarque_bera
 
 
 # -------------------------------------------------------------------- qq
@@ -146,6 +149,26 @@ def test_jb_location_scale_invariant(shift, scale):
     base, _ = jarque_bera(vals)
     moved, _ = jarque_bera(vals * scale + shift)
     assert abs(base - moved) <= 1e-9 * max(1.0, base)
+
+
+def test_chi2_tail_matches_scipy_for_every_k_up_to_300():
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-30, 1e-8], np.geomspace(1e-3, 2000.0, 70)])
+    for k in range(1, 301):
+        expected = chdtrc(k, x)
+        got = np.array([_chi2_sf(k, v) for v in x.tolist()])
+        shown = expected > 1e-290  # deeper tails underflow in the oracle
+        assert np.all(np.abs(got - expected)[shown] <= 1e-12 * expected[shown]), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1e308))
+def test_chi2_tail_at_two_degrees_is_exp_of_minus_half_x(x):
+    assert _chi2_sf(2, x) == math.exp(-x / 2)  # bit for bit
+
+
+def test_normal_quantiles_match_scipy():
+    probs = np.arange(1, 100_001) / 100_001
+    assert np.abs(_normal_quantiles(probs) - ndtri(probs)).max() <= 4e-15
 
 
 # -------------------------------------------------------- negative fraction
