@@ -10,22 +10,16 @@ on first use.
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import inverse
-from .errors import ConfigError, DegenerateRatioError, KernelBuildError
+from . import _native, inverse
+from .errors import ConfigError, DegenerateRatioError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
 
 _SWEEP_BATCH = 512  # sweeps per batched RNG draw and local-field recomputation
-_KERNEL_SOURCE = Path(__file__).with_name("_glauber.c")
-_BUILD_DIR = Path(__file__).with_name("__pycache__")
-_CC = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 @dataclass
@@ -46,42 +40,13 @@ class SamplerConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@functools.cache
 def _kernel():
-    """The compiled sweep loop of _glauber.c, built with _CC on first use.
-
-    The shared library is cached in _BUILD_DIR under a hash of the source and
-    the compiler command, so an edit to either rebuilds it.
-    """
+    """The compiled sweep loop of _glauber.c (see _native)."""
     import ctypes
-    import hashlib
-    import subprocess
 
-    command = [*_CC, str(_KERNEL_SOURCE), "-lm"]
-    tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + repr(command).encode()).hexdigest()
-    library = _BUILD_DIR / f"_glauber-{tag[:16]}.so"
-    # built under a per-process name, then renamed: concurrent first uses never
-    # load a half-written library
-    partial = library.with_name(f"{library.name}.{os.getpid()}")
-    try:
-        if not library.exists():
-            _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-            try:
-                build = subprocess.run([*command, "-o", str(partial)],
-                                       capture_output=True, text=True)
-                if build.returncode != 0:
-                    raise KernelBuildError(f"{' '.join(command)} failed", build.stderr)
-                os.replace(partial, library)
-            finally:
-                partial.unlink(missing_ok=True)
-        sweeps = ctypes.CDLL(str(library)).glauber_sweeps
-    except OSError as exc:
-        raise KernelBuildError(f"cannot build or load the Glauber kernel with {_CC[0]}",
-                               str(exc)) from exc
-    sweeps.restype = ctypes.c_int64
-    sweeps.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 6,
-                       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    return sweeps
+    return _native.load("_glauber.c", "glauber_sweeps", ctypes.c_int64, (
+        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 6,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p))
 
 
 def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:

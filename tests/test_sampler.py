@@ -13,8 +13,8 @@ from isingmarket import (
     exact_moments,
     glauber_sample,
     noise_ratio,
-    sampler,
 )
+from isingmarket import _native
 from isingmarket.cli import main
 from isingmarket.errors import ConfigError, DegenerateRatioError, KernelBuildError
 from isingmarket.exact import gibbs_probabilities, state_index
@@ -47,17 +47,17 @@ def test_matches_reference_loop_bit_for_bit():
 
 
 @pytest.mark.parametrize("compiler, message", [
-    (["no-such-cc", *sampler._CC[1:]], "no-such-cc"),  # not installed
-    ([*sampler._CC, "--no-such-option"], "--no-such-option"),  # fails
+    (["no-such-cc", *_native._CC[1:]], "no-such-cc"),  # not installed
+    ([*_native._CC, "--no-such-option"], "--no-such-option"),  # fails
 ])
 def test_kernel_build_failure_is_a_typed_error(tmp_path, monkeypatch, compiler, message):
     model = planted_model(3, 0.2, 0.1, 0)
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(model.to_dict()))
     build = tmp_path / "build"
-    monkeypatch.setattr(sampler, "_CC", compiler)
-    monkeypatch.setattr(sampler, "_BUILD_DIR", build)
-    sampler._kernel.cache_clear()
+    monkeypatch.setattr(_native, "_CC", compiler)
+    monkeypatch.setattr(_native, "_BUILD_DIR", build)
+    _native.load.cache_clear()
     try:
         with pytest.raises(KernelBuildError) as exc:
             glauber_sample(model, SamplerConfig(rows=5))
@@ -67,7 +67,7 @@ def test_kernel_build_failure_is_a_typed_error(tmp_path, monkeypatch, compiler, 
         assert not out.exists()
         assert not build.exists() or not any(build.iterdir())  # no partial library left
     finally:
-        sampler._kernel.cache_clear()
+        _native.load.cache_clear()
 
 
 def test_fair_coins():
