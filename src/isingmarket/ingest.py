@@ -15,6 +15,7 @@ from datetime import date, datetime
 
 import numpy as np
 
+from . import _native
 from .errors import AlignmentError, EmptyInputError, FormatError
 
 
@@ -106,61 +107,7 @@ def _parse_date(text: str, fmt: OhlcFormat) -> date:
     return datetime.strptime(text.strip(), fmt.date_format).date()
 
 
-# Code points less ord("0"), wrapped around in uint32: digits are 0..9.
-_ZERO = np.uint32(ord("0"))
-_DASH = np.uint32((ord("-") - ord("0")) % 2**32)
-_DOT = np.uint32((ord(".") - ord("0")) % 2**32)
-# A price cell is converted in bulk when it is at most 16 ASCII digits and
-# '.'s, one '.' at most.  Then its digits form an integer that int64 holds
-# exactly; with a '.' it has 15 digits at most, so it is below 2**53 and so is
-# the power of ten it is divided by.  Either way the result is rounded once,
-# to the nearest double, exactly as float() rounds.
-_MAX_CHARS = 16
-_POW10 = 10 ** np.arange(_MAX_CHARS, dtype=np.int64)
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64[D] counts days from here
-
-
-def _iso_days(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Cells that are strict YYYY-MM-DD calendar dates, as datetime64[D].
-
-    Returns (days, ok); ok is False where a cell is anything else.
-    """
-    c = (codes[np.minimum(start + np.arange(10)[:, None], codes.size - 1)]
-         - _ZERO).astype(np.int64)
-    ok = ((end - start == 10) & (c[[0, 1, 2, 3, 5, 6, 8, 9]] < 10).all(axis=0)
-          & (c[4] == _DASH) & (c[7] == _DASH))
-    year = ((c[0] * 10 + c[1]) * 10 + c[2]) * 10 + c[3]
-    month = c[5] * 10 + c[6]
-    day = c[8] * 10 + c[9]
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-    days = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
-    ok &= days.astype("datetime64[M]") == months  # a day past the month's end rolls over
-    return days, ok
-
-
-def _decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Cells of at most 16 ASCII digits with at most one '.', as float64.
-
-    Returns (values, ok); ok is False where a cell is anything else.  The
-    cells are read right-aligned, a column at a time; columns left of a
-    cell read the character before it and count nothing.
-    """
-    length = end - start
-    width = int(min(length.max(initial=0), _MAX_CHARS))
-    before = start - 1
-    mantissa = digits = dots = lead = np.zeros(start.size, dtype=np.int64)
-    for j in range(width, 0, -1):
-        c = codes[np.maximum(end - j, before)] - _ZERO
-        inside = end - j > before  # else a '.' or digit delimiter would count
-        digit = inside & (c < 10)
-        dot = inside & (c == _DOT)
-        mantissa = np.where(digit, mantissa * 10 + c, mantissa)
-        lead = np.where(dot, digits, lead)  # digits ahead of the '.'
-        digits = digits + digit
-        dots = dots + dot
-    ok = (digits + dots == length) & (dots <= 1) & (digits >= 1)
-    return mantissa / _POW10[np.where(ok & (dots == 1), digits - lead, 0)], ok
 
 
 def _row_rule(records, cols: tuple[int, int, int], fmt: OhlcFormat):
@@ -187,40 +134,33 @@ def _row_rule(records, cols: tuple[int, int, int], fmt: OhlcFormat):
     return np.array(kept, dtype=np.float64).reshape(-1, 4), dropped
 
 
-def _bulk_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcFormat):
-    """The row rule's result, computed in bulk, for text with one record per '\\n' line.
+def _scan_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcFormat):
+    """The row rule's result, for text with one record per '\\n' line; line 0 is the header.
 
-    Line 0 is the header.  The lines with the header's cell count are
-    tokenized and converted in bulk, on the text's code points; a line whose
-    cells the bulk rules reject goes alone through the row rule.
+    The C scan of _scan.c keeps the lines that hold the header's cell count, a
+    strict YYYY-MM-DD date and plain decimal prices; every other line goes
+    alone through the row rule.  Positions are byte offsets in the UTF-8 text.
     """
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    breaks = np.flatnonzero(codes == ord("\n"))
-    starts, ends = breaks + 1, np.append(breaks[1:], codes.size)  # lines 1, 2, ...
-    delims = np.flatnonzero(codes == ord(fmt.delimiter))
-    before = np.searchsorted(delims, starts)  # delimiters ahead of each line
-    at = np.flatnonzero(np.searchsorted(delims, ends) - before == cells - 1)
+    import ctypes
 
-    def column(j: int):
-        start = starts[at] if j == 0 else delims[before[at] + j - 1] + 1
-        end = ends[at] if j == cells - 1 else delims[before[at] + j]
-        return start, end
-
-    i_date, i_open, i_close = cols
-    days, ok = _iso_days(codes, *column(i_date))
-    opens, ok_open = _decimals(codes, *column(i_open))
-    closes, ok_close = _decimals(codes, *column(i_close))
-    ok &= ok_open & ok_close & (opens > 0.0) & (closes > 0.0)
-    rejected = np.ones(starts.size, dtype=bool)
-    rejected[at[ok]] = False
-    bounds = zip(starts[rejected].tolist(), ends[rejected].tolist())
+    i64, pointer = ctypes.c_int64, ctypes.c_void_p
+    scan = _native.load("_scan.c", "scan_ohlc", i64, (
+        ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64, i64, i64, i64, pointer, pointer,
+        pointer))
+    data = text.encode("utf-8", "surrogatepass")
+    delimiter = fmt.delimiter.encode("utf-8", "surrogatepass")
+    args = data, len(data), delimiter, len(delimiter), cells, *cols
+    lines = scan(*args, None, None, None)
+    rows = np.empty((lines, 4))
+    bounds = np.empty((lines, 2), dtype=np.int64)
+    left = i64()
+    kept = scan(*args, rows.ctypes.data, bounds.ctypes.data, ctypes.byref(left))
     # with no '"' and no '\r', split cuts a line as csv.reader does (a blank
     # line gives [''], not [], and the row rule skips either)
-    slow, dropped = _row_rule(((start, text[start:end].split(fmt.delimiter))
-                               for start, end in bounds), cols, fmt)
-    fast = np.column_stack([starts[at[ok]], days[ok].astype(np.int64) + _EPOCH_ORDINAL,
-                            opens[ok], closes[ok]])
-    return np.concatenate([fast, slow]), dropped
+    slow, dropped = _row_rule(
+        ((start, data[start:end].decode("utf-8", "surrogatepass").split(fmt.delimiter))
+         for start, end in bounds[:left.value].tolist()), cols, fmt)
+    return np.concatenate([rows[:kept], slow]), dropped
 
 
 def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
@@ -260,7 +200,7 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
             f"({fmt.date_column}/{fmt.open_column}/{fmt.close_column})"
         ) from exc
     if bulk:
-        rows, dropped = _bulk_rows(text, cols, len(header), fmt)
+        rows, dropped = _scan_rows(text, cols, len(header), fmt)
     else:
         rows, dropped = _row_rule(enumerate(records), cols, fmt)
     if not rows.size:
@@ -327,70 +267,25 @@ def write_spin_csv(matrix: SpinMatrix, path) -> None:
     atomic_write_text(path, "".join(parts))
 
 
-_NEWLINE, _COMMA, _DASH_BYTE, _ONE = (ord(c) for c in "\n,-1")
+def _scan_spins(body: bytes, n: int):
+    """(dates, values) of a spin-file body of n cells a line, read by the C scan of
+    _scan.c, or the index of its first line that is not a date and n cells of 1 or -1."""
+    import ctypes
 
-
-def _plain_spins(body: str, n: int):
-    """(dates, values) of a plain spin-file body, or None if the body is not plain.
-
-    Plain: no '"' and no NUL, and every line a date and then n cells that are
-    each exactly '1' or '-1' (so no line is blank).  Such a body is read from
-    the UTF-8 bytes just ahead of each ',' or '\\n', gathered at one offset per
-    field; those two bytes occur inside no multi-byte character.  The date is
-    the text before a line's first ','.
-    """
-    if '"' in body or "\0" in body:
-        return None
-    if not body.endswith("\n"):
-        body += "\n"
-    b = np.frombuffer(b"\0\0\0" + body.encode("utf-8"), dtype=np.uint8)  # 3 bytes ahead
-    text = b[3:]
-    stop = text == _NEWLINE
-    stop |= text == _COMMA
-    stops = np.flatnonzero(stop)  # one offset per field: the only int64 array
-    del stop  # the dels keep the peak near the body's bytes and those offsets
-    t = body.count("\n")
-    if stops.size != t * (n + 1):
-        return None
-    # Row r of fields holds line r's if every line has n + 1 fields.  If one has
-    # not, a line's first field, which follows a '\n', falls among the cells,
-    # and the cell check below rejects it.
-    fields = stops.reshape(t, n + 1)
-    runs = np.column_stack([fields[:, 0] + 1, fields[:, -1] - fields[:, 0]])
-    runs[1:, 0] -= fields[:-1, -1] + 1  # per line: its date and ',', then the rest
-    # the 1, 2 and 3 bytes ahead of each cell's end
-    last, second, third = (b[shift:][stops].reshape(t, n + 1)[:, 1:] for shift in (2, 1, 0))
-    del stops, fields
-    negative = second == _DASH_BYTE
-    cells_ok = third == _COMMA  # '-1' is ',-1'; '1' is ',1'
-    cells_ok &= negative
-    cells_ok |= second == _COMMA
-    cells_ok &= last == _ONE
-    if not cells_ok.all():
-        return None
-    del last, second, third, cells_ok
-    kept = np.repeat(np.tile([True, False], t), runs.ravel())
-    dates = text[kept].tobytes().decode("utf-8").split(",")[:-1]
-    return dates, np.where(negative, np.int8(-1), np.int8(1))
-
-
-def _first_bad_line(lines: list[str], n: int) -> int:
-    """Index of the first line that is not plain on its own, among the lines of
-    a body that is not plain, split at '\\n'.  A run of lines is plain iff each
-    line is, so bisection finds it in about two passes over the text.  Each run
-    is checked with a '\\n' after its last line, so a blank last line counts."""
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _plain_spins("\n".join(lines[lo:mid]) + "\n", n) is None:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    i64, pointer = ctypes.c_int64, ctypes.c_void_p
+    scan = _native.load("_scan.c", "scan_spins", i64,
+                        (ctypes.c_char_p, i64, i64, pointer, pointer, pointer))
+    values = np.empty((scan(body, len(body), n, None, None, None), n), dtype=np.int8)
+    dates = np.empty(len(body), dtype=np.uint8)
+    used = i64()
+    t = scan(body, len(body), n, values.ctypes.data, dates.ctypes.data, ctypes.byref(used))
+    if t < 0:
+        return -1 - t
+    return dates[:used.value].tobytes().decode("utf-8").split(",")[:-1], values[:t]
 
 
 def read_spin_csv(path) -> SpinMatrix:
-    """Read a spin file: exactly what write_spin_csv writes (see _plain_spins).
+    """Read a spin file: exactly what write_spin_csv writes (see _scan_spins).
 
     Blank lines at the end are ignored; any other body is a FormatError that
     names its first bad line.
@@ -407,12 +302,11 @@ def read_spin_csv(path) -> SpinMatrix:
     if body in ("", "\n"):
         raise EmptyInputError(f"{path}: no spin rows")
     n = len(header) - 1
-    spins = _plain_spins(body, n)
-    if spins is None:  # the header is line 1
-        lines = body.split("\n")
-        k = _first_bad_line(lines, n)
+    spins = _scan_spins(body.encode(), n)
+    if isinstance(spins, int):  # the header is line 1
+        line = body.split("\n")[spins]
         raise FormatError(
-            f"{path}: line {k + 2} is not a date and {n} cells of 1 or -1: {lines[k][:80]!r}")
+            f"{path}: line {spins + 2} is not a date and {n} cells of 1 or -1: {line[:80]!r}")
     try:
         return SpinMatrix(tickers=header[1:], dates=spins[0], values=spins[1])
     except FormatError as exc:  # a name holding a character no spin file can

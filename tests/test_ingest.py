@@ -8,18 +8,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    _plain_spins,
+    numpy_parse_ohlc,
+    numpy_read_spin_csv,
     reference_binarize,
     reference_first_bad_line,
     reference_loadtxt_spins,
     reference_parse_ohlc,
     reference_write_spin_csv,
 )
+from conftest import scanned_first_bad_line as _first_bad_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingmarket import OhlcFormat, SpinMatrix, binarize, parse_ohlc
 from isingmarket.errors import AlignmentError, EmptyInputError, FormatError
-from isingmarket.ingest import _first_bad_line, _plain_spins, read_spin_csv, write_spin_csv
+from isingmarket.ingest import read_spin_csv, write_spin_csv
 
 HEADER = "Date,Open,High,Low,Close,Volume"
 
