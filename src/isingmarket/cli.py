@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
@@ -160,11 +161,18 @@ def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
 
 # ---------------------------------------------------------------- commands
 # Each handler takes the resolved config and returns (inputs, artifacts): the
-# paths it read and {file name in outdir: content}, which main writes in order:
+# paths it read (or {path: sha256} of the bytes it read, for write_manifest)
+# and {file name in outdir: content}, which main writes in order:
 # a SpinMatrix as a spin CSV, a (header, rows) tuple as a table, anything else
 # (a dict or a report dataclass) as JSON.
 
-def _cmd_ingest(cfg) -> tuple[list, dict]:
+def _cmd_ingest(cfg) -> tuple[dict, dict]:
+    """Parse each OHLC file and binarize them into one spin matrix.
+
+    Each file is read once, as bytes: their sha256 goes to the manifest, and
+    their text is decoded as strict UTF-8 with '\\r\\n' and a lone '\\r' read as
+    '\\n', as universal newlines read it.  Invalid UTF-8 exits 1.
+    """
     fmt = ingest.OhlcFormat(
         delimiter=cfg["delimiter"],
         date_column=cfg["date_col"],
@@ -172,7 +180,7 @@ def _cmd_ingest(cfg) -> tuple[list, dict]:
         close_column=cfg["close_col"],
         date_format=cfg["date_format"],
     )
-    series, paths = [], {}
+    series, paths, digests = [], {}, {}
     for path in cfg["files"]:
         ticker = Path(path).stem
         if ticker in paths:
@@ -182,13 +190,17 @@ def _cmd_ingest(cfg) -> tuple[list, dict]:
             ingest.SpinMatrix(tickers=[ticker], dates=["date"], values=[[1]])
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        text = Path(path).read_text()  # universal newlines: '\r\n' and '\r' become '\n'
+        data = Path(path).read_bytes()
+        digests[path] = hashlib.sha256(data).hexdigest()
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
             series.append(ingest.parse_ohlc(text, fmt, ticker=ticker))
         except csv.Error as exc:  # a record the csv module rejects
             raise FormatError(f"{path}: {exc}") from exc
     matrix = ingest.binarize(series)
-    return cfg["files"], {"spins.csv": matrix, "ingest.json": {
+    return digests, {"spins.csv": matrix, "ingest.json": {
         "tickers": matrix.tickers,
         "rows": matrix.t,
         "first_date": matrix.dates[0],

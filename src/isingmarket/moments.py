@@ -18,6 +18,7 @@ from .ingest import SpinMatrix
 from .model import checked_int
 
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
+_ROUNDING = 1e-12  # a sign-table cell this far below 0 is rounding, not infeasibility
 
 
 @dataclass
@@ -57,8 +58,8 @@ class MomentSet:
     @classmethod
     def from_dict(cls, d: dict) -> "MomentSet":
         """Read q and Q (the "C" that to_dict writes is not read back); FormatError unless
-        they are moments of +-1 spins, N (if given) is their size and sample_size is null
-        (exact) or an integer >= 2."""
+        they are moments of +-1 spins (no 2x2 sign-table cell below 0 beyond rounding),
+        N (if given) is their size and sample_size is null (exact) or an integer >= 2."""
         q = np.asarray(d["q"], dtype=np.float64)
         big_q = np.asarray(d["Q"], dtype=np.float64)
         if q.ndim != 1 or big_q.shape != (len(q), len(q)):
@@ -71,17 +72,31 @@ class MomentSet:
             raise FormatError("moment matrix Q must be symmetric with a unit diagonal")
         if np.any(np.abs(q) > 1.0) or np.any(np.abs(big_q) > 1.0):
             raise FormatError("moments of +-1 spins must lie in [-1, 1]")
+        smallest, (i, j) = _smallest_sign_cells(q, big_q)
+        bad = np.flatnonzero(smallest < -_ROUNDING)
+        if bad.size:
+            k = bad[0]
+            raise FormatError(f"no +-1 spins have these moments: the 2x2 sign table of "
+                              f"pair ({i[k]}, {j[k]}) has a cell of {smallest[k]:.6g}")
         size = d.get("sample_size")
         return cls(q=q, Q=big_q, sample_size=EXACT_SAMPLE if size is None
                    else float(checked_int(size, 2, "sample_size")))
 
 
-def unseen_sign_warnings(moments: MomentSet) -> list[str]:
-    """A warning naming the pairs whose 2x2 sign table (1 + a q_i + b q_j + ab Q_ij) / 4,
-    a, b = +-1, has a cell below half a count (0 if exact): no finite J_ij fits them."""
-    q, iu = moments.q, np.triu_indices(moments.n, k=1)
-    smallest = np.min([1.0 + a * q[iu[0]] + b * q[iu[1]] + a * b * moments.Q[iu]
+def _smallest_sign_cells(q: np.ndarray, big_q: np.ndarray):
+    """Per pair i < j, the smallest cell of its 2x2 sign table (1 + a q_i + b q_j +
+    ab Q_ij) / 4, a, b = +-1: the share of rows that show signs (a, b).  Returns
+    the cells and the pairs' (i, j) index arrays."""
+    iu = np.triu_indices(len(q), k=1)
+    smallest = np.min([1.0 + a * q[iu[0]] + b * q[iu[1]] + a * b * big_q[iu]
                        for a in (1, -1) for b in (1, -1)], axis=0) / 4.0
+    return smallest, iu
+
+
+def unseen_sign_warnings(moments: MomentSet) -> list[str]:
+    """A warning naming the pairs whose 2x2 sign table has a cell below half a count
+    (0 if exact; see _smallest_sign_cells): no finite J_ij fits them."""
+    smallest, iu = _smallest_sign_cells(moments.q, moments.Q)
     empty = smallest < 0.5 / moments.sample_size
     pairs = [f"({i}, {j})" for i, j in zip(iu[0][empty], iu[1][empty])]
     return [f"spin pairs {', '.join(pairs)} never show one of the four sign combinations; "

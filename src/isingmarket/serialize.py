@@ -79,8 +79,10 @@ def sha256_file(path) -> str:
 def write_manifest(outdir, command: str, config: dict, inputs: list, artifacts: list) -> Path:
     """Record the resolved config, seed, versions and input checksums.
 
-    The output directory itself is deliberately not part of the recorded
-    config so reruns into different directories stay byte-identical.
+    inputs lists the paths read, or maps each path to the sha256 of the bytes
+    read from it.  The output directory itself is deliberately not part of
+    the recorded config so reruns into different directories stay
+    byte-identical.
     """
     import platform
 
@@ -95,7 +97,8 @@ def write_manifest(outdir, command: str, config: dict, inputs: list, artifacts: 
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": (inputs if isinstance(inputs, dict)
+                   else {str(p): sha256_file(p) for p in inputs}),
         "artifacts": sorted(Path(a).name for a in artifacts),  # all live in outdir
     }
     path = Path(outdir) / f"{command}.manifest.json"

@@ -411,6 +411,33 @@ def test_format_error_names_the_file(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_ingest_of_invalid_utf8_exits_1_and_writes_nothing(tmp_path, capsys):
+    files = write_ohlc(tmp_path)
+    Path(files[1]).write_bytes(b"Date,Open,Close\n2021-03-01,10,11\xff\n")
+    out = tmp_path / "out"
+    assert main(["ingest", *files, "-o", str(out)]) == 1
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infeasible_moments_exit_1_and_an_empty_sign_cell_loads(tmp_path, capsys):
+    # the (-1, -1) cell of the pair's sign table is (1 - 0.9 - 0.9 + 0.71) / 4 < 0
+    bad = write_file(tmp_path, "bad.json", json.dumps(
+        {"N": 2, "sample_size": 100, "q": [0.9, 0.9], "Q": [[1.0, 0.71], [0.71, 1.0]]}))
+    for method in ("nmf", "tap-inv", "exact"):
+        out = tmp_path / method
+        assert main(["fit", "--method", method, "--moments", bad, "-o", str(out)]) == 1
+        assert f"{bad}: no +-1 spins have these moments" in capsys.readouterr().err
+        assert not out.exists()
+    # no row shows (-1, -1): that cell is 0, which the moments of data may hold
+    spins = write_file(tmp_path, "spins.csv", "date,a,b\nd1,1,1\nd2,1,-1\nd3,-1,1\nd4,1,1\n")
+    assert main(["moments", "--spins", spins, "-o", str(tmp_path / "moments")]) == 0
+    moments = str(tmp_path / "moments" / "moments.json")
+    assert main(["fit", "--method", "nmf", "--moments", moments, "-o", str(tmp_path / "fit")]) == 0
+    report = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert "spin pairs (0, 1) never show one of the four sign combinations" in report["warnings"][0]
+
+
 def test_handlers_return_artifacts_and_main_writes_them(tmp_path, monkeypatch):
     returned = {}
 

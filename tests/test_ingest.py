@@ -541,3 +541,74 @@ def test_parse_cr_file_and_line_list_match_reference(tmp_path):
         new = parse_ohlc(lines, ticker=ticker)
         ref = reference_parse_ohlc(lines, ticker=ticker)
         assert new.rows == ref.rows and new.dropped == ref.dropped
+
+
+# Cells at the C scan's bounds: 16 and 17 characters or digits, '.', '..',
+# empty cells, non-ASCII bytes, and the dates year 0, 2001-02-29 and 2000-02-29.
+SCAN_DATES = ["2020-01-02", "2020-01-03", "2020-01-06", "0000-01-01", "2001-02-29",
+              "2000-02-29", "2020-1-02", "2020-01-0é", "é020-01-02", "", "2020-01-02x"]
+SCAN_PRICES = ["10", "10.5", "0.1", "5.", ".5", ".", "..", "", "0", "0.000", "1.2.3",
+               "1234567890123456", "12345678901234567", "123456789012345.6",
+               "1234567890123.456", "95.74890682883607",  # 17: a mantissa above 2**53
+               "9999999999999999", "9007199254740993",
+               "é", "1é", "１２", "+5", "1e3"]
+SCAN_DELIMITERS = [",", ";", "1", ".", "é", "€"]  # '€' is three bytes of UTF-8
+
+
+@st.composite
+def scan_texts(draw):
+    """(text, fmt): an OHLC text whose lines reach the bounds of the C line scan."""
+    delimiter = draw(st.sampled_from(SCAN_DELIMITERS[:1] * 5 + SCAN_DELIMITERS))
+    free = st.text(alphabet=["0", "1", "9", ".", "-", "é", "€", ",", ";", " "], max_size=18)
+    days = st.dates(date(1999, 12, 1), date(2000, 3, 31)).map(date.isoformat)
+
+    def cell(good, edges):  # mostly a good cell, so that most lines reach the conversions
+        kind = draw(st.sampled_from(["good"] * 8 + ["edge", "free"]))
+        return draw({"good": good, "edge": st.sampled_from(edges), "free": free}[kind])
+
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        cells = [cell(days, SCAN_DATES), cell(st.sampled_from(SCAN_PRICES[:5]), SCAN_PRICES),
+                 draw(st.sampled_from(["", "x", "é", "€", "7"])),
+                 cell(st.sampled_from(SCAN_PRICES[:5]), SCAN_PRICES)]
+        shape = draw(st.sampled_from(["row"] * 8 + ["long", "short", "blank", "spaces"]))
+        cells = {"row": cells, "long": cells + ["extra"], "short": cells[:-1],  # a delimiter
+                 "blank": [""], "spaces": ["   "]}[shape]  # too many or too few; blank lines
+        lines.append(delimiter.join(cells))
+    header = delimiter.join(["Date", "Open", "x", "Close"])
+    text = "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        text = draw(st.sampled_from(["", "\n", header, header + "\n"]))
+    fmt = OhlcFormat(delimiter=delimiter, date_column="Date", open_column="Open",
+                     close_column="Close")
+    return text, fmt
+
+
+@settings(max_examples=600, deadline=None)
+@given(scan_texts())
+def test_parse_ohlc_matches_the_numpy_route(case):
+    text, fmt = case
+    new = _outcome(parse_ohlc, text, fmt, "t")
+    ref = _outcome(numpy_parse_ohlc, text, fmt, "t")
+    assert new == ref
+    if not isinstance(ref, tuple):
+        assert new.rows == ref.rows  # the dates' and prices' types too
+
+
+@settings(max_examples=400, deadline=None)
+@given(spin_bodies(), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.sampled_from([False] * 4 + [True]))
+def test_read_spin_csv_matches_the_numpy_route(tmp_path_factory, case, ending, header_only):
+    body, width = case
+    text = "date," + ",".join(f"t{j}" for j in range(width)) + "\n" + ("" if header_only else body)
+    path = tmp_path_factory.mktemp("spins") / "spins.csv"
+    path.write_bytes(text.replace("\n", ending).encode())
+
+    def outcome(read):
+        try:
+            matrix = read(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return matrix.tickers, matrix.dates, matrix.values.tolist(), matrix.values.dtype
+
+    assert outcome(read_spin_csv) == outcome(numpy_read_spin_csv)
