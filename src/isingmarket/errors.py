@@ -75,7 +75,8 @@ class ConfigError(ToolkitError):
 
 
 class KernelBuildError(ToolkitError):
-    """The sampler's C kernel could not be compiled or loaded; carries the compiler's stderr."""
+    """A C source (the sampler's kernel or the text scans) could not be compiled or loaded;
+    carries the compiler's stderr."""
 
     def __init__(self, message, stderr=""):
         super().__init__(f"{message}\n{stderr}".rstrip())

@@ -2,7 +2,8 @@
 
 A day's orientation is +1 when the close is at or above the open, -1
 otherwise.  Tickers are aligned on the strict intersection of their dates, so
-no return is ever imputed.
+no return is ever imputed.  Plain OHLC lines and spin-file bodies are read by
+the C line scans of _scan.c, which _native compiles with cc on first use.
 """
 
 from __future__ import annotations
