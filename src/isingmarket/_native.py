@@ -12,7 +12,9 @@ import, and subprocess is imported only when a library must be built.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import os
 from pathlib import Path
 
@@ -41,9 +43,6 @@ def _build(command: list[str], library: Path) -> None:
 @functools.cache
 def load(source: str, symbol: str, restype, argtypes: tuple):
     """symbol of the library built from source, with the given ctypes signature."""
-    import ctypes
-    import hashlib
-
     path = Path(__file__).with_name(source)
     command = [*_CC, str(path), "-lm"]
     tag = hashlib.sha256(path.read_bytes() + repr(command).encode()).hexdigest()

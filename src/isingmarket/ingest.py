@@ -9,6 +9,7 @@ the C line scans of _scan.c, which _native compiles with cc on first use.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import math
 from dataclasses import dataclass
@@ -142,8 +143,6 @@ def _scan_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcForma
     strict YYYY-MM-DD date and plain decimal prices; every other line goes
     alone through the row rule.  Positions are byte offsets in the UTF-8 text.
     """
-    import ctypes
-
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
     scan = _native.load("_scan.c", "scan_ohlc", i64, (
         ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64, i64, i64, i64, pointer, pointer,
@@ -271,8 +270,6 @@ def write_spin_csv(matrix: SpinMatrix, path) -> None:
 def _scan_spins(body: bytes, n: int):
     """(dates, values) of a spin-file body of n cells a line, read by the C scan of
     _scan.c, or the index of its first line that is not a date and n cells of 1 or -1."""
-    import ctypes
-
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
     scan = _native.load("_scan.c", "scan_spins", i64,
                         (ctypes.c_char_p, i64, i64, pointer, pointer, pointer))
@@ -282,7 +279,7 @@ def _scan_spins(body: bytes, n: int):
     t = scan(body, len(body), n, values.ctypes.data, dates.ctypes.data, ctypes.byref(used))
     if t < 0:
         return -1 - t
-    return dates[:used.value].tobytes().decode("utf-8").split(",")[:-1], values[:t]
+    return dates[:used.value].tobytes().decode("utf-8").split(",")[:-1], values
 
 
 def read_spin_csv(path) -> SpinMatrix:

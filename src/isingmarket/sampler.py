@@ -10,6 +10,7 @@ on first use.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,8 +43,6 @@ class SamplerConfig:
 
 def _kernel():
     """The compiled sweep loop of _glauber.c (see _native)."""
-    import ctypes
-
     return _native.load("_glauber.c", "glauber_sweeps", ctypes.c_int64, (
         ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 6,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p))
