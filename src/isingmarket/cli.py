@@ -18,9 +18,7 @@ main writes the artifacts a handler returns, so nothing is written on 1 or 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import json
 import math
 import os
@@ -167,12 +165,6 @@ def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
 # (a dict or a report dataclass) as JSON.
 
 def _cmd_ingest(cfg) -> tuple[dict, dict]:
-    """Parse each OHLC file and binarize them into one spin matrix.
-
-    Each file is read once, as bytes: their sha256 goes to the manifest, and
-    their text is decoded as strict UTF-8 with '\\r\\n' and a lone '\\r' read as
-    '\\n', as universal newlines read it.  Invalid UTF-8 exits 1.
-    """
     fmt = ingest.OhlcFormat(
         delimiter=cfg["delimiter"],
         date_column=cfg["date_col"],
@@ -190,15 +182,8 @@ def _cmd_ingest(cfg) -> tuple[dict, dict]:
             ingest.SpinMatrix(tickers=[ticker], dates=["date"], values=[[1]])
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        data = Path(path).read_bytes()
-        digests[path] = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        try:
-            series.append(ingest.parse_ohlc(text, fmt, ticker=ticker))
-        except csv.Error as exc:  # a record the csv module rejects
-            raise FormatError(f"{path}: {exc}") from exc
+        parsed, digests[path] = ingest.read_ohlc(path, fmt, ticker)
+        series.append(parsed)
     matrix = ingest.binarize(series)
     return digests, {"spins.csv": matrix, "ingest.json": {
         "tickers": matrix.tickers,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -214,6 +215,24 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
     days = (rows[keep, 1].astype(np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
     return PriceSeries(ticker=ticker, dates=days, open=rows[keep, 2], close=rows[keep, 3],
                        dropped=dropped)
+
+
+def read_ohlc(path, fmt: OhlcFormat | None = None, ticker: str = "") -> tuple[PriceSeries, str]:
+    """Parse one OHLC file; returns its PriceSeries and the sha256 of its bytes.
+
+    The file is read once, as bytes, and decoded as strict UTF-8 (else
+    UnicodeDecodeError) with '\\r\\n' and a lone '\\r' read as '\\n', as universal
+    newlines read them.  A record the csv module rejects is a FormatError.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return parse_ohlc(text, fmt, ticker=ticker), hashlib.sha256(data).hexdigest()
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def binarize(series: list[PriceSeries]) -> SpinMatrix:
