@@ -1,11 +1,14 @@
 """The one native loader (_native) and the C sources it builds."""
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isingmarket
 from isingmarket import _native, ingest
 from isingmarket.cli import main
 
@@ -63,3 +66,16 @@ def test_a_cached_library_loads_without_the_compiler(monkeypatch, build_dir):
     assert again[0] == first[0] == ["d1", "d2"]
     assert np.array_equal(again[1], first[1])
     assert sorted(build_dir.iterdir()) == built
+
+
+def test_a_run_with_cached_libraries_imports_no_subprocess(tmp_path):
+    spins = tmp_path / "spins.csv"
+    spins.write_text("date,a,b\nd1,1,-1\nd2,-1,1\n")
+    ingest.read_spin_csv(spins)  # the scan library is built by now
+    code = ("import sys, isingmarket.cli as cli; code = cli.main(['moments', '--spins', "
+            f"{str(spins)!r}, '-o', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'subprocess' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
