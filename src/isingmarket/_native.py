@@ -5,7 +5,7 @@ _CC into a shared library and returns one of its symbols as a ctypes
 function.  The library is cached in _BUILD_DIR as <stem>-<hash>.so, the hash
 taken over the source and the compiler command, so an edit to either
 rebuilds it and every later process loads the cached file.  A missing
-compiler, a failed build or a library that does not load raises
+compiler or source, a failed build or a library that does not load raises
 KernelBuildError with the compiler's message.  Nothing is built or loaded at
 import, and subprocess is imported only when a library must be built.
 """
@@ -45,9 +45,9 @@ def load(source: str, symbol: str, restype, argtypes: tuple):
     """symbol of the library built from source, with the given ctypes signature."""
     path = Path(__file__).with_name(source)
     command = [*_CC, str(path), "-lm"]
-    tag = hashlib.sha256(path.read_bytes() + repr(command).encode()).hexdigest()
-    library = _BUILD_DIR / f"{path.stem}-{tag[:16]}.so"
-    try:
+    try:  # a missing source, too, is a KernelBuildError
+        tag = hashlib.sha256(path.read_bytes() + repr(command).encode()).hexdigest()
+        library = _BUILD_DIR / f"{path.stem}-{tag[:16]}.so"
         if not library.exists():
             _build(command, library)
         function = getattr(ctypes.CDLL(str(library)), symbol)

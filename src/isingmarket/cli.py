@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, exact, ingest, inverse, moments, sampler, stats, tap
+from . import __version__, exact, ingest, inverse, moments, sampler, serialize, stats, tap
 from .errors import (DimensionMismatchError, DomainError, FormatError, ToolkitError,
                      UsageError)
 from .model import FitReport, IsingModel
@@ -96,7 +96,7 @@ def _check(opt: Opt, value) -> None:
 
 def _load_config_file(path: str) -> dict:
     """Accept a JSON object or simple key=value lines (# comments allowed)."""
-    text = Path(path).read_text()
+    text = serialize.read_text(path)
     if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
@@ -139,7 +139,7 @@ def _resolve(ns: argparse.Namespace, options: list[Opt]) -> dict:
 def _load(path: str, parse):
     """parse(JSON content of path); malformed content is a FormatError naming path."""
     try:
-        return parse(json.loads(Path(path).read_text()))
+        return parse(json.loads(serialize.read_text(path)))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
@@ -158,13 +158,13 @@ def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
 
 
 # ---------------------------------------------------------------- commands
-# Each handler takes the resolved config and returns (inputs, artifacts): the
-# paths it read (or {path: sha256} of the bytes it read, for write_manifest)
-# and {file name in outdir: content}, which main writes in order:
-# a SpinMatrix as a spin CSV, a (header, rows) tuple as a table, anything else
-# (a dict or a report dataclass) as JSON.
+# Each handler takes the resolved config and returns its artifacts,
+# {file name in outdir: content}, which main writes in order: a SpinMatrix as
+# a spin CSV, a (header, rows) tuple as a table, anything else (a dict or a
+# report dataclass) as JSON.  It reads every file through serialize.read_text,
+# which records each file's sha256 for the manifest while main runs the handler.
 
-def _cmd_ingest(cfg) -> tuple[dict, dict]:
+def _cmd_ingest(cfg) -> dict:
     fmt = ingest.OhlcFormat(
         delimiter=cfg["delimiter"],
         date_column=cfg["date_col"],
@@ -172,7 +172,7 @@ def _cmd_ingest(cfg) -> tuple[dict, dict]:
         close_column=cfg["close_col"],
         date_format=cfg["date_format"],
     )
-    series, paths, digests = [], {}, {}
+    series, paths = [], {}
     for path in cfg["files"]:
         ticker = Path(path).stem
         if ticker in paths:
@@ -182,10 +182,9 @@ def _cmd_ingest(cfg) -> tuple[dict, dict]:
             ingest.SpinMatrix(tickers=[ticker], dates=["date"], values=[[1]])
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        parsed, digests[path] = ingest.read_ohlc(path, fmt, ticker)
-        series.append(parsed)
+        series.append(ingest.read_ohlc(path, fmt, ticker))
     matrix = ingest.binarize(series)
-    return digests, {"spins.csv": matrix, "ingest.json": {
+    return {"spins.csv": matrix, "ingest.json": {
         "tickers": matrix.tickers,
         "rows": matrix.t,
         "first_date": matrix.dates[0],
@@ -194,71 +193,68 @@ def _cmd_ingest(cfg) -> tuple[dict, dict]:
     }}
 
 
-def _cmd_moments(cfg) -> tuple[list, dict]:
+def _cmd_moments(cfg) -> dict:
     matrix = ingest.read_spin_csv(cfg["spins"])
     result = moments.empirical_moments(matrix)
-    return [cfg["spins"]], {"moments.json": result.to_dict() | {"tickers": matrix.tickers}}
+    return {"moments.json": result.to_dict() | {"tickers": matrix.tickers}}
 
 
-def _cmd_spectrum(cfg) -> tuple[list, dict]:
+def _cmd_spectrum(cfg) -> dict:
     matrix = ingest.read_spin_csv(cfg["spins"])
     if cfg["kind"] == "correlation":
         spectrum = moments.correlation_spectrum(matrix)
     else:
         spectrum = moments.covariance_spectrum(matrix)
-    return [cfg["spins"]], _spectrum_artifacts(spectrum, cfg["bins"], "spectrum")
+    return _spectrum_artifacts(spectrum, cfg["bins"], "spectrum")
 
 
-def _cmd_fit(cfg) -> tuple[list, dict]:
+def _cmd_fit(cfg) -> dict:
     method = cfg["method"]
     from_spins = inverse.FIT_METHODS[method][1]
     if from_spins or cfg["moments"] is None:
         if cfg["spins"] is None:
             raise UsageError(f"{method} fits from raw spins; pass --spins" if from_spins
                              else f"{method} needs --moments (or --spins to derive them)")
-        source, data = cfg["spins"], ingest.read_spin_csv(cfg["spins"])
+        data = ingest.read_spin_csv(cfg["spins"])
     else:
-        source, data = cfg["moments"], _load(cfg["moments"], moments.MomentSet.from_dict)
+        data = _load(cfg["moments"], moments.MomentSet.from_dict)
     report = inverse.fit(method, data, tol=cfg["tol"], max_iter=cfg["max_iter"],
                          ridge=cfg["ridge"], strict=cfg["strict"])
-    return [source], {"fit.json": report.to_dict(),
-                      "coupling.csv": ([f"j{i}" for i in range(report.model.n)],
-                                       report.model.J)}
+    return {"fit.json": report.to_dict(),
+            "coupling.csv": ([f"j{i}" for i in range(report.model.n)], report.model.J)}
 
 
-def _cmd_tap(cfg) -> tuple[list, dict]:
+def _cmd_tap(cfg) -> dict:
     model = _load_model(cfg["model"])
-    inputs = [cfg["model"]]
     if cfg["spins"] is not None:
         matrix = ingest.read_spin_csv(cfg["spins"])
         if matrix.n != model.n:
             raise DimensionMismatchError(f"model has N={model.n}, spins have N={matrix.n}")
         empirical = moments.empirical_moments(matrix)
-        inputs.append(cfg["spins"])
     solution = tap.tap_fixed_point(model, damping=cfg["damping"],
                                    tol=cfg["tol"], max_iter=cfg["max_iter"])
     artifacts = {"tap.json": solution}
     if cfg["spins"] is not None:
         artifacts["tap_pairs.csv"] = (["ticker", "empirical_mean", "tap_mean"],
                                       zip(matrix.tickers, empirical.q, solution.m))
-    return inputs, artifacts
+    return artifacts
 
 
-def _cmd_multiinfo(cfg) -> tuple[list, dict]:
+def _cmd_multiinfo(cfg) -> dict:
     matrix = ingest.read_spin_csv(cfg["spins"])
     report = exact.multi_information_ratio(matrix, tol=cfg["tol"], fit_tol=cfg["fit_tol"],
                                            max_iter=cfg["max_iter"])
-    return [cfg["spins"]], {"multiinfo.json": report}
+    return {"multiinfo.json": report}
 
 
-def _cmd_sample(cfg) -> tuple[list, dict]:
+def _cmd_sample(cfg) -> dict:
     model = _load_model(cfg["model"])
     matrix = sampler.glauber_sample(model, sampler.SamplerConfig(
         rows=cfg["rows"], burn_in=cfg["burn_in"], thin=cfg["thin"], seed=cfg["seed"]))
-    return [cfg["model"]], {"spins.csv": matrix}
+    return {"spins.csv": matrix}
 
 
-def _cmd_noise(cfg) -> tuple[list, dict]:
+def _cmd_noise(cfg) -> dict:
     real_fit = _load(cfg["fit"], FitReport.from_dict)
     report = sampler.noise_ratio(
         real_fit,
@@ -266,26 +262,24 @@ def _cmd_noise(cfg) -> tuple[list, dict]:
                               thin=cfg["thin"], seed=cfg["seed"]),
         cfg["method"],
     )
-    return [cfg["fit"]], {"noise.json": report}
+    return {"noise.json": report}
 
 
-def _cmd_normality(cfg) -> tuple[list, dict]:
+def _cmd_normality(cfg) -> dict:
     model = _load_model(cfg["model"])
     values = model.J[np.triu_indices(model.n, k=1)]
     report = stats.normality_tests(values, bins=cfg["bins"], trim_fraction=cfg["trim"])
     pairs = stats.qq_compare(stats.trim_upper_tail(values, cfg["trim"]),
                              quantile_count=cfg["quantiles"])
-    return [cfg["model"]], {
+    return {
         "normality.json": asdict(report) | {
             "negative_fraction": stats.negative_fraction(model.J)},
         "qq.csv": (["empirical", "theoretical"], pairs)}
 
 
-def _cmd_scaling(cfg) -> tuple[list, dict]:
+def _cmd_scaling(cfg) -> dict:
     if cfg["points"] is not None:
-        inputs = [cfg["points"]]
-        with open(cfg["points"]) as handle:
-            lines = handle.read().splitlines()[1:]
+        lines = serialize.read_text(cfg["points"]).splitlines()[1:]
         try:
             if not any(line.strip() for line in lines):
                 raise ValueError("no rows")
@@ -294,8 +288,8 @@ def _cmd_scaling(cfg) -> tuple[list, dict]:
         except (ValueError, IndexError) as exc:  # IndexError: one column
             raise FormatError(f"{cfg['points']}: expected rows N,mean ({exc})") from exc
     elif cfg["models"]:
-        inputs, sizes, means = cfg["models"], [], []
-        for path in inputs:
+        sizes, means = [], []
+        for path in cfg["models"]:
             model = _load_model(path)
             if model.n < 2:
                 raise DomainError(f"{path}: N={model.n} has no couplings to average")
@@ -305,27 +299,27 @@ def _cmd_scaling(cfg) -> tuple[list, dict]:
     else:
         raise UsageError("scaling requires --points or --models")
     fit = stats.powerlaw_fit(np.asarray(sizes, float), np.asarray(means, float))
-    return inputs, {
+    return {
         "scaling.json": asdict(fit) | {"mean_kind": "abs" if cfg["use_abs"] else "signed"},
         "scaling_points.csv": (["N", "mean_coupling"], zip(fit.sizes, fit.means))}
 
 
-def _cmd_bias(cfg) -> tuple[list, dict]:
+def _cmd_bias(cfg) -> dict:
     model = _load_model(cfg["model"])
     matrix = ingest.read_spin_csv(cfg["spins"])
     rows = stats.bias_decomposition(model, matrix)
-    return [cfg["model"], cfg["spins"]], {
+    return {
         "bias.json": {"rows": rows},
         "bias.csv": (["ticker", "h", "h_int_mean", "h_int_std"],
                      ((r.ticker, r.h, r.h_int_mean, r.h_int_std) for r in rows))}
 
 
-def _cmd_critical_demo(cfg) -> tuple[list, dict]:
+def _cmd_critical_demo(cfg) -> dict:
     if cfg["t"] < 10 * cfg["n"]:
         raise UsageError(f"t must be >= 10*n, got {cfg['t']}")
     spectrum = stats.critical_spectrum_demo(cfg["n"], cfg["coupling"], cfg["t"],
                                             seed=cfg["seed"], burn_in=cfg["burn_in"])
-    return [], _spectrum_artifacts(spectrum, cfg["bins"], "critical_spectrum")
+    return _spectrum_artifacts(spectrum, cfg["bins"], "critical_spectrum")
 
 
 # ---------------------------------------------------------------- options
@@ -426,7 +420,11 @@ def main(argv=None) -> int:
     written = []  # unlinked if a later write fails: a usage error leaves nothing behind
     try:
         config = _resolve(ns, options)
-        inputs, artifacts = handler(config)
+        serialize.recorder = inputs = {}
+        try:
+            artifacts = handler(config)
+        finally:
+            serialize.recorder = None
         paths = [Path(config["outdir"]) / name for name in artifacts]
         for path, content in zip(paths, artifacts.values()):
             if isinstance(content, ingest.SpinMatrix):

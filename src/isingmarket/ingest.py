@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import _native
 from .errors import AlignmentError, EmptyInputError, FormatError
+from .serialize import atomic_write_text, read_text
 
 
 @dataclass
@@ -91,7 +91,12 @@ class SpinMatrix:
             raise FormatError(f"{len(self.dates)} dates for {t} rows")
         for names in (self.tickers, self.dates):
             text = "".join(names)  # one scan per character, not one per name
-            for char in ',"\r\n\0':
+            try:  # a lone surrogate, as from a file name that is not UTF-8, has no UTF-8 form
+                text.encode("utf-8")
+                surrogate = ""
+            except UnicodeEncodeError as exc:
+                surrogate = text[exc.start]
+            for char in ',"\r\n\0' + surrogate:
                 if char in text:
                     name = next(name for name in names if char in name)
                     raise FormatError(f"ticker or date {name!r} holds {char!r}, "
@@ -217,20 +222,10 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
                        dropped=dropped)
 
 
-def read_ohlc(path, fmt: OhlcFormat | None = None, ticker: str = "") -> tuple[PriceSeries, str]:
-    """Parse one OHLC file; returns its PriceSeries and the sha256 of its bytes.
-
-    The file is read once, as bytes, and decoded as strict UTF-8 (else
-    UnicodeDecodeError) with '\\r\\n' and a lone '\\r' read as '\\n', as universal
-    newlines read them.  A record the csv module rejects is a FormatError.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    text = data.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+def read_ohlc(path, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
+    """Parse one OHLC file read by serialize.read_text; a bad csv record is a FormatError."""
     try:
-        return parse_ohlc(text, fmt, ticker=ticker), hashlib.sha256(data).hexdigest()
+        return parse_ohlc(read_text(path), fmt, ticker=ticker)
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -272,8 +267,6 @@ def write_spin_csv(matrix: SpinMatrix, path) -> None:
     cell by the sign mask.  Written atomically (temp file + rename) like every
     other artifact.
     """
-    from .serialize import atomic_write_text
-
     t, n = matrix.values.shape
     cells = np.empty((t, 3 * n + 1), dtype=np.uint8)
     cells[:, :-1] = np.tile(np.frombuffer(b",-1", dtype=np.uint8), n)
@@ -302,16 +295,16 @@ def _scan_spins(body: bytes, n: int):
 
 
 def read_spin_csv(path) -> SpinMatrix:
-    """Read a spin file: exactly what write_spin_csv writes (see _scan_spins).
+    """Read a spin file (by serialize.read_text): exactly what write_spin_csv writes.
 
     Blank lines at the end are ignored; any other body is a FormatError that
     names its first bad line.
     """
-    with open(path) as handle:
-        header, body = handle.readline(), handle.read()
-    if not header:
+    text = read_text(path)
+    if not text:
         raise EmptyInputError(f"{path}: empty spin file")
-    header = header.removesuffix("\n").split(",")
+    header, _, body = text.partition("\n")
+    header = header.split(",")
     if header[0] != "date" or len(header) < 2:
         raise FormatError(f"{path}: expected header 'date,<tickers...>'")
     if body.endswith("\n\n"):  # only then is there a copy to make

@@ -1,8 +1,10 @@
-"""Deterministic artifact writing: JSON reports, CSV tables, run manifests.
+"""The file boundary: input text, JSON reports, CSV tables, run manifests.
 
-Artifacts are written to a temporary file and atomically renamed so a failed
-run never leaves a partially overwritten artifact.  No timestamps are
-emitted; identical inputs and config produce byte-identical files.
+Every file a command reads goes through read_text and every file it writes
+through atomic_write_text, both as UTF-8 whatever the locale.  Artifacts are
+written to a temporary file and atomically renamed so a failed run never
+leaves a partially overwritten artifact.  No timestamps are emitted;
+identical inputs and config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,13 +18,26 @@ from pathlib import Path
 
 import numpy as np
 
+recorder: dict | None = None  # when a dict, read_text records {str(path): sha256} in it
+
+
+def read_text(path) -> str:
+    """path's bytes, read once, as strict UTF-8 with '\\r\\n' and a lone '\\r' read as '\\n'."""
+    data = Path(path).read_bytes()
+    if recorder is not None:
+        recorder[str(path)] = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
 
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temp, path)
     except BaseException:
@@ -68,20 +83,12 @@ def histogram_rows(values: np.ndarray, bins: int):
     return [(edges[i], edges[i + 1], density[i]) for i in range(len(density))]
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def write_manifest(outdir, command: str, config: dict, inputs: list, artifacts: list) -> Path:
+def write_manifest(outdir, command: str, config: dict, inputs: dict, artifacts: list) -> Path:
     """Record the resolved config, seed, versions and input checksums.
 
-    inputs lists the paths read, or maps each path to the sha256 of the bytes
-    read from it.  The output directory itself is deliberately not part of
-    the recorded config so reruns into different directories stay
+    inputs maps each path read to the sha256 of the bytes parsed from it, as
+    read_text records them.  The output directory itself is deliberately
+    not part of the recorded config so reruns into different directories stay
     byte-identical.
     """
     import platform
@@ -97,8 +104,7 @@ def write_manifest(outdir, command: str, config: dict, inputs: list, artifacts: 
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "inputs": (inputs if isinstance(inputs, dict)
-                   else {str(p): sha256_file(p) for p in inputs}),
+        "inputs": inputs,
         "artifacts": sorted(Path(a).name for a in artifacts),  # all live in outdir
     }
     path = Path(outdir) / f"{command}.manifest.json"

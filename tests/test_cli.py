@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -420,6 +421,48 @@ def test_ingest_of_invalid_utf8_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_of_a_file_name_that_is_not_utf8_exits_1_and_writes_nothing(tmp_path, capfd):
+    files = write_ohlc(tmp_path)
+    odd = tmp_path / os.fsdecode(b"\xff.csv")
+    odd.write_bytes(Path(files[0]).read_bytes())
+    out = tmp_path / "out"
+    assert main(["ingest", files[1], str(odd), "-o", str(out)]) == 1
+    assert "holds '\\udcff', which a spin file cannot hold" in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_the_manifest_hashes_the_bytes_parsed_not_the_artifact_that_replaced_them(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    points = Path(write_file(out, "scaling_points.csv", "N,mean\n20,0.1\n40,0.05\n80,0.025\n"))
+    parsed = hashlib.sha256(points.read_bytes()).hexdigest()
+    assert main(["scaling", "--points", str(points), "-o", str(out)]) == 0
+    assert hashlib.sha256(points.read_bytes()).hexdigest() != parsed  # overwritten
+    manifest = json.loads((out / "scaling.manifest.json").read_text())
+    assert manifest["inputs"] == {str(points): parsed}
+
+
+def test_a_non_ascii_ticker_reads_the_same_under_an_ascii_locale(tmp_path):
+    spins = tmp_path / "spins.csv"
+    spins.write_bytes("date,Zürich,東京\n2021-03-01,1,-1\n2021-03-02,-1,-1\n"
+                      "2021-03-03,1,1\n".encode())
+    model = model_json(tmp_path, n=2)
+    outputs = {}
+    for name, locale in [("utf8", {"PYTHONUTF8": "1"}),
+                         ("ascii", {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"})]:
+        env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]), **locale)
+        for argv in (["moments", "--spins", str(spins)],
+                     ["tap", "--model", model, "--spins", str(spins)]):
+            done = subprocess.run(
+                [sys.executable, "-m", "isingmarket.cli", *argv, "-o", str(tmp_path / name)],
+                env=env, capture_output=True)
+            assert done.returncode == 0, (name, argv[0], done.stderr)
+        outputs[name] = [(tmp_path / name / artifact).read_bytes()
+                         for artifact in ("moments.json", "tap_pairs.csv")]
+    assert outputs["ascii"] == outputs["utf8"]
+    assert "Zürich".encode() in outputs["utf8"][1]
+
+
 def test_infeasible_moments_exit_1_and_an_empty_sign_cell_loads(tmp_path, capsys):
     # the (-1, -1) cell of the pair's sign table is (1 - 0.9 - 0.9 + 0.71) / 4 < 0
     bad = write_file(tmp_path, "bad.json", json.dumps(
@@ -443,11 +486,11 @@ def test_handlers_return_artifacts_and_main_writes_them(tmp_path, monkeypatch):
 
     def checked(command, handler):
         def run(cfg):
-            inputs, artifacts = handler(cfg)
+            artifacts = handler(cfg)
             out = Path(cfg["outdir"])
             assert not out.exists() or not any(out.iterdir()), command  # nothing written yet
             returned[command] = list(artifacts)
-            return inputs, artifacts
+            return artifacts
         return run
 
     for command, (handler, help_text, options) in COMMANDS.items():

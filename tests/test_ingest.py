@@ -157,6 +157,13 @@ def test_malformed_spin_matrices_raise(make, error, message):
         make()
 
 
+@pytest.mark.parametrize("tickers, dates", [(["a\udcff"], ["d"]), (["a"], ["\udcffd"])])
+def test_a_name_with_a_lone_surrogate_is_a_format_error(tickers, dates):
+    # a file name that is not UTF-8 decodes to one, and no UTF-8 file can hold it
+    with pytest.raises(FormatError, match=r"holds '\\udcff', which a spin file cannot hold"):
+        SpinMatrix(tickers=tickers, dates=dates, values=np.ones((1, 1)))
+
+
 def test_spin_csv_round_trip(tmp_path, rng):
     m = SpinMatrix(
         tickers=["aa", "bb", "cc"],

@@ -1,5 +1,6 @@
 """The one native loader (_native) and the C sources it builds."""
 
+import fnmatch
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import isingmarket
 from isingmarket import _native, ingest
 from isingmarket.cli import main
+from isingmarket.errors import KernelBuildError
 
 SOURCES = sorted(Path(_native.__file__).parent.glob("*.c"))
 
@@ -21,6 +23,14 @@ def test_both_c_sources_compile_cleanly_with_all_warnings():
         done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(path)],
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def test_every_c_source_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["isingmarket"]
+    for path in SOURCES:
+        assert any(fnmatch.fnmatch(path.name, pattern) for pattern in patterns), path.name
 
 
 @pytest.fixture
@@ -50,6 +60,12 @@ def test_reading_ohlc_or_spins_without_a_working_compiler_exits_1(
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not build_dir.exists() or not any(build_dir.iterdir())  # no partial library
+
+
+def test_a_missing_source_is_a_kernel_build_error(build_dir):
+    with pytest.raises(KernelBuildError, match="_absent.c"):
+        _native.load("_absent.c", "absent", None, ())
+    assert not build_dir.exists()
 
 
 def test_a_cached_library_loads_without_the_compiler(monkeypatch, build_dir):

@@ -1,10 +1,12 @@
+import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from isingmarket.serialize import write_json
+from isingmarket import serialize
+from isingmarket.serialize import read_text, write_json
 
 
 @dataclass
@@ -56,3 +58,18 @@ def test_write_json_rejects_other_objects_and_writes_nothing(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "bad.json", {"x": object()})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_read_text_folds_line_endings_rejects_non_utf8_and_records_only_when_asked(
+        tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    data = "a,é\r\nb\rc\n".encode()
+    path.write_bytes(data)
+    assert read_text(path) == "a,é\nb\nc\n"
+    recorded = {}
+    monkeypatch.setattr(serialize, "recorder", recorded)
+    assert read_text(path) == "a,é\nb\nc\n"
+    assert recorded == {str(path): hashlib.sha256(data).hexdigest()}
+    path.write_bytes(b"a\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_text(path)
