@@ -1,23 +1,70 @@
 /* One batch of Glauber heat-bath sweeps for sampler.glauber_sample.
  *
- * The caller draws the visiting orders and uniforms with numpy; this loop
- * only consumes them, with the arithmetic of the reference Python loop
- * (build with -ffp-contract=off, never -ffast-math).  J is symmetric, so
- * row i stands in for column i in the local-field update.  Rows are
- * recorded into out after every sweep past burn_in that is a multiple of
- * thin; the return value is the number of rows written.
+ * The loop draws from the caller's numpy Generator through its bit generator
+ * (rng.bit_generator.ctypes.bit_generator), in the order in which
+ * rng.permuted(rows, axis=1) and then rng.random((batch, n)) would draw: first
+ * every sweep's visiting order, each a Fisher-Yates shuffle of 0..n-1 with
+ * numpy's random_interval (mask rejection on next_uint32), then one
+ * next_double per visited slot.  The chain is thus the one the numpy calls
+ * give, which tests/conftest.reference_glauber checks bit for bit.  The
+ * arithmetic is that of the reference loop: build with -ffp-contract=off,
+ * never -ffast-math, so the vectorized field update rounds each element as
+ * the scalar one does.  J is symmetric, so row i stands in for column i in
+ * that update.  Rows are recorded into out after every sweep past burn_in
+ * that is a multiple of thin; the return value is the number of rows written.
  */
 #include <math.h>
 #include <stdint.h>
 
-int64_t glauber_sweeps(int64_t n, int64_t batch, const double *J, const double *h,
-                       double *f, double *s, const int64_t *orders, const double *u,
+/* numpy/random/bitgen.h, declared here so the build needs no numpy headers */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+#if defined(__x86_64__)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CLONES
+#endif
+
+/* numpy's random_interval for 0 < max < 2^32: uniform on 0..max */
+static uint32_t interval(bitgen_t *rng, uint32_t max)
+{
+    uint32_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = rng->next_uint32(rng->state) & mask) > max)
+        ;
+    return value;
+}
+
+CLONES
+int64_t glauber_sweeps(int64_t n, int64_t batch, const double *restrict J, const double *h,
+                       double *restrict f, double *s, bitgen_t *rng, int64_t *orders,
                        int64_t sweep, int64_t burn_in, int64_t thin, int8_t *out)
 {
+    for (int64_t k = 0; k < batch; k++) {
+        int64_t *order = orders + k * n;
+        for (int64_t slot = 0; slot < n; slot++)
+            order[slot] = slot;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t j = interval(rng, (uint32_t)i), swap = order[j];
+            order[j] = order[i];
+            order[i] = swap;
+        }
+    }
     int64_t recorded = 0;
-    for (int64_t k = 0; k < batch; k++, orders += n, u += n) {
+    for (int64_t k = 0; k < batch; k++, orders += n) {
         for (int64_t slot = 0; slot < n; slot++) {
             int64_t i = orders[slot];
+            double u = rng->next_double(rng->state);  /* drawn whatever z is */
             double z = 2.0 * (h[i] + f[i]);
             double v;
             if (z > 40.0)
@@ -25,9 +72,9 @@ int64_t glauber_sweeps(int64_t n, int64_t batch, const double *J, const double *
             else if (z < -40.0)
                 v = -1.0;
             else
-                v = u[slot] < 1.0 / (1.0 + exp(-z)) ? 1.0 : -1.0;
+                v = u < 1.0 / (1.0 + exp(-z)) ? 1.0 : -1.0;
             if (v != s[i]) {
-                const double *row = J + i * n;
+                const double *restrict row = J + i * n;
                 double step = 2.0 * v;
                 s[i] = v;
                 for (int64_t j = 0; j < n; j++)

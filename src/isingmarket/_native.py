@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import KernelBuildError
 
 _BUILD_DIR = Path(__file__).with_name("__pycache__")
-_CC = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+_CC = ["cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 def _build(command: list[str], library: Path) -> None:

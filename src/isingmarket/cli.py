@@ -96,7 +96,10 @@ def _check(opt: Opt, value) -> None:
 
 def _load_config_file(path: str) -> dict:
     """Accept a JSON object or simple key=value lines (# comments allowed)."""
-    text = serialize.read_text(path)
+    try:
+        text = serialize.read_text(path)
+    except FormatError as exc:  # not UTF-8
+        raise UsageError(str(exc)) from exc
     if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
@@ -138,8 +141,9 @@ def _resolve(ns: argparse.Namespace, options: list[Opt]) -> dict:
 
 def _load(path: str, parse):
     """parse(JSON content of path); malformed content is a FormatError naming path."""
+    text = serialize.read_text(path)
     try:
-        return parse(json.loads(serialize.read_text(path)))
+        return parse(json.loads(text))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
@@ -440,7 +444,7 @@ def main(argv=None) -> int:
             path.unlink(missing_ok=True)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ToolkitError, UnicodeDecodeError) as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in written:

@@ -115,14 +115,30 @@ def _uncertified(matrix: SpinMatrix, w: np.ndarray) -> Iterator[str]:
             yield matrix.tickers[i]
 
 
-def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int):
+def _pinned(spins: np.ndarray) -> np.ndarray:
+    """Mask of the spins that are constant or equal or opposite to another spin.
+
+    One Gram matrix of (1, S) gives both: |q_i| = 1 or |Q_ij| = 1.  The sums
+    are integers, exact in float64, so the test is exact.
+    """
+    t = len(spins)
+    design = np.column_stack([np.ones(t), spins])
+    tied = np.abs(design.T @ design) == t
+    np.fill_diagonal(tied, False)
+    return tied[1:].any(axis=1)
+
+
+def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
+              held: np.ndarray | None = None):
     """Asymmetric pseudo-likelihood estimate W, one row per spin.
 
     Row i holds (J_i., h_i on the diagonal); spin i's local fields are column i
     of F = S J^T + h (J: W off its diagonal, h: diag W).  The concave objective
         sum_i [ mean_t log sigma(2 s_i(t) F_i(t)) - ridge |W_i.|^2 ]
     is maximized by the shared damped Newton-CG solver, with two GEMMs per
-    gradient and per Hessian product.  Returns (W, iterations, max-abs gradient).
+    gradient and per Hessian product.  The rows that the mask held selects stay
+    at zero; the rows are separate problems, so the others are fitted as alone.
+    Returns (W, iterations, max-abs gradient).
     """
     t, n = spins.shape
 
@@ -139,9 +155,11 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int):
     def evaluate(x: np.ndarray):
         w = x.reshape(n, n)
         miss = 1.0 - np.tanh(spins * fields(w))  # 2 (1 - sigma(2 s F))
-        gradient = (rows_times_design(spins * miss) / t - 2.0 * ridge * w).ravel()
+        gradient = rows_times_design(spins * miss) / t - 2.0 * ridge * w
+        if held is not None:
+            gradient[held] = 0.0
         miss *= 2.0 - miss  # 4 sigma (1 - sigma), the Hessian weights
-        return miss, gradient
+        return miss, gradient.ravel()
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         v = v.reshape(n, n)
@@ -165,13 +183,18 @@ def plm_fit(matrix: SpinMatrix, ridge: float = 1e-3, tol: float = 1e-8,
     At ridge 0 DivergenceError names each spin whose fit certifies no finite
     maximum (``_uncertified``), as separable rows have none (Albert & Anderson,
     Biometrika 71:1, 1984).  If none is named, each maximum is also unique: a
-    column of (1, S) fixed by the others would make its spin separable.
+    column of (1, S) fixed by the others would make its spin separable.  A
+    spin that is constant or equal or opposite to another (``_pinned``) is
+    separable at sight: its row is held at zero instead of fitted, which
+    skips its divergent fit, and the certificate of that zero row fails.
     """
     if matrix.t < 2:
         raise InsufficientSampleError("pseudo-likelihood needs at least 2 rows")
     if ridge < 0.0:
         raise DivergenceError(f"ridge must be >= 0, got {ridge}")
-    raw, iterations, residual = _plm_rows(matrix.values.astype(np.float64), ridge, tol, max_iter)
+    spins = matrix.values.astype(np.float64)
+    held = _pinned(spins) if ridge == 0.0 else None
+    raw, iterations, residual = _plm_rows(spins, ridge, tol, max_iter, held)
     if ridge == 0.0 and (names := ", ".join(_uncertified(matrix, raw))):
         raise DivergenceError(f"no finite maximum is certified for spins {names}; use ridge > 0")
     return FitReport(model=IsingModel(J=symmetrize(raw), h=np.diag(raw).copy()),

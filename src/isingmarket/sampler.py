@@ -3,9 +3,9 @@
 Single-spin updates: spin i is set to +1 with probability
 sigma(2 * (h_i + sum_j J_ij s_j)), one sweep visits all N spins in a fresh
 random order, and rows are recorded every `thin` sweeps after burn-in.  The
-chain is fully deterministic given the seed.  numpy draws the orders and
-uniforms; the sweeps themselves run in the C loop of _glauber.c, compiled
-on first use.
+chain is fully deterministic given the seed.  The C loop of _glauber.c,
+compiled on first use, runs the sweeps and draws their orders and uniforms
+from the seeded numpy Generator as rng.permuted and rng.random would.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import ConfigError, DegenerateRatioError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
 
-_SWEEP_BATCH = 512  # sweeps per batched RNG draw and local-field recomputation
+_SWEEP_BATCH = 512  # sweeps per batch of visiting orders and local-field recomputation
 
 
 @dataclass
@@ -62,15 +62,13 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
 
     total_sweeps = config.burn_in + config.rows * config.thin
     recorded = 0
-    base = np.tile(np.arange(n, dtype=np.int64), (_SWEEP_BATCH, 1))
+    bitgen = rng.bit_generator.ctypes.bit_generator
+    orders = np.empty((_SWEEP_BATCH, n), dtype=np.int64)  # the kernel's scratch
     for start in range(0, total_sweeps, _SWEEP_BATCH):
         batch = min(_SWEEP_BATCH, total_sweeps - start)
-        orders = rng.permuted(base[:batch], axis=1)
-        uniforms = rng.random((batch, n))
         recorded += sweeps(n, batch, coupling.ctypes.data, h.ctypes.data,
-                           fields.ctypes.data, s.ctypes.data, orders.ctypes.data,
-                           uniforms.ctypes.data, start, config.burn_in, config.thin,
-                           out[recorded:].ctypes.data)
+                           fields.ctypes.data, s.ctypes.data, bitgen, orders.ctypes.data,
+                           start, config.burn_in, config.thin, out[recorded:].ctypes.data)
         fields = coupling @ s  # shed accumulated rounding between batches
 
     width_n = len(str(max(n - 1, 1)))

@@ -18,15 +18,23 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FormatError
+
 recorder: dict | None = None  # when a dict, read_text records {str(path): sha256} in it
 
 
 def read_text(path) -> str:
-    """path's bytes, read once, as strict UTF-8 with '\\r\\n' and a lone '\\r' read as '\\n'."""
+    """path's bytes, read once, as strict UTF-8 with '\\r\\n' and a lone '\\r' read as '\\n'.
+
+    Bytes that are not UTF-8 are a FormatError naming path.
+    """
     data = Path(path).read_bytes()
     if recorder is not None:
         recorder[str(path)] = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isingmarket
+from conftest import planted_model
+from isingmarket import SamplerConfig, glauber_sample, inverse
 from isingmarket.cli import COMMANDS, main
+from isingmarket.ingest import SpinMatrix, write_spin_csv
+from isingmarket.newton import newton
 
 PRICES = {
     "aaa": [10.0, 10.5, 10.2, 10.8, 11.0, 10.4, 10.9, 11.2, 10.7, 11.5],
@@ -419,6 +423,44 @@ def test_ingest_of_invalid_utf8_exits_1_and_writes_nothing(tmp_path, capsys):
     assert main(["ingest", *files, "-o", str(out)]) == 1
     assert "can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bytes_that_are_not_utf8_name_their_file(tmp_path, capsys):
+    spins = tmp_path / "spins.csv"
+    spins.write_bytes(b"date,a,b\nd1,1,-1\nd2,-1,\xff\n")
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"bins=\xff\n")
+    good = write_file(tmp_path, "good.csv", "date,a,b\nd1,1,-1\nd2,-1,1\n")
+    for argv, code, path in [(["moments", "--spins", str(spins)], 1, spins),
+                             (["spectrum", "--spins", good, "--config", str(config)], 2, config)]:
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == code, argv
+        assert f"{path}: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_ridge_0_plm_on_a_constant_or_duplicated_column_exits_1(tmp_path, capsys, monkeypatch):
+    steps = []
+
+    def counted(*args):
+        result = newton(*args)
+        steps.append(result[1])
+        return result
+
+    monkeypatch.setattr(inverse, "newton", counted)
+    base = glauber_sample(planted_model(50, 0.05, 0.1, 3), SamplerConfig(rows=4800, seed=3))
+    inverse.plm_fit(base, ridge=0.0)
+    for column, named in [(np.ones(4800), "s10"), (base.values[:, 3], "s03, s10")]:
+        values = base.values.copy()
+        values[:, 10] = column
+        spins = tmp_path / "spins.csv"
+        write_spin_csv(SpinMatrix(base.tickers, base.dates, values), spins)
+        out = tmp_path / "out"
+        assert main(["fit", "--method", "plm", "--ridge", "0", "--spins", str(spins),
+                     "-o", str(out)]) == 1
+        assert f"certified for spins {named}; use ridge > 0" in capsys.readouterr().err
+        assert not out.exists()
+    assert max(steps[1:]) <= steps[0]  # no divergent fit: no more steps than the clean data
 
 
 def test_ingest_of_a_file_name_that_is_not_utf8_exits_1_and_writes_nothing(tmp_path, capfd):

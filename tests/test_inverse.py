@@ -24,7 +24,7 @@ from isingmarket.errors import (
     ReliabilityError,
     SingularMatrixError,
 )
-from isingmarket.inverse import _plm_rows
+from isingmarket.inverse import _pinned, _plm_rows
 from isingmarket.model import FitReport
 from isingmarket.moments import MomentSet
 
@@ -225,6 +225,18 @@ def test_plm_separable_spin_diverges_without_ridge():
         for tol in (1e-6, 1e-8, 1e-10, 1e-13):
             with pytest.raises(DivergenceError, match="ridge"):
                 plm_fit(mat, ridge=0.0, tol=tol)
+
+
+def test_pinned_marks_constant_and_equal_or_opposite_spins_only():
+    rng = np.random.default_rng(8)
+    free = rng.integers(0, 2, (60, 4)) * 2 - 1
+    cases = [(free, []),
+             (np.column_stack([free, np.ones(60)]), [4]),
+             (np.column_stack([free, -np.ones(60)]), [4]),
+             (np.column_stack([free, free[:, 1]]), [1, 4]),
+             (np.column_stack([free, -free[:, 2]]), [2, 4])]
+    for values, pinned in cases:
+        assert np.flatnonzero(_pinned(values.astype(np.float64))).tolist() == pinned
 
 
 def one_factor_spins(seed):

@@ -25,6 +25,13 @@ def test_both_c_sources_compile_cleanly_with_all_warnings():
         assert done.returncode == 0, done.stderr
 
 
+def test_the_compiler_command_keeps_ieee_rounding_and_portable_code():
+    # the kernel must round as the reference loop does, and the cached library
+    # must load on any host of the architecture
+    assert "-ffp-contract=off" in _native._CC
+    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(_native._CC)
+
+
 def test_every_c_source_is_package_data():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())

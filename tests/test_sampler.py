@@ -18,6 +18,7 @@ from isingmarket import _native
 from isingmarket.cli import main
 from isingmarket.errors import ConfigError, DegenerateRatioError, KernelBuildError
 from isingmarket.exact import gibbs_probabilities, state_index
+from isingmarket.sampler import _SWEEP_BATCH
 
 
 def test_config_invariants():
@@ -44,6 +45,24 @@ def test_matches_reference_loop_bit_for_bit():
                     case = (n, thin, j_sd, rows)
                     assert np.array_equal(glauber_sample(model, config).values,
                                           reference_glauber(model, config)), case
+
+
+def test_matches_reference_loop_bit_for_bit_at_the_critical_demo_size():
+    # N=100 as critical-demo samples it; 230 + 301 sweeps cross one batch boundary
+    for thin, (j_sd, h_sd) in [(1, (0.1, 0.0)), (2, (0.1, 0.3)), (1, (5.0, 3.0))]:
+        model = planted_model(100, j_sd, h_sd, seed=thin + int(10 * j_sd))
+        config = SamplerConfig(rows=230 // thin, burn_in=301, thin=thin, seed=thin)
+        assert np.array_equal(glauber_sample(model, config).values,
+                              reference_glauber(model, config)), (thin, j_sd)
+
+
+def test_matches_reference_loop_when_the_sweeps_fill_whole_batches():
+    model = planted_model(5, 0.4, 0.2, seed=12)
+    for rows, burn_in, thin in [(212, 300, 1), (362, 300, 2), (1, _SWEEP_BATCH - 1, 1)]:
+        assert (rows * thin + burn_in) % _SWEEP_BATCH == 0
+        config = SamplerConfig(rows=rows, burn_in=burn_in, thin=thin, seed=rows)
+        assert np.array_equal(glauber_sample(model, config).values,
+                              reference_glauber(model, config)), rows
 
 
 @pytest.mark.parametrize("compiler, message", [

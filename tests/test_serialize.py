@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isingmarket import serialize
+from isingmarket.errors import FormatError
 from isingmarket.serialize import read_text, write_json
 
 
@@ -71,5 +72,5 @@ def test_read_text_folds_line_endings_rejects_non_utf8_and_records_only_when_ask
     assert read_text(path) == "a,é\nb\nc\n"
     assert recorded == {str(path): hashlib.sha256(data).hexdigest()}
     path.write_bytes(b"a\xff\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(FormatError, match="in.csv: not UTF-8"):
         read_text(path)
