@@ -156,7 +156,7 @@ def _load_model(path: str) -> IsingModel:
 
 
 def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
-    return {f"{stem}.json": asdict(spectrum) | {"market_mode": spectrum.market_mode},
+    return {f"{stem}.json": spectrum,
             f"{stem}_hist.csv": (["bin_left", "bin_right", "density"],
                                  histogram_rows(spectrum.eigenvalues, bins))}
 

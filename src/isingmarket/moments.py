@@ -122,11 +122,7 @@ class Spectrum:
     mp_upper: float
     edge_lower: float
     edge_upper: float
-
-    @property
-    def market_mode(self) -> float:
-        """Largest eigenvalue: the candidate collective market mode."""
-        return float(self.eigenvalues[-1])
+    market_mode: float  # largest eigenvalue: the candidate collective market mode
 
 
 def marchenko_pastur_bounds(n: int, t: int) -> tuple[float, float]:
@@ -161,42 +157,29 @@ def empirical_moments(matrix: SpinMatrix) -> MomentSet:
     return MomentSet(q=q, Q=big_q, sample_size=float(t))
 
 
-def pearson_correlation(moments: MomentSet, tickers: list[str]) -> np.ndarray:
-    """Correlation matrix from a moment set; errors on any zero-variance column."""
-    corr = moments.C
-    variances = np.diag(corr).copy()
-    dead = np.flatnonzero(variances <= 0.0)
-    if dead.size:
-        names = ", ".join(tickers[i] for i in dead)
-        raise DegenerateDataError(f"constant column(s), correlation undefined: {names}")
-    scale = 1.0 / np.sqrt(variances)
-    corr *= np.outer(scale, scale)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
-def _spectrum_of(matrix: np.ndarray, kind: str, n: int, t: int) -> Spectrum:
-    eigenvalues = np.linalg.eigvalsh(matrix)
+def _spectrum(matrix: SpinMatrix, kind: str) -> Spectrum:
+    """Eigenvalues of the spins' Pearson correlation (kind "correlation") or connected-
+    correlation ("covariance") matrix with both noise bands; warns when T <= N."""
+    n, t = matrix.n, matrix.t
+    corr = empirical_moments(matrix).C
+    if t <= n:
+        warnings.warn(f"T={t} not larger than N={n}; spectrum will be rank-deficient",
+                      stacklevel=3)
+    if kind == "correlation":
+        variances = np.diag(corr).copy()
+        dead = np.flatnonzero(variances <= 0.0)
+        if dead.size:
+            names = ", ".join(matrix.tickers[i] for i in dead)
+            raise DegenerateDataError(f"constant column(s), correlation undefined: {names}")
+        scale = 1.0 / np.sqrt(variances)
+        corr *= np.outer(scale, scale)
+        np.fill_diagonal(corr, 1.0)
+    eigenvalues = np.linalg.eigvalsh(corr)  # ascending
     lo, hi = marchenko_pastur_bounds(n, t)
     edge_lo, edge_hi = finite_size_band(n, t)
-    return Spectrum(
-        eigenvalues=np.sort(eigenvalues),
-        matrix_kind=kind,
-        N=n,
-        T=t,
-        mp_lower=lo,
-        mp_upper=hi,
-        edge_lower=edge_lo,
-        edge_upper=edge_hi,
-    )
-
-
-def _warn_if_rank_deficient(matrix: SpinMatrix) -> None:
-    if matrix.t <= matrix.n:
-        warnings.warn(
-            f"T={matrix.t} not larger than N={matrix.n}; spectrum will be rank-deficient",
-            stacklevel=3,
-        )
+    return Spectrum(eigenvalues=eigenvalues, matrix_kind=kind, N=n, T=t, mp_lower=lo,
+                    mp_upper=hi, edge_lower=edge_lo, edge_upper=edge_hi,
+                    market_mode=float(eigenvalues[-1]))
 
 
 def correlation_spectrum(matrix: SpinMatrix) -> Spectrum:
@@ -204,14 +187,9 @@ def correlation_spectrum(matrix: SpinMatrix) -> Spectrum:
 
     Warns (without failing) when T <= N, outside the usual inversion regime.
     """
-    moments = empirical_moments(matrix)
-    _warn_if_rank_deficient(matrix)
-    corr = pearson_correlation(moments, matrix.tickers)
-    return _spectrum_of(corr, "correlation", matrix.n, matrix.t)
+    return _spectrum(matrix, "correlation")
 
 
 def covariance_spectrum(matrix: SpinMatrix) -> Spectrum:
     """Eigenvalues of the connected-correlation (covariance) matrix."""
-    moments = empirical_moments(matrix)
-    _warn_if_rank_deficient(matrix)
-    return _spectrum_of(moments.C, "covariance", matrix.n, matrix.t)
+    return _spectrum(matrix, "covariance")
