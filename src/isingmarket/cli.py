@@ -12,7 +12,9 @@ $ISINGMARKET_OUTDIR, then ./artifacts.
 Exit codes: 0 success; 1 domain error, including malformed file content;
 2 usage error: unknown flag or key, a wrong type, a value out of range, a
 missing or unreadable path, an unwritable artifact.  Handlers write nothing:
-main writes the artifacts a handler returns, so nothing is written on 1 or 2.
+main writes the artifacts a handler returns, and a result that is not finite
+is a domain error when its artifact is written (see serialize).  On 1 or 2
+main removes whatever this run wrote, so nothing is left behind.
 """
 
 from __future__ import annotations
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     handler, _, options = COMMANDS[ns.command]
-    written = []  # unlinked if a later write fails: a usage error leaves nothing behind
+    written = []  # unlinked if a later write fails: a failed run leaves nothing behind
     try:
         config = _resolve(ns, options)
         serialize.recorder = inputs = {}
@@ -440,16 +442,17 @@ def main(argv=None) -> int:
             written.append(path)
         written.append(write_manifest(config["outdir"], ns.command, config, inputs, paths))
     except (UsageError, OSError) as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"usage error: {exc}"
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}"
+    else:
+        for path in written:
+            print(path)
+        return 0
     for path in written:
-        print(path)
-    return 0
+        path.unlink(missing_ok=True)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

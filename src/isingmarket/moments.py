@@ -19,6 +19,7 @@ from .model import checked_int
 
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
 _ROUNDING = 1e-12  # a sign-table cell this far below 0 is rounding, not infeasibility
+_SAFE_EXPONENT = 200  # unit_scaled leaves values up to 2^200 (1.6e60) as they are
 
 
 @dataclass
@@ -155,6 +156,25 @@ def empirical_moments(matrix: SpinMatrix) -> MomentSet:
     big_q = 0.5 * (big_q + big_q.T)
     np.fill_diagonal(big_q, 1.0)  # s_i^2 = 1 exactly
     return MomentSet(q=q, Q=big_q, sample_size=float(t))
+
+
+def unit_scaled(values) -> tuple[np.ndarray, int]:
+    """(values * 2^-k, k): k = 0 if the largest |value| is 0 or within 2^+-_SAFE_EXPONENT,
+    else the k that brings it into [0.5, 1).  A power of two scales exactly: moments of
+    the scaled values, scaled back, keep every bit, and their sums of up to fourth
+    powers stay finite."""
+    values = np.asarray(values, dtype=np.float64)
+    top = float(np.abs(values).max(initial=0.0))
+    k = math.frexp(top)[1]
+    if top == 0.0 or abs(k) <= _SAFE_EXPONENT:
+        return values, 0
+    return np.ldexp(values, -k), k
+
+
+def mean_std(values) -> tuple[float, float]:
+    """values.mean() and values.std(), also where the sum or the squares would overflow."""
+    scaled, k = unit_scaled(values)
+    return math.ldexp(scaled.mean(), k), math.ldexp(scaled.std(), k)
 
 
 def _spectrum(matrix: SpinMatrix, kind: str) -> Spectrum:

@@ -19,6 +19,7 @@ from . import _native, inverse
 from .errors import ConfigError, DegenerateRatioError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
+from .moments import mean_std
 
 _SWEEP_BATCH = 512  # sweeps per batch of visiting orders and local-field recomputation
 
@@ -101,17 +102,16 @@ def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> Nois
     n = real_fit.model.n
     iu = np.triu_indices(n, k=1)
     real_off = real_fit.model.J[iu]
-    sigma_j = float(real_off.std())
+    mean_j, sigma_j = mean_std(real_off)
     if sigma_j <= 1e-12 * (1.0 + np.abs(real_off).max()):
         raise DegenerateRatioError("real couplings are constant; noise ratio undefined")
 
-    mean_j = float(real_off.mean())
     homogeneous = np.full((n, n), mean_j)
     np.fill_diagonal(homogeneous, 0.0)
     surrogate = IsingModel(J=homogeneous, h=np.zeros(n))
 
     refit = inverse.fit(method, glauber_sample(surrogate, config))
-    sigma_noise = float(refit.model.J[iu].std())
+    sigma_noise = mean_std(refit.model.J[iu])[1]
     echo = asdict(config) | {"method": method, "N": n, "mean_J": mean_j}
     return NoiseReport(
         sigma_noise=sigma_noise,

@@ -4,13 +4,15 @@ Every file a command reads goes through read_text and every file it writes
 through atomic_write_text, both as UTF-8 whatever the locale.  Artifacts are
 written to a temporary file and atomically renamed so a failed run never
 leaves a partially overwritten artifact.  No timestamps are emitted;
-identical inputs and config produce byte-identical files.
+identical inputs and config produce byte-identical files.  A NaN or an
+infinity is never written: the writers raise a DomainError naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, is_dataclass
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 recorder: dict | None = None  # when a dict, read_text records {str(path): sha256} in it
 
@@ -65,19 +67,27 @@ def _plain(obj):
 
 def write_json(path, payload) -> None:
     """A dict or dataclass as sorted, indented JSON (np.float64 is a float: repr)."""
-    text = json.dumps(payload, default=_plain, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(payload, default=_plain, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity
+        raise DomainError(f"{path}: {exc}") from exc
     atomic_write_text(Path(path), text + "\n")
 
 
 def write_csv(path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
+    try:
+        for row in rows:
+            lines.append(",".join(_cell(value) for value in row))
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"a table cell is {value!r}, not a finite number")
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ingest import SpinMatrix
 from .model import IsingModel
-from .moments import Spectrum, covariance_spectrum
+from .moments import Spectrum, covariance_spectrum, mean_std, unit_scaled
 from .sampler import SamplerConfig, glauber_sample
 
 _MIN_NORMALITY_SAMPLE = 50
@@ -90,8 +90,7 @@ def qq_compare(values: np.ndarray, quantile_count: int = 1000) -> np.ndarray:
         )
     probs = np.arange(1, quantile_count) / quantile_count
     empirical = np.quantile(values, probs)
-    mu = values.mean()
-    sd = values.std()
+    mu, sd = mean_std(values)
     if sd == 0.0:
         _warnings.warn("constant sample: theoretical quantiles degenerate to the mean",
                        stacklevel=2)
@@ -117,10 +116,13 @@ def trim_upper_tail(values: np.ndarray, fraction: float = 0.04) -> np.ndarray:
 
 
 def jarque_bera(values: np.ndarray) -> tuple[float, float]:
-    """JB = n/6 * (skew^2 + excess_kurtosis^2 / 4), p-value from chi2(2)."""
-    values = np.asarray(values, dtype=np.float64)
+    """JB = n/6 * (skew^2 + excess_kurtosis^2 / 4), p-value from chi2(2).
+
+    JB does not depend on the values' scale, so it is taken of unit_scaled values and
+    deviations: their fourth powers stay finite, and the largest does not underflow."""
+    values, _ = unit_scaled(values)
     n = values.size
-    centered = values - values.mean()
+    centered, _ = unit_scaled(values - values.mean())
     m2 = np.mean(centered**2)
     if m2 == 0.0:
         raise DegenerateDataError("constant sample: Jarque-Bera undefined")
@@ -135,9 +137,10 @@ def chi2_gaussian(values: np.ndarray, bins: int = 20) -> tuple[float, float, int
 
     Equiprobable bins under the fitted Gaussian; the bin count is lowered if
     needed so every expected count is >= 5.  Degrees of freedom bins - 3
-    (two fitted parameters).  Returns (stat, p, bins_used).
+    (two fitted parameters).  Returns (stat, p, bins_used); the bin counts do not
+    depend on the values' scale, so they are taken of unit_scaled values.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values, _ = unit_scaled(values)
     n = values.size
     bins_used = max(4, min(bins, n // 5))
     mu = values.mean()
@@ -164,6 +167,7 @@ def normality_tests(values: np.ndarray, bins: int = 20,
         )
     chi2_stat, chi2_p, _ = chi2_gaussian(retained, bins)
     jb_stat, jb_p = jarque_bera(retained)
+    mean, std = mean_std(retained)
     return NormalityReport(
         n=n,
         trimmed=values.size - n,
@@ -171,8 +175,8 @@ def normality_tests(values: np.ndarray, bins: int = 20,
         chi2_p=chi2_p,
         jb_stat=jb_stat,
         jb_p=jb_p,
-        mean=float(retained.mean()),
-        std=float(retained.std()),
+        mean=mean,
+        std=std,
     )
 
 
@@ -230,21 +234,29 @@ def powerlaw_fit(sizes: np.ndarray, means: np.ndarray) -> ScalingFit:
 
 
 def bias_decomposition(model: IsingModel, matrix: SpinMatrix) -> list[BiasRow]:
-    """Per-ticker internal bias 0.5 * sum_j J_ij s_j versus the field h_i."""
+    """Per-ticker internal bias 0.5 * sum_j J_ij s_j versus the field h_i.
+
+    The biases are summed in units of 2^k (see unit_scaled), so no product, sum or
+    square overflows; a mean or spread beyond the float range is a DomainError.
+    """
     if model.n != matrix.n:
         raise DimensionMismatchError(
             f"model has N={model.n}, spin matrix has N={matrix.n}"
         )
-    internal = 0.5 * (matrix.values.astype(np.float64) @ model.J)
-    return [
-        BiasRow(
-            ticker=matrix.tickers[i],
-            h=float(model.h[i]),
-            h_int_mean=float(internal[:, i].mean()),
-            h_int_std=float(internal[:, i].std()),
-        )
-        for i in range(model.n)
-    ]
+    coupling, k = unit_scaled(model.J)
+    internal = 0.5 * (matrix.values.astype(np.float64) @ coupling)
+    try:
+        return [
+            BiasRow(
+                ticker=matrix.tickers[i],
+                h=float(model.h[i]),
+                h_int_mean=math.ldexp(internal[:, i].mean(), k),
+                h_int_std=math.ldexp(internal[:, i].std(), k),
+            )
+            for i in range(model.n)
+        ]
+    except OverflowError as exc:
+        raise DomainError(f"internal biases of couplings near 2^{k} overflow") from exc
 
 
 def critical_spectrum_demo(

@@ -11,6 +11,7 @@ the mean-field solution is trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,15 @@ def tap_fixed_point(
     """Damped TAP iteration from m = tanh(h) (or a caller-supplied start).
 
     Non-convergence is reported via converged=False with the best iterate;
-    only NaN/overflow raises.
+    only NaN/overflow raises, and a J whose field or Onsager terms (up to
+    |h| + N max|J| (1 + max|J|)) would overflow raises before the first step.
     """
     if not 0.0 < damping <= 1.0:
         raise DivergenceError(f"damping must be in (0, 1], got {damping}")
     j = model.J
+    top = float(np.abs(j).max(initial=0.0))
+    if not math.isfinite(float(np.abs(model.h).max(initial=0.0)) + model.n * top * (1.0 + top)):
+        raise DivergenceError(f"TAP terms overflow: max |J_ij| = {top:.6g} at N = {model.n}")
     j_sq = j**2
     m = np.tanh(model.h) if init is None else np.asarray(init, dtype=np.float64).copy()
 

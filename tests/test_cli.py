@@ -402,6 +402,76 @@ def test_domain_error_exit_1(tmp_path):
         assert not out.exists() or not any(out.iterdir()), case
 
 
+@pytest.mark.parametrize("second", [{"x": [1.0, float("nan")]},
+                                    (["name", "x"], [("a", 0.5), ("b", float("inf"))])])
+def test_a_non_finite_artifact_exits_1_and_removes_what_this_run_wrote(
+        tmp_path, capsys, monkeypatch, second):
+    name = "second.json" if isinstance(second, dict) else "second.csv"
+    monkeypatch.setitem(COMMANDS, "moments", (lambda cfg: {"first.json": {"x": 1.0}, name: second},
+                                              *COMMANDS["moments"][1:]))
+    out = tmp_path / "out"
+    spins = write_file(tmp_path, "spins.csv", "date,a\nd1,1\nd2,-1\n")
+    assert main(["moments", "--spins", spins, "-o", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def overflow_cases(tmp_path):
+    """argv lists on valid files whose couplings are large enough to overflow a square,
+    each with the exit code it must give."""
+    rng = np.random.default_rng(21)
+    rows = rng.integers(0, 2, (200, 12)) * 2 - 1
+    spins = write_file(tmp_path, "spins12.csv", "date," + ",".join(f"s{i}" for i in range(12))
+                       + "\n" + "".join(f"d{t}," + ",".join(map(str, r)) + "\n"
+                                         for t, r in enumerate(rows)))
+    fit = {"method": "plm", "iterations": 1, "residual": None, "warnings": [],
+           "model": json.loads(Path(model_json(tmp_path, n=6, scale=1e300)).read_text())}
+    fit = write_file(tmp_path, "fit1e300.json", json.dumps(fit))
+    model = {(n, scale): model_json(tmp_path, n=n, scale=scale, seed=n, name=f"m{n}_{scale}.json")
+             for n, scale in [(12, 1e160), (12, 1e300), (14, 1e100), (14, 1e160),
+                              (6, 1e160), (6, 1e300)]}
+    return {
+        "noise plm 1e300": (0, ["noise", "--fit", fit, "--method", "plm", "--t", "300"]),
+        "bias 1e160": (0, ["bias", "--model", model[12, 1e160], "--spins", spins]),
+        "bias 1e300": (0, ["bias", "--model", model[12, 1e300], "--spins", spins]),
+        "normality 1e100": (0, ["normality", "--model", model[14, 1e100], "--quantiles", "20"]),
+        "normality 1e160": (0, ["normality", "--model", model[14, 1e160], "--quantiles", "20"]),
+        "tap 1e160": (1, ["tap", "--model", model[6, 1e160]]),
+        "tap 1e300": (1, ["tap", "--model", model[6, 1e300]]),
+    }
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in a JSON artifact")
+
+
+def _number(cell):
+    """A CSV cell as a float ('nan' and 'inf' included), or None if it is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def test_overflowing_couplings_give_finite_artifacts_or_exit_1(tmp_path):
+    for case, (expected, argv) in overflow_cases(tmp_path).items():
+        out = tmp_path / "out" / case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "-o", str(out)]) == expected, case
+        if expected:
+            assert not out.exists() or not any(out.iterdir()), case
+            continue
+        for path in out.iterdir():
+            text = path.read_text()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_refuse)
+            else:
+                numbers = [_number(cell) for line in text.splitlines()[1:]
+                           for cell in line.split(",")]
+                assert np.isfinite([x for x in numbers if x is not None]).all(), (case, path)
+
+
 def test_format_error_names_the_file(tmp_path, capsys):
     good = model_json(tmp_path, n=3)
     bad = write_file(tmp_path, "bad.json", '{"N": 2.5, "h": [0, 0], "J": [0, 0, 0, 0]}')

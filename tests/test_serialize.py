@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from isingmarket import serialize
-from isingmarket.errors import FormatError
-from isingmarket.serialize import read_text, write_json
+from isingmarket.errors import DomainError, FormatError
+from isingmarket.serialize import read_text, write_csv, write_json
 
 
 @dataclass
@@ -58,6 +58,20 @@ def test_write_json_turns_dataclasses_and_numpy_values_into_plain_json(tmp_path)
 def test_write_json_rejects_other_objects_and_writes_nothing(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "bad.json", {"x": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, float("nan")])
+def test_write_json_refuses_a_non_finite_number_and_writes_nothing(tmp_path, value):
+    with pytest.raises(DomainError, match="report.json"):
+        write_json(tmp_path / "report.json", {"ok": 1.0, "rows": [{"x": [0.5, value]}]})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.float32(np.inf), float("-inf")])
+def test_write_csv_refuses_a_non_finite_cell_and_writes_nothing(tmp_path, value):
+    with pytest.raises(DomainError, match="table.csv"):
+        write_csv(tmp_path / "table.csv", ["name", "x"], [("a", 1.0), ("b", value)])
     assert list(tmp_path.iterdir()) == []
 
 

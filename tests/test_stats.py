@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ def test_jb_location_scale_invariant(shift, scale):
     assert abs(base - moved) <= 1e-9 * max(1.0, base)
 
 
+@pytest.mark.parametrize("exponent", [-900, -400, 400, 900])
+def test_scale_free_statistics_keep_their_bits_under_a_power_of_two(exponent):
+    # 2^900 * N(0, 1) overflows the fourth powers in Jarque-Bera and the squares in
+    # a standard deviation; 2^-900 underflows them.  Neither may show in the results.
+    vals = np.random.default_rng(4).normal(0, 1, 300)
+    scaled = np.ldexp(vals, exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jarque_bera(scaled) == jarque_bera(vals)
+        assert chi2_gaussian(scaled) == chi2_gaussian(vals)
+        assert np.array_equal(qq_compare(scaled, 50), np.ldexp(qq_compare(vals, 50), exponent))
+        report, base = normality_tests(scaled), normality_tests(vals)
+    assert (report.mean, report.std) == (math.ldexp(base.mean, exponent),
+                                         math.ldexp(base.std, exponent))
+    assert (report.chi2_stat, report.jb_stat) == (base.chi2_stat, base.jb_stat)
+
+
 def test_chi2_tail_matches_scipy_for_every_k_up_to_300():
     x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-30, 1e-8], np.geomspace(1e-3, 2000.0, 70)])
     for k in range(1, 301):
@@ -290,6 +308,22 @@ def test_bias_linear_in_couplings():
     for a, b in zip(single, double):
         assert b.h_int_mean == pytest.approx(2 * a.h_int_mean)
         assert b.h_int_std == pytest.approx(2 * a.h_int_std)
+
+
+def test_bias_at_couplings_whose_squares_overflow():
+    rng = np.random.default_rng(13)
+    coupling = np.triu(rng.normal(0, 0.5, (5, 5)), 1)
+    coupling = coupling + coupling.T
+    spins = spins_of(rng.integers(0, 2, (40, 5)) * 2 - 1)
+    base = bias_decomposition(IsingModel(J=coupling, h=np.zeros(5)), spins)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = bias_decomposition(IsingModel(J=np.ldexp(coupling, 900), h=np.zeros(5)), spins)
+        assert [(r.h_int_mean, r.h_int_std) for r in big] == [
+            (math.ldexp(r.h_int_mean, 900), math.ldexp(r.h_int_std, 900)) for r in base]
+        huge = np.full((4, 4), 1.5e308) - np.diag(np.full(4, 1.5e308))
+        with pytest.raises(DomainError, match="overflow"):  # 0.5 * 3 * 1.5e308
+            bias_decomposition(IsingModel(J=huge, h=np.zeros(4)), spins_of([[1, 1, 1, 1]]))
 
 
 def test_bias_dimension_mismatch():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,20 @@ def test_bad_damping_raises():
     model = planted_model(3, 0.1, 0.1, 1)
     with pytest.raises(DivergenceError):
         tap_fixed_point(model, damping=2.0)
+
+
+@pytest.mark.parametrize("scale, n", [(1e160, 2), (1e300, 6), (1e154, 3)])
+def test_couplings_whose_terms_overflow_raise_before_numpy_warns(scale, n):
+    coupling = scale * (np.ones((n, n)) - np.eye(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="overflow"):
+            tap_fixed_point(IsingModel(J=coupling, h=np.zeros(n)))
+        # the largest scale whose terms stay finite still iterates
+        top = 0.5 * math.sqrt(np.finfo(float).max / n)
+        sol = tap_fixed_point(IsingModel(J=top * (np.ones((n, n)) - np.eye(n)),
+                                          h=np.full(n, 0.1)), max_iter=5)
+    assert np.isfinite(sol.m).all()
 
 
 def test_nan_init_raises():
