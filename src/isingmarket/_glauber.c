@@ -1,17 +1,21 @@
-/* One batch of Glauber heat-bath sweeps for sampler.glauber_sample.
+/* Glauber heat-bath sweeps for sampler.glauber_sample, in two stages.
  *
- * The loop draws from the caller's numpy Generator through its bit generator
- * (rng.bit_generator.ctypes.bit_generator), in the order in which
- * rng.permuted(rows, axis=1) and then rng.random((batch, n)) would draw: first
- * every sweep's visiting order, each a Fisher-Yates shuffle of 0..n-1 with
- * numpy's random_interval (mask rejection on next_uint32), then one
- * next_double per visited slot.  The chain is thus the one the numpy calls
- * give, which tests/conftest.reference_glauber checks bit for bit.  The
- * arithmetic is that of the reference loop: build with -ffp-contract=off,
- * never -ffast-math, so the vectorized field update rounds each element as
- * the scalar one does.  J is symmetric, so row i stands in for column i in
- * that update.  Rows are recorded into out after every sweep past burn_in
- * that is a multiple of thin; the return value is the number of rows written.
+ * glauber_draw fills one batch's random stream from the caller's numpy
+ * Generator through its bit generator (rng.bit_generator.ctypes.bit_generator),
+ * in the order in which rng.permuted(rows, axis=1) and then
+ * rng.random((batch, n)) would draw: first every sweep's visiting order into
+ * orders, each a Fisher-Yates shuffle of 0..n-1 with numpy's random_interval
+ * (mask rejection on next_uint32), then batch*n next_doubles into u, one per
+ * visited slot.  glauber_sweeps runs the batch, reading orders and u where a
+ * single-stage loop would call the bit generator, so the chain is the one
+ * the numpy calls give, which tests/conftest.reference_glauber checks bit for
+ * bit, whichever thread draws the stream.  The arithmetic is that of the
+ * reference loop: build with -ffp-contract=off, never -ffast-math, so the
+ * vectorized field update rounds each element as the scalar one does.  J is
+ * symmetric, so row i stands in for column i in that update.  Rows are
+ * recorded into out after every sweep past burn_in that is a multiple of
+ * thin; the return value is the number of rows written.  Orders are int32:
+ * n < 2^31, since J's n*n doubles must fit in memory.
  */
 #include <math.h>
 #include <stdint.h>
@@ -45,26 +49,31 @@ static uint32_t interval(bitgen_t *rng, uint32_t max)
     return value;
 }
 
-CLONES
-int64_t glauber_sweeps(int64_t n, int64_t batch, const double *restrict J, const double *h,
-                       double *restrict f, double *s, bitgen_t *rng, int64_t *orders,
-                       int64_t sweep, int64_t burn_in, int64_t thin, int8_t *out)
+void glauber_draw(int64_t n, int64_t batch, bitgen_t *rng, int32_t *orders, double *u)
 {
     for (int64_t k = 0; k < batch; k++) {
-        int64_t *order = orders + k * n;
+        int32_t *order = orders + k * n;
         for (int64_t slot = 0; slot < n; slot++)
-            order[slot] = slot;
+            order[slot] = (int32_t)slot;
         for (int64_t i = n - 1; i > 0; i--) {
-            int64_t j = interval(rng, (uint32_t)i), swap = order[j];
+            int32_t j = (int32_t)interval(rng, (uint32_t)i), swap = order[j];
             order[j] = order[i];
             order[i] = swap;
         }
     }
+    for (int64_t m = 0; m < batch * n; m++)
+        u[m] = rng->next_double(rng->state);  /* drawn whatever z will be */
+}
+
+CLONES
+int64_t glauber_sweeps(int64_t n, int64_t batch, const double *restrict J, const double *h,
+                       double *restrict f, double *s, const int32_t *orders, const double *u,
+                       int64_t sweep, int64_t burn_in, int64_t thin, int8_t *out)
+{
     int64_t recorded = 0;
-    for (int64_t k = 0; k < batch; k++, orders += n) {
+    for (int64_t k = 0; k < batch; k++, orders += n, u += n) {
         for (int64_t slot = 0; slot < n; slot++) {
             int64_t i = orders[slot];
-            double u = rng->next_double(rng->state);  /* drawn whatever z is */
             double z = 2.0 * (h[i] + f[i]);
             double v;
             if (z > 40.0)
@@ -72,7 +81,7 @@ int64_t glauber_sweeps(int64_t n, int64_t batch, const double *restrict J, const
             else if (z < -40.0)
                 v = -1.0;
             else
-                v = u < 1.0 / (1.0 + exp(-z)) ? 1.0 : -1.0;
+                v = u[slot] < 1.0 / (1.0 + exp(-z)) ? 1.0 : -1.0;
             if (v != s[i]) {
                 const double *restrict row = J + i * n;
                 double step = 2.0 * v;

@@ -3,14 +3,19 @@
 Single-spin updates: spin i is set to +1 with probability
 sigma(2 * (h_i + sum_j J_ij s_j)), one sweep visits all N spins in a fresh
 random order, and rows are recorded every `thin` sweeps after burn-in.  The
-chain is fully deterministic given the seed.  The C loop of _glauber.c,
-compiled on first use, runs the sweeps and draws their orders and uniforms
-from the seeded numpy Generator as rng.permuted and rng.random would.
+chain is fully deterministic given the seed.  The C source _glauber.c,
+compiled on first use, runs it in batches of sweeps and two stages: a helper
+thread draws each batch's visiting orders and uniforms from the seeded numpy
+Generator, as rng.permuted and then rng.random would, while the calling
+thread sweeps the batch before it.  Only the helper touches the Generator and
+it draws the batches in order, so the chain does not depend on how the two
+threads are scheduled.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,45 +43,102 @@ class SamplerConfig:
             raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
+        if self.burn_in + self.rows * self.thin >= 2**63:  # the kernel counts sweeps in int64
+            raise ConfigError(f"burn_in + rows * thin must be < 2^63, got "
+                              f"{self.burn_in} + {self.rows} * {self.thin}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _kernel():
-    """The compiled sweep loop of _glauber.c (see _native)."""
+def _draw():
+    """The stream stage of _glauber.c: one batch's visiting orders, then its uniforms."""
+    return _native.load("_glauber.c", "glauber_draw", None, (
+        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 3))
+
+
+def _sweeps():
+    """The sweep stage of _glauber.c, reading the orders and uniforms _draw made."""
     return _native.load("_glauber.c", "glauber_sweeps", ctypes.c_int64, (
         ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 6,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p))
 
 
+def _labels(count: int) -> list[str]:
+    """["t1", ..., "t<count>"], zero-padded to one width, from one table of digit bytes."""
+    width = len(str(count))
+    table = np.empty((count, width + 2), dtype=np.uint8)
+    table[:, 0], table[:, -1] = ord("t"), ord("\n")
+    rest = np.arange(1, count + 1)
+    for column in range(width, 0, -1):  # least significant digit first
+        rest, digit = np.divmod(rest, 10)
+        table[:, column] = digit + ord("0")
+    return table.tobytes().decode("ascii").split()
+
+
 def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
     """Sample a (rows, N) spin matrix from the model's Gibbs distribution."""
     n = model.n
-    sweeps = _kernel()
+    draw, sweeps = _draw(), _sweeps()
     rng = np.random.default_rng(config.seed)
     coupling = np.ascontiguousarray(model.J)
     h = np.ascontiguousarray(model.h)
 
     s = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
     fields = coupling @ s
-    out = np.empty((config.rows, n), dtype=np.int8)
+    try:
+        out = np.empty((config.rows, n), dtype=np.int8)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index holds
+        raise ConfigError(f"cannot hold {config.rows} x {n} sampled spins") from exc
 
     total_sweeps = config.burn_in + config.rows * config.thin
-    recorded = 0
+    starts = range(0, total_sweeps, _SWEEP_BATCH)
     bitgen = rng.bit_generator.ctypes.bit_generator
-    orders = np.empty((_SWEEP_BATCH, n), dtype=np.int64)  # the kernel's scratch
-    for start in range(0, total_sweeps, _SWEEP_BATCH):
-        batch = min(_SWEEP_BATCH, total_sweeps - start)
-        recorded += sweeps(n, batch, coupling.ctypes.data, h.ctypes.data,
-                           fields.ctypes.data, s.ctypes.data, bitgen, orders.ctypes.data,
-                           start, config.burn_in, config.thin, out[recorded:].ctypes.data)
-        fields = coupling @ s  # shed accumulated rounding between batches
+    # batch k's orders and uniforms go to buffers[k % 2]; free counts the buffers the
+    # helper may fill, ready the filled ones the sweeps have not yet read
+    buffers = [(np.empty((_SWEEP_BATCH, n), dtype=np.int32), np.empty((_SWEEP_BATCH, n)))
+               for _ in range(2)]
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    failed, stop = [], False
+
+    def fill():
+        try:
+            for k, start in enumerate(starts):
+                free.acquire()
+                if stop:
+                    return
+                orders, u = buffers[k % 2]
+                draw(n, min(_SWEEP_BATCH, total_sweeps - start), bitgen,
+                     orders.ctypes.data, u.ctypes.data)
+                ready.release()
+        except BaseException as exc:  # raised again by the sweeping thread
+            failed.append(exc)
+            ready.release()
+
+    # daemon: should a fault ever leave the helper waiting, it cannot hold the interpreter open
+    helper = threading.Thread(target=fill, name="glauber-draw", daemon=True)
+    helper.start()
+    recorded = 0
+    try:
+        for k, start in enumerate(starts):
+            ready.acquire()
+            if failed:
+                raise failed[0]
+            orders, u = buffers[k % 2]
+            recorded += sweeps(n, min(_SWEEP_BATCH, total_sweeps - start), coupling.ctypes.data,
+                               h.ctypes.data, fields.ctypes.data, s.ctypes.data,
+                               orders.ctypes.data, u.ctypes.data, start, config.burn_in,
+                               config.thin, out[recorded:].ctypes.data)
+            free.release()
+            fields = coupling @ s  # shed accumulated rounding between batches
+    finally:
+        stop = True  # the helper returns at its next acquire, which this release lets through
+        free.release()
+        helper.join()
 
     width_n = len(str(max(n - 1, 1)))
-    label = "t%0{}d".format(len(str(config.rows)))
     return SpinMatrix(
         tickers=[f"s{i:0{width_n}d}" for i in range(n)],
-        dates=[label % k for k in range(1, config.rows + 1)],
+        dates=_labels(config.rows),
         values=out,
     )
 
@@ -100,6 +162,8 @@ def noise_ratio(real_fit: FitReport, config: SamplerConfig, method: str) -> Nois
     spread in the re-inferred matrix is pure estimation noise.
     """
     n = real_fit.model.n
+    if n < 2:
+        raise DegenerateRatioError(f"N={n} has no couplings; noise ratio undefined")
     iu = np.triu_indices(n, k=1)
     real_off = real_fit.model.J[iu]
     mean_j, sigma_j = mean_std(real_off)

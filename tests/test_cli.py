@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -453,6 +454,18 @@ def _number(cell):
         return None
 
 
+def assert_finite_artifacts(out, case):
+    """Every JSON artifact in out loads without NaN or Infinity; every CSV number is finite."""
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse)
+        else:
+            numbers = [_number(cell) for line in text.splitlines()[1:]
+                       for cell in line.split(",")]
+            assert np.isfinite([x for x in numbers if x is not None]).all(), (case, path)
+
+
 def test_overflowing_couplings_give_finite_artifacts_or_exit_1(tmp_path):
     for case, (expected, argv) in overflow_cases(tmp_path).items():
         out = tmp_path / "out" / case
@@ -462,14 +475,34 @@ def test_overflowing_couplings_give_finite_artifacts_or_exit_1(tmp_path):
         if expected:
             assert not out.exists() or not any(out.iterdir()), case
             continue
-        for path in out.iterdir():
-            text = path.read_text()
-            if path.suffix == ".json":
-                json.loads(text, parse_constant=_refuse)
-            else:
-                numbers = [_number(cell) for line in text.splitlines()[1:]
-                           for cell in line.split(",")]
-                assert np.isfinite([x for x in numbers if x is not None]).all(), (case, path)
+        assert_finite_artifacts(out, case)
+
+
+def test_chain_lengths_past_int64_or_memory_exit_1_without_a_traceback(tmp_path, capsys):
+    model = model_json(tmp_path, n=4)
+    fit = write_file(tmp_path, "fit.json", json.dumps(
+        {"method": "nmf", "iterations": 1, "model": json.loads(Path(model).read_text())}))
+    past = str(2**63)
+    for argv, message in [
+        (["sample", "--model", model, "--rows", "2", "--burn-in", past], "2^63"),
+        (["sample", "--model", model, "--rows", "2", "--thin", past], "2^63"),
+        (["sample", "--model", model, "--rows", str(2**62), "--thin", "4"], "2^63"),
+        # 4e15 bytes exceed any memory and address space; 2^64 bytes exceed an index
+        (["sample", "--model", model, "--rows", str(10**15)], f"{10**15} x 4 sampled spins"),
+        (["sample", "--model", model, "--rows", str(2**62)], f"{2**62} x 4 sampled spins"),
+        (["noise", "--fit", fit, "--t", "10", "--burn-in", past], "2^63"),
+        (["noise", "--fit", fit, "--t", str(10**15)], f"{10**15} x 4 sampled spins"),
+        (["critical-demo", "--n", "20", "--burn-in", past], "2^63"),
+        (["critical-demo", "--n", "20", "--t", str(10**15)], f"{10**15} x 20 sampled spins"),
+    ]:
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "-o", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
+        assert not out.exists() or not any(out.iterdir()), argv
 
 
 def test_format_error_names_the_file(tmp_path, capsys):
@@ -771,3 +804,45 @@ def test_fuzzed_configs_and_inputs_keep_the_exit_code_contract(command, data):
         assert code in (0, 1, 2)
         if code != 0:
             assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sample", "noise", "critical-demo"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_sampling_commands_keep_the_exit_code_contract_and_finite_artifacts(
+        command, data):
+    _, model, _, config, as_json = data.draw(_fuzz_inputs(command))
+    threads = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "model.json").write_text(model)
+        (tmp / "fit.json").write_text('{"method": "nmf", "iterations": 1, "model": %s}' % model)
+        if as_json:
+            (tmp / "run.cfg").write_text(json.dumps(config))
+        else:
+            (tmp / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        # half the runs give the size on the command line, over what the config says;
+        # critical-demo always runs at N=20, the smallest it allows
+        inputs = {
+            "sample": ["--model", "model.json"] + (["--rows", "50"] if as_json else []),
+            "noise": ["--fit", "fit.json"] + (["--t", "200"] if as_json else []),
+            "critical-demo": ["--n", "20"] + (["--t", "400"] if as_json else []),
+        }[command]
+        out = tmp / "out"
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, *inputs, "--config", "run.cfg", "-o", str(out)])
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+            assert code == 2
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert_finite_artifacts(out, command)
+        else:
+            assert not out.exists() or not any(out.iterdir())
+    assert threading.active_count() == threads

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from isingmarket import (
     glauber_sample,
     noise_ratio,
 )
-from isingmarket import _native
+from isingmarket import _native, sampler
 from isingmarket.cli import main
 from isingmarket.errors import ConfigError, DegenerateRatioError, KernelBuildError
 from isingmarket.exact import gibbs_probabilities, state_index
@@ -185,6 +187,96 @@ def test_noise_ratio_constant_couplings_degenerate():
         noise_ratio(fit, SamplerConfig(rows=1000, seed=0), "nmf")
 
 
+def test_noise_ratio_of_a_single_spin_is_degenerate():
+    fit = FitReport(model=IsingModel(J=np.zeros((1, 1)), h=np.zeros(1)),
+                    method="nmf", iterations=1)
+    with pytest.raises(DegenerateRatioError, match="N=1 has no couplings"):
+        noise_ratio(fit, SamplerConfig(rows=100, seed=0), "nmf")
+
+
 def test_noise_ratio_unknown_method():
     with pytest.raises(ConfigError):
         noise_ratio(real_fit_surrogate(), SamplerConfig(rows=1000, seed=0), "bogus")
+
+
+# ------------------------------------------------------------- the two stages
+
+def _run_joined(calls, timeout=60.0):
+    """Run each call on a thread of its own, joined with a timeout so that a hang fails
+    the test instead of blocking it; return what each call raised, or None."""
+    raised = [None] * len(calls)
+
+    def run(k):
+        try:
+            calls[k]()
+        except BaseException as exc:
+            raised[k] = exc
+
+    runners = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(timeout)
+    assert not any(runner.is_alive() for runner in runners), "glauber_sample did not return"
+    return raised
+
+
+def test_two_stage_chains_match_the_reference_loop_under_contention():
+    # rows=1, burn_in=0 is a single sweep; 700 * 3 + 10 sweeps span five batches.  Four
+    # concurrent callers, more than the cores, and a short switch interval press on the
+    # buffer handoff: a batch swept before it is drawn, or redrawn while it is swept,
+    # changes the chain
+    model = planted_model(7, 0.6, 0.3, seed=31)
+    configs = [SamplerConfig(rows=1, burn_in=0, seed=1),
+               SamplerConfig(rows=700, burn_in=10, thin=3, seed=2)]
+    expected = [reference_glauber(model, config) for config in configs]
+
+    def sample_twice():
+        for _ in range(2):
+            for config, values in zip(configs, expected):
+                assert np.array_equal(glauber_sample(model, config).values, values), config
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _run_joined([sample_twice] * 4) == [None] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _failing_after(calls, stage):
+    """A stage loader whose function runs the real stage `calls` times, then raises."""
+    real = stage()
+    count = iter(range(calls + 1))
+
+    def function(*args):
+        if next(count) == calls:
+            raise RuntimeError(f"stage failed after {calls} calls")
+        return real(*args)
+
+    return lambda: function
+
+
+def test_no_helper_thread_outlives_a_sample(monkeypatch):
+    model = planted_model(5, 0.4, 0.2, seed=3)
+    config = SamplerConfig(rows=3 * _SWEEP_BATCH, burn_in=10, seed=4)  # four batches
+    before = threading.active_count()
+    assert _run_joined([lambda: glauber_sample(model, config)]) == [None]
+    assert threading.active_count() == before
+    # the helper's draw fails on batch 0 or 2; then the sweeps fail on batch 0 or 2
+    # (the helper has drawn ahead and waits for a free buffer)
+    for name, stage in [("_draw", sampler._draw), ("_sweeps", sampler._sweeps)]:
+        for calls in (0, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, name, _failing_after(calls, stage))
+                raised, = _run_joined([lambda: glauber_sample(model, config)])
+            assert isinstance(raised, RuntimeError), (name, calls)
+            assert f"after {calls} calls" in str(raised)
+            assert threading.active_count() == before, (name, calls)
+
+
+def test_chain_lengths_past_int64_are_config_errors():
+    for rows, burn_in, thin in [(1, 2**63, 1), (2, 0, 2**63), (2**62, 0, 4), (1, 2**63 - 1, 1)]:
+        with pytest.raises(ConfigError, match="2\\^63"):
+            SamplerConfig(rows=rows, burn_in=burn_in, thin=thin)
+    SamplerConfig(rows=1, burn_in=2**63 - 2, thin=1)  # 2^63 - 1 sweeps still count
