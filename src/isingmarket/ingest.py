@@ -142,18 +142,17 @@ def _row_rule(records, cols: tuple[int, int, int], fmt: OhlcFormat):
     return np.array(kept, dtype=np.float64).reshape(-1, 4), dropped
 
 
-def _scan_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcFormat):
-    """The row rule's result, for text with one record per '\\n' line; line 0 is the header.
+def _scan_rows(data: bytes, cols: tuple[int, int, int], cells: int, fmt: OhlcFormat):
+    """The row rule's result, for UTF-8 data with one record per '\\n' line; line 0 is the header.
 
     The C scan of _scan.c keeps the lines that hold the header's cell count, a
     strict YYYY-MM-DD date and plain decimal prices; every other line goes
-    alone through the row rule.  Positions are byte offsets in the UTF-8 text.
+    alone through the row rule.  Positions are byte offsets in data.
     """
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
     scan = _native.load("_scan.c", "scan_ohlc", i64, (
         ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64, i64, i64, i64, pointer, pointer,
         pointer))
-    data = text.encode("utf-8", "surrogatepass")
     delimiter = fmt.delimiter.encode("utf-8", "surrogatepass")
     args = data, len(data), delimiter, len(delimiter), cells, *cols
     lines = scan(*args, None, None, None)
@@ -172,24 +171,30 @@ def _scan_rows(text: str, cols: tuple[int, int, int], cells: int, fmt: OhlcForma
 def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
     """Parse one delimiter-separated OHLC text into a PriceSeries.
 
-    text is a str, whose lines end at '\\n' as io.StringIO splits them, or any
-    iterable of lines, such as a text stream, whose lines end where it ends them.
+    text is a str, whose lines end at '\\n' as io.StringIO splits them, its
+    UTF-8 bytes, or any iterable of lines, such as a text stream, whose lines
+    end where it ends them.
     Rows with non-positive, non-finite or unparseable open/close (or an
     unparseable or duplicate date) are dropped and counted rather than
     failing the file.
 
-    The route is chosen once per input.  A str with no '"' and no '\\r' (once
+    The route is chosen once per input.  A text with no '"' and no '\\r' (once
     '\\r\\n' is folded to '\\n') holds one record per line; with ISO-8601
-    dates its lines are parsed in bulk.  Everything else goes through
+    dates its UTF-8 bytes are scanned in bulk.  Everything else goes through
     csv.reader and the row rule, one record at a time.
     """
     fmt = fmt or OhlcFormat()
-    unquoted = isinstance(text, str) and '"' not in text
-    if unquoted and "\r" in text:
-        text = text.replace("\r\n", "\n")  # each record still ends its line
-    bulk = unquoted and "\r" not in text and fmt.date_format is None
+    if isinstance(text, bytes) and (b'"' in text or b"\r" in text
+                                     or fmt.date_format is not None):
+        text = text.decode("utf-8")  # csv.reader reads str
+    if isinstance(text, str) and '"' not in text:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")  # each record still ends its line
+        if "\r" not in text and fmt.date_format is None:
+            text = text.encode("utf-8", "surrogatepass")
+    bulk = isinstance(text, bytes)
     if bulk:  # the header is line 0
-        lines = [text.partition("\n")[0]] if text else []
+        lines = [text.partition(b"\n")[0].decode("utf-8", "surrogatepass")] if text else []
     else:
         lines = io.StringIO(text) if isinstance(text, str) else text
     records = csv.reader(lines, delimiter=fmt.delimiter)
@@ -223,9 +228,12 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
 
 
 def read_ohlc(path, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
-    """Parse one OHLC file read by serialize.read_text; a bad csv record is a FormatError."""
+    """Parse one OHLC file read by serialize.read_text; a bad csv record is a FormatError.
+
+    An ASCII file's bytes go to the scan as read, with no decode and encode.
+    """
     try:
-        return parse_ohlc(read_text(path), fmt, ticker=ticker)
+        return parse_ohlc(read_text(path, ascii_bytes=True), fmt, ticker=ticker)
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -238,10 +246,15 @@ def binarize(series: list[PriceSeries]) -> SpinMatrix:
     """
     if not series:
         raise EmptyInputError("no price series to binarize")
-    common = series[0].dates.view(np.int64)  # numpy sorts int64 faster than datetime64
-    for s in series[1:]:
-        common = np.intersect1d(common, s.dates.view(np.int64), assume_unique=True)
-    common = common.view("datetime64[D]")
+    days = [s.dates.view(np.int64) for s in series]  # days since 1970, increasing
+    first = max(d[0] for d in days)
+    # how many tickers trade each day of the span they all cover; N on a common day
+    counts = np.zeros(max(min(d[-1] for d in days) - first + 1, 0),
+                      dtype=np.min_scalar_type(len(series)))
+    spans = [slice(*np.searchsorted(d, [first, first + counts.size])) for d in days]
+    for d, span in zip(days, spans):
+        counts[d[span] - first] += 1
+    common = np.flatnonzero(counts == len(series)) + first
     if not common.size:
         ranges = ", ".join(
             "{}: {}..{}".format(s.ticker, *np.datetime_as_string(s.dates[[0, -1]], unit="D"))
@@ -250,12 +263,12 @@ def binarize(series: list[PriceSeries]) -> SpinMatrix:
         raise AlignmentError(f"no common dates across tickers ({ranges})")
 
     values = np.empty((common.size, len(series)), dtype=np.int8)
-    for j, s in enumerate(series):
-        i = np.searchsorted(s.dates, common)
-        values[:, j] = np.where(s.close[i] >= s.open[i], 1, -1)
+    for j, (s, d, span) in enumerate(zip(series, days, spans)):
+        on = counts[d[span] - first] == len(series)  # the ticker's own rows on common days
+        values[:, j] = np.where(s.close[span][on] >= s.open[span][on], 1, -1)
     return SpinMatrix(
         tickers=[s.ticker for s in series],
-        dates=np.datetime_as_string(common, unit="D").tolist(),
+        dates=np.datetime_as_string(common.view("datetime64[D]"), unit="D").tolist(),
         values=values,
     )
 

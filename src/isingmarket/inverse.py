@@ -20,6 +20,7 @@ with 4ac > 1 has no real root and takes the double root -1 / (2a), written
 from __future__ import annotations
 
 import inspect
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -39,6 +40,7 @@ from .newton import newton
 
 CONDITION_LIMIT = 1e12
 _CLAMP_ESCALATION = 0.2
+_SPLIT_WORK = 2**22  # t n^2 multiply-adds a GEMM from which a PLM fit uses two threads
 
 
 def _inverse_correlations(c: np.ndarray, ridge: float) -> np.ndarray:
@@ -139,35 +141,104 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
     gradient and per Hessian product.  The rows that the mask held selects stay
     at zero; the rows are separate problems, so the others are fitted as alone.
     Returns (W, iterations, max-abs gradient).
+
+    From _SPLIT_WORK multiply-adds a GEMM, each gradient and product runs in two
+    phases split in halves, one half on a helper thread: the fields on row
+    halves of S, then the products with S on column halves.  Every entry is
+    computed as without the split, so W does not depend on it.
     """
     t, n = spins.shape
+    parts = 2 if t * n * n >= _SPLIT_WORK else 1
+    rows = [slice(k * t // parts, (k + 1) * t // parts) for k in range(parts)]
+    cols = [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
+    # T x N workspace: newton keeps at most one state, so evaluate may reuse miss
+    miss, signed, weighted = np.empty((t, n)), np.empty((t, n)), np.empty((t, n))
+    jobs, failed = [], []
+    go, done = threading.Semaphore(0), threading.Semaphore(0)
 
-    def fields(w: np.ndarray) -> np.ndarray:
-        out = spins @ (w - np.diag(np.diag(w))).T
-        out += np.diag(w)
-        return out
+    def serve():  # the helper: part 1 of each job until the job None
+        while True:
+            go.acquire()
+            if (job := jobs.pop()) is None:
+                return
+            try:
+                job(1)
+            except BaseException as exc:  # raised again by the caller
+                failed.append(exc)
+            done.release()
 
-    def rows_times_design(a: np.ndarray) -> np.ndarray:  # row i: a[:, i] @ (S, column i = 1)
-        out = a.T @ spins
-        np.fill_diagonal(out, a.sum(axis=0))
-        return out
+    def run(job):  # job(k) for every part k, part 1 on the helper
+        if parts == 1:
+            return job(0)
+        jobs.append(job)
+        go.release()
+        try:
+            job(0)
+        finally:
+            done.acquire()  # the helper's half is done with the workspace
+        if failed:
+            raise failed.pop()
+
+    def unpack(w: np.ndarray):  # (J^T, h) of W
+        off = w.copy()
+        off.reshape(-1)[::n + 1] = 0.0
+        return off.T, w.diagonal()
+
+    def fields(jt: np.ndarray, h: np.ndarray, out: np.ndarray, r: slice):  # rows r of F
+        np.matmul(spins[r], jt, out=out[r])
+        out[r] += h
+
+    def rows_times_design(a: np.ndarray, out: np.ndarray, c: slice):  # rows c of out
+        np.matmul(a[:, c].T, spins, out=out[c])  # row i: a[:, i] @ (S, column i = 1)
+        out.reshape(-1)[c.start * (n + 1):c.stop * (n + 1):n + 1] = a[:, c].sum(axis=0)
 
     def evaluate(x: np.ndarray):
         w = x.reshape(n, n)
-        miss = 1.0 - np.tanh(spins * fields(w))  # 2 (1 - sigma(2 s F))
-        gradient = rows_times_design(spins * miss) / t - 2.0 * ridge * w
+        jt, h = unpack(w)
+
+        def weigh(k):
+            r = rows[k]
+            fields(jt, h, miss, r)
+            miss[r] *= spins[r]
+            np.tanh(miss[r], out=miss[r])
+            np.subtract(1.0, miss[r], out=miss[r])  # 2 (1 - sigma(2 s F))
+            np.multiply(spins[r], miss[r], out=signed[r])
+            np.subtract(2.0, miss[r], out=weighted[r])
+            miss[r] *= weighted[r]  # 4 sigma (1 - sigma), the Hessian weights
+        run(weigh)
+        gradient = np.empty((n, n))
+        run(lambda k: rows_times_design(signed, gradient, cols[k]))
+        gradient /= t
+        gradient -= 2.0 * ridge * w
         if held is not None:
             gradient[held] = 0.0
-        miss *= 2.0 - miss  # 4 sigma (1 - sigma), the Hessian weights
         return miss, gradient.ravel()
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         v = v.reshape(n, n)
-        weighted = fields(v)
-        weighted *= state[0]
-        return (rows_times_design(weighted) / t + 2.0 * ridge * v).ravel()
+        jt, h = unpack(v)
 
-    x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
+        def weigh(k):
+            fields(jt, h, weighted, rows[k])
+            weighted[rows[k]] *= state[0][rows[k]]
+        run(weigh)
+        product = np.empty((n, n))
+        run(lambda k: rows_times_design(weighted, product, cols[k]))
+        product /= t
+        product += 2.0 * ridge * v
+        return product.ravel()
+
+    if parts == 2:
+        # daemon: should a fault ever leave the helper waiting, it cannot hold the interpreter open
+        helper = threading.Thread(target=serve, name="plm-half", daemon=True)
+        helper.start()
+    try:
+        x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
+    finally:
+        if parts == 2:
+            jobs.append(None)
+            go.release()
+            helper.join()
     return x.reshape(n, n), iterations, residual
 
 

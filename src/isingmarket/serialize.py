@@ -25,14 +25,17 @@ from .errors import DomainError, FormatError
 recorder: dict | None = None  # when a dict, read_text records {str(path): sha256} in it
 
 
-def read_text(path) -> str:
+def read_text(path, ascii_bytes: bool = False) -> str | bytes:
     """path's bytes, read once, as strict UTF-8 with '\\r\\n' and a lone '\\r' read as '\\n'.
 
-    Bytes that are not UTF-8 are a FormatError naming path.
+    Bytes that are not UTF-8 are a FormatError naming path.  With ascii_bytes,
+    text that is all ASCII comes back as those bytes, undecoded.
     """
     data = Path(path).read_bytes()
     if recorder is not None:
         recorder[str(path)] = hashlib.sha256(data).hexdigest()
+    if ascii_bytes and data.isascii():
+        return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

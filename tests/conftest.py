@@ -6,9 +6,11 @@ reference_glauber is the sampler's sweep loop in plain Python, the oracle
 that the compiled kernel must reproduce bit for bit.  reference_plm fits the
 pseudo-likelihood one spin at a time, each with its own dense Newton solve and
 Armijo line search: the oracle for the joint fit in inverse.plm_fit.
+reference_plm_rows is that joint fit without the split of its products across
+two threads, the oracle that inverse._plm_rows must match bit for bit.
 reference_separated_spins finds the spins whose conditional likelihood some
-direction separates by linear programming, the oracle for the ridge-0
-existence check in inverse.plm_fit.
+direction separates, in many spin matrices by one linear program, the oracle
+for the ridge-0 existence check in inverse.plm_fit.
 reference_parse_ohlc and reference_binarize are the per-row csv parser and the
 dict-per-ticker binarization, the oracles for the bulk parse and the array
 join in isingmarket.ingest; reference_write_spin_csv is the per-row spin-file
@@ -36,6 +38,7 @@ from isingmarket import IsingModel
 from isingmarket.errors import AlignmentError, DivergenceError, EmptyInputError, FormatError
 from isingmarket.ingest import (_EPOCH_ORDINAL, OhlcFormat, PriceSeries, SpinMatrix,
                                 _row_rule, _scan_spins)
+from isingmarket.newton import newton
 from isingmarket.sampler import _SWEEP_BATCH
 
 
@@ -216,30 +219,83 @@ def reference_plm(matrix, ridge, tol=1e-8, max_iter=500):
     return coupling, h
 
 
-def reference_separated_spins(values) -> list[int]:
-    """The spins whose rows a_t = s_i(t) (1, s_j(t), j != i) some w separates.
+def reference_plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
+                       held: np.ndarray | None = None):
+    """Asymmetric pseudo-likelihood estimate W, one row per spin.
+
+    Row i holds (J_i., h_i on the diagonal); spin i's local fields are column i
+    of F = S J^T + h (J: W off its diagonal, h: diag W).  The concave objective
+        sum_i [ mean_t log sigma(2 s_i(t) F_i(t)) - ridge |W_i.|^2 ]
+    is maximized by the shared damped Newton-CG solver, with two GEMMs per
+    gradient and per Hessian product.  The rows that the mask held selects stay
+    at zero; the rows are separate problems, so the others are fitted as alone.
+    Returns (W, iterations, max-abs gradient).
+    """
+    t, n = spins.shape
+
+    def fields(w: np.ndarray) -> np.ndarray:
+        out = spins @ (w - np.diag(np.diag(w))).T
+        out += np.diag(w)
+        return out
+
+    def rows_times_design(a: np.ndarray) -> np.ndarray:  # row i: a[:, i] @ (S, column i = 1)
+        out = a.T @ spins
+        np.fill_diagonal(out, a.sum(axis=0))
+        return out
+
+    def evaluate(x: np.ndarray):
+        w = x.reshape(n, n)
+        miss = 1.0 - np.tanh(spins * fields(w))  # 2 (1 - sigma(2 s F))
+        gradient = rows_times_design(spins * miss) / t - 2.0 * ridge * w
+        if held is not None:
+            gradient[held] = 0.0
+        miss *= 2.0 - miss  # 4 sigma (1 - sigma), the Hessian weights
+        return miss, gradient.ravel()
+
+    def hessp(state, v: np.ndarray) -> np.ndarray:
+        v = v.reshape(n, n)
+        weighted = fields(v)
+        weighted *= state[0]
+        return (rows_times_design(weighted) / t + 2.0 * ridge * v).ravel()
+
+    x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
+    return x.reshape(n, n), iterations, residual
+
+
+def reference_separated_spins(matrices) -> list[list[int]]:
+    """Per spin matrix, the spins whose rows a_t = s_i(t) (1, s_j(t), j != i) some w separates.
 
     Such a w has a_t . w >= 0 on every row and > 0 on some, so the spin's
     unregularized conditional likelihood has no finite maximum (Albert &
-    Anderson, Biometrika 71:1, 1984).  One LP holds every spin in its own
-    block: maximize sum_t a_t . w_i over 0 <= a_t . w_i <= 1.  A block's
-    optimum is 0, or at least 1 where w_i separates.  The LP is dense, n^3 t
-    numbers, so it suits the small matrices of the tests.
+    Anderson, Biometrika 71:1, 1984).  One sparse LP holds every spin of every
+    matrix in its own block: maximize sum_t a_t . w_i over 0 <= a_t . w_i <= 1.
+    The blocks share no variable, so each is at its own optimum: 0, or at
+    least 1 where w_i separates.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    spins = np.asarray(values, dtype=np.float64)
-    t, n = spins.shape
-    blocks = np.zeros((n, t, n, n))
-    for i in range(n):
-        blocks[i, :, i] = spins * spins[:, [i]]
-        blocks[i, :, i, i] = spins[:, i]  # the intercept's slot
-    rows = blocks.reshape(n * t, n * n)
-    result = linprog(-rows.sum(axis=0), A_ub=np.vstack([-rows, rows]),
-                     b_ub=np.concatenate([np.zeros(n * t), np.ones(n * t)]),
+    blocks = []
+    for values in matrices:
+        spins = np.asarray(values, dtype=np.float64)
+        n = spins.shape[1]
+        rows = spins.T[:, :, None] * spins  # [i, t, j] = s_i(t) s_j(t)
+        rows[np.arange(n), :, np.arange(n)] = spins.T  # the intercept's slot
+        blocks += [sparse.csr_array(block) for block in rows]
+    a = sparse.block_diag(blocks, format="csr")
+    m = a.shape[0]
+    result = linprog(-a.sum(axis=0), A_ub=sparse.vstack([-a, a]),
+                     b_ub=np.concatenate([np.zeros(m), np.ones(m)]),
                      bounds=(None, None), method="highs")
     assert result.status == 0, result.message
-    return np.flatnonzero((rows @ result.x).reshape(n, t).sum(axis=1) > 0.5).tolist()
+    fitted = a @ result.x
+    separated, start = [], 0
+    for values in matrices:
+        t, n = np.shape(values)
+        block = fitted[start:start + n * t].reshape(n, t)
+        separated.append(np.flatnonzero(block.sum(axis=1) > 0.5).tolist())
+        start += n * t
+    return separated
 
 
 @dataclass

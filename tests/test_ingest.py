@@ -600,6 +600,7 @@ def test_parse_ohlc_matches_the_numpy_route(case):
     assert new == ref
     if not isinstance(ref, tuple):
         assert new.rows == ref.rows  # the dates' and prices' types too
+    assert _outcome(parse_ohlc, text.encode(), fmt, "t") == new  # its bytes, as read_ohlc passes
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,10 +1,18 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 from decimal import Decimal, localcontext
+from pathlib import Path
+from threading import Thread
 
 import numpy as np
 import pytest
 
+import isingmarket
 from conftest import planted_model, reference_plm, reference_separated_spins
 from isingmarket import (
     SamplerConfig,
@@ -13,6 +21,7 @@ from isingmarket import (
     exact_moments,
     fit_maxent_exact,
     glauber_sample,
+    inverse,
     nmf_invert,
     plm_fit,
     tap_invert,
@@ -24,6 +33,7 @@ from isingmarket.errors import (
     ReliabilityError,
     SingularMatrixError,
 )
+from isingmarket.ingest import write_spin_csv
 from isingmarket.inverse import _pinned, _plm_rows
 from isingmarket.model import FitReport
 from isingmarket.moments import MomentSet
@@ -249,10 +259,10 @@ def one_factor_spins(seed):
 
 def test_plm_ridge_0_raises_iff_some_spin_is_separated():
     raised = 0
-    for seed in range(1000):
-        values = one_factor_spins(seed)
+    samples = [one_factor_spins(seed) for seed in range(1000)]
+    for seed, (values, lp) in enumerate(zip(samples, reference_separated_spins(samples))):
         tickers = [f"t{i}" for i in range(values.shape[1])]
-        separated = [tickers[i] for i in reference_separated_spins(values)]
+        separated = [tickers[i] for i in lp]
         try:
             plm_fit(SpinMatrix(tickers, [f"d{k}" for k in range(len(values))], values),
                     ridge=0.0)
@@ -295,6 +305,148 @@ def test_plm_matches_per_spin_reference(n, ridge):
     assert np.abs(fit.model.J - coupling).max() <= 1e-7
     assert np.abs(fit.model.h - field).max() <= 1e-7
     assert fit.residual <= 1e-8
+
+
+# ---------------------------------------------------- plm on two threads
+
+def _run_fresh(code, *args, **env):
+    """stdout of code run by a fresh interpreter that imports this package and conftest."""
+    path = os.pathsep.join(str(p) for p in (Path(isingmarket.__file__).parents[1],
+                                            Path(__file__).parent))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path, **env)).stdout
+
+
+_SPLIT_FITS = """
+import json, numpy as np
+from conftest import planted_model, reference_plm_rows
+from isingmarket import IsingModel, SamplerConfig, glauber_sample
+from isingmarket.inverse import _plm_rows
+
+def sample(model, rows, seed):
+    return glauber_sample(model, SamplerConfig(rows=rows, seed=seed)).values.astype(float)
+
+def c13(n):
+    coupling = np.full((n, n), 0.5 / n)
+    np.fill_diagonal(coupling, 0.0)
+    return IsingModel(J=coupling, h=np.zeros(n))
+
+same = []
+for spins in [sample(planted_model(50, 0.02, 0.3, 77), 4809, 77),
+              sample(c13(40), 10**4, 40), sample(c13(80), 10**4, 80)]:
+    (w, *rest), (w_ref, *rest_ref) = (fit(spins, 1e-3, 1e-8, 500)
+                                      for fit in (_plm_rows, reference_plm_rows))
+    same.append([w.tobytes() == w_ref.tobytes(), rest == rest_ref, rest[0]])
+print(json.dumps(same))
+"""
+
+
+def test_split_plm_matches_the_unsplit_fit_bit_for_bit():
+    # all three fits split (t n^2 >= 2^22): desk_fit's shape and C13's n = 40 and n = 80.
+    # One BLAS thread, as the benchmark runs: a threaded BLAS blocks a GEMM by its
+    # thread count, so the last bits of even the unsplit fit move with that count
+    for shape, (same_w, same_rest, iterations) in zip(
+            ["4809 x 50", "C13 n=40", "C13 n=80"], json.loads(_run_fresh(
+                _SPLIT_FITS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))):
+        assert same_w and same_rest, shape
+        assert iterations >= 3, shape
+
+
+def _joined(*calls, timeout=60.0):
+    """What each call raised, or None, each run on a thread of its own joined with a
+    timeout so that a hang fails the test instead of blocking it."""
+    raised = [None] * len(calls)
+
+    def run(k):
+        try:
+            calls[k]()
+        except BaseException as exc:
+            raised[k] = exc
+
+    runners = [Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(timeout)
+    assert not any(runner.is_alive() for runner in runners), "plm_fit did not return"
+    return raised
+
+
+class _FailingOffTheCaller:
+    """numpy for inverse, except that tanh raises on every thread but the caller's."""
+
+    def __init__(self, caller):
+        self.caller = caller
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def tanh(self, *args, **kwargs):
+        if threading.current_thread() is not self.caller:
+            raise RuntimeError("injected into a helper job")
+        return np.tanh(*args, **kwargs)
+
+
+def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
+    # t n^2 = 4095 * 32^2 is one row below the gate of 2^22 multiply-adds
+    values = np.random.default_rng(5).choice([-1, 1], size=(4096, 32))
+    before = threading.active_count()
+    started = []
+
+    def spy(*args, **kwargs):
+        started.append(Thread(*args, **kwargs))
+        return started[-1]
+
+    for rows, helpers in [(4095, 0), (4096, 1)]:
+        mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(rows)],
+                         values[:rows])
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Thread", spy)
+            assert _joined(lambda: plm_fit(mat, max_iter=2)) == [None]
+        assert len(started) == helpers, rows
+        assert threading.active_count() == before, rows
+
+    def fail_in_the_helper():
+        monkeypatch.setattr(inverse, "np", _FailingOffTheCaller(threading.current_thread()))
+        plm_fit(mat)
+
+    raised, = _joined(fail_in_the_helper)
+    monkeypatch.undo()
+    assert isinstance(raised, RuntimeError) and "helper job" in str(raised)
+    assert threading.active_count() == before
+
+
+def test_split_fits_under_contention_match_the_fit_alone():
+    # four concurrent fits, so four helpers, on two cores with a short switch interval
+    # press on the handoffs: a half read before it is written, or a workspace that a
+    # half overwrites while the other still reads it, changes W
+    mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],
+                     np.random.default_rng(7).choice([-1, 1], size=(4096, 32)))
+    alone = plm_fit(mat, max_iter=3).model.J
+
+    def fit_alike():
+        assert np.array_equal(plm_fit(mat, max_iter=3).model.J, alone)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _joined(*[fit_alike] * 4) == [None] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_split_fit_under_two_blas_threads_repeats_itself(tmp_path):
+    spins = tmp_path / "spins.csv"  # t n^2 = 2048 * 48^2, above the gate
+    write_spin_csv(SpinMatrix([f"s{i}" for i in range(48)], [f"d{k}" for k in range(2048)],
+                              np.random.default_rng(6).choice([-1, 1], size=(2048, 48))), spins)
+    code = "import sys; from isingmarket.cli import main; sys.exit(main(sys.argv[1:]))"
+    fits = []
+    for run in ("a", "b"):
+        _run_fresh(code, "fit", "--method", "plm", "--spins", str(spins),
+                   "-o", str(tmp_path / run), OPENBLAS_NUM_THREADS="2")
+        fits.append((tmp_path / run / "fit.json").read_bytes())
+    assert fits[0] == fits[1]
 
 
 # ------------------------------------------------------------- common
