@@ -20,7 +20,6 @@ with 4ac > 1 has no real root and takes the double root -1 / (2a), written
 from __future__ import annotations
 
 import inspect
-import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -143,8 +142,9 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
     Returns (W, iterations, max-abs gradient).
 
     From _SPLIT_WORK multiply-adds a GEMM, each gradient and product runs in two
-    phases split in halves, one half on a helper thread: the fields on row
-    halves of S, then the products with S on column halves.  Every entry is
+    phases split in halves, one half on the thread of a one-worker pool: the
+    fields on row halves of S, then the products with S on column halves.  The
+    pool is joined on every exit, so no half outlives the fit.  Every entry is
     computed as without the split, so W does not depend on it.
     """
     t, n = spins.shape
@@ -153,31 +153,13 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
     cols = [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
     # T x N workspace: newton keeps at most one state, so evaluate may reuse miss
     miss, signed, weighted = np.empty((t, n)), np.empty((t, n)), np.empty((t, n))
-    jobs, failed = [], []
-    go, done = threading.Semaphore(0), threading.Semaphore(0)
 
-    def serve():  # the helper: part 1 of each job until the job None
-        while True:
-            go.acquire()
-            if (job := jobs.pop()) is None:
-                return
-            try:
-                job(1)
-            except BaseException as exc:  # raised again by the caller
-                failed.append(exc)
-            done.release()
-
-    def run(job):  # job(k) for every part k, part 1 on the helper
+    def run(job):  # job(k) for every part k, part 1 on the pool's thread
         if parts == 1:
             return job(0)
-        jobs.append(job)
-        go.release()
-        try:
-            job(0)
-        finally:
-            done.acquire()  # the helper's half is done with the workspace
-        if failed:
-            raise failed.pop()
+        half = pool.submit(job, 1)
+        job(0)
+        half.result()
 
     def unpack(w: np.ndarray):  # (J^T, h) of W
         off = w.copy()
@@ -228,17 +210,15 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
         product += 2.0 * ridge * v
         return product.ravel()
 
-    if parts == 2:
-        # daemon: should a fault ever leave the helper waiting, it cannot hold the interpreter open
-        helper = threading.Thread(target=serve, name="plm-half", daemon=True)
-        helper.start()
-    try:
-        x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
-    finally:
-        if parts == 2:
-            jobs.append(None)
-            go.release()
-            helper.join()
+    start = np.zeros(n * n)
+    if parts == 1:
+        x, iterations, residual = newton(evaluate, hessp, start, tol, max_iter)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
+
+        # should job(0) raise, leaving the block waits out the half still in the workspace
+        with ThreadPoolExecutor(1, "plm-half") as pool:
+            x, iterations, residual = newton(evaluate, hessp, start, tol, max_iter)
     return x.reshape(n, n), iterations, residual
 
 

@@ -4,18 +4,18 @@ Single-spin updates: spin i is set to +1 with probability
 sigma(2 * (h_i + sum_j J_ij s_j)), one sweep visits all N spins in a fresh
 random order, and rows are recorded every `thin` sweeps after burn-in.  The
 chain is fully deterministic given the seed.  The C source _glauber.c,
-compiled on first use, runs it in batches of sweeps and two stages: a helper
-thread draws each batch's visiting orders and uniforms from the seeded numpy
-Generator, as rng.permuted and then rng.random would, while the calling
-thread sweeps the batch before it.  Only the helper touches the Generator and
-it draws the batches in order, so the chain does not depend on how the two
-threads are scheduled.
+compiled on first use, runs it in batches of sweeps and two stages: the one
+thread of a one-worker pool draws each batch's visiting orders and uniforms
+from the seeded numpy Generator, as rng.permuted and then rng.random would,
+while the calling thread sweeps the batch before it.  Only the pool's thread
+touches the Generator and it draws the batches in order, so the chain does
+not depend on how the two threads are scheduled.  The pool is joined on every
+exit from glauber_sample.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,47 +93,29 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
     total_sweeps = config.burn_in + config.rows * config.thin
     starts = range(0, total_sweeps, _SWEEP_BATCH)
     bitgen = rng.bit_generator.ctypes.bit_generator
-    # batch k's orders and uniforms go to buffers[k % 2]; free counts the buffers the
-    # helper may fill, ready the filled ones the sweeps have not yet read
     buffers = [(np.empty((_SWEEP_BATCH, n), dtype=np.int32), np.empty((_SWEEP_BATCH, n)))
                for _ in range(2)]
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-    failed, stop = [], False
 
-    def fill():
-        try:
-            for k, start in enumerate(starts):
-                free.acquire()
-                if stop:
-                    return
-                orders, u = buffers[k % 2]
-                draw(n, min(_SWEEP_BATCH, total_sweeps - start), bitgen,
-                     orders.ctypes.data, u.ctypes.data)
-                ready.release()
-        except BaseException as exc:  # raised again by the sweeping thread
-            failed.append(exc)
-            ready.release()
+    def fill(k):  # batch k's visiting orders and uniforms, into buffers[k % 2]
+        orders, u = buffers[k % 2]
+        draw(n, min(_SWEEP_BATCH, total_sweeps - starts[k]), bitgen,
+             orders.ctypes.data, u.ctypes.data)
+        return orders, u
 
-    # daemon: should a fault ever leave the helper waiting, it cannot hold the interpreter open
-    helper = threading.Thread(target=fill, name="glauber-draw", daemon=True)
-    helper.start()
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
+
     recorded = 0
-    try:
+    with ThreadPoolExecutor(1, "glauber-draw") as pool:
+        ahead = [pool.submit(fill, k) for k in range(min(2, len(starts)))]
         for k, start in enumerate(starts):
-            ready.acquire()
-            if failed:
-                raise failed[0]
-            orders, u = buffers[k % 2]
+            orders, u = ahead[k % 2].result()
             recorded += sweeps(n, min(_SWEEP_BATCH, total_sweeps - start), coupling.ctypes.data,
                                h.ctypes.data, fields.ctypes.data, s.ctypes.data,
                                orders.ctypes.data, u.ctypes.data, start, config.burn_in,
                                config.thin, out[recorded:].ctypes.data)
-            free.release()
+            if k + 2 < len(starts):  # into the buffer these sweeps have freed
+                ahead[k % 2] = pool.submit(fill, k + 2)
             fields = coupling @ s  # shed accumulated rounding between batches
-    finally:
-        stop = True  # the helper returns at its next acquire, which this release lets through
-        free.release()
-        helper.join()
 
     width_n = len(str(max(n - 1, 1)))
     return SpinMatrix(

@@ -21,12 +21,15 @@ a body's lines one at a time, the oracle for the first bad line that the C
 spin scan (scanned_first_bad_line) and the bisection _first_bad_line report.
 numpy_parse_ohlc and numpy_read_spin_csv are the numpy routes that the C
 scan of isingmarket/_scan.c replaced, kept as its differential oracles.
+The autouse fixture no_pool_thread_outlives_a_test fails every test after which
+a thread of the sampler's or the PLM fit's one-worker pool is still alive.
 """
 
 import csv
 import io
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -694,3 +697,12 @@ def numpy_read_spin_csv(path) -> SpinMatrix:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_pool_thread_outlives_a_test():
+    # the pools' threads are not daemons: a leaked one would keep the CLI process alive
+    yield
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith(("glauber-draw", "plm-half"))]
+    assert not alive, f"pool threads still alive after the test: {alive}"

@@ -77,6 +77,14 @@ def test_cli_import_loads_no_scipy():
     assert run_fresh(code).strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool():
+    # the sampler and the PLM fit import concurrent.futures, which loads logging, only
+    # when they make their pool, so no command pays for it at import
+    code = ("import sys, isingmarket.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'logging')))")
+    assert run_fresh(code).strip() == "[]"
+
+
 def test_commands_off_normality_and_ridge_0_plm_load_no_scipy_subpackage(tmp_path):
     # Only normality loads a SciPy subpackage. The manifest's version string
     # imports scipy itself, which is cheap, and a ridge-0 plm fit certifies its

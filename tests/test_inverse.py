@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 from threading import Thread
@@ -417,8 +418,34 @@ def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+class _FailingOnTheCaller(_FailingOffTheCaller):
+    """numpy for inverse, except that tanh raises on the caller's thread only; on
+    the pool's thread it first sleeps, so the pool's half outlasts the caller's."""
+
+    def tanh(self, *args, **kwargs):
+        if threading.current_thread() is self.caller:
+            raise RuntimeError("injected into the caller's half")
+        time.sleep(0.05)
+        return np.tanh(*args, **kwargs)
+
+
+def test_a_split_fit_whose_caller_half_fails_raises_that_and_leaves_no_thread(monkeypatch):
+    mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],
+                     np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
+    before = threading.active_count()
+
+    def fail_in_the_caller():
+        monkeypatch.setattr(inverse, "np", _FailingOnTheCaller(threading.current_thread()))
+        plm_fit(mat)
+
+    raised, = _joined(fail_in_the_caller)
+    monkeypatch.undo()
+    assert isinstance(raised, RuntimeError) and "caller's half" in str(raised)
+    assert threading.active_count() == before
+
+
 def test_split_fits_under_contention_match_the_fit_alone():
-    # four concurrent fits, so four helpers, on two cores with a short switch interval
+    # four concurrent fits, so four pools, on two cores with a short switch interval
     # press on the handoffs: a half read before it is written, or a workspace that a
     # half overwrites while the other still reads it, changes W
     mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],

@@ -263,8 +263,8 @@ def test_no_helper_thread_outlives_a_sample(monkeypatch):
     before = threading.active_count()
     assert _run_joined([lambda: glauber_sample(model, config)]) == [None]
     assert threading.active_count() == before
-    # the helper's draw fails on batch 0 or 2; then the sweeps fail on batch 0 or 2
-    # (the helper has drawn ahead and waits for a free buffer)
+    # the pool's draw fails on batch 0 or 2; then the sweeps fail on batch 0 or 2
+    # (the pool has drawn ahead, or is drawing, the next batch or two)
     for name, stage in [("_draw", sampler._draw), ("_sweeps", sampler._sweeps)]:
         for calls in (0, 2):
             with monkeypatch.context() as patch:
