@@ -141,18 +141,17 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
     at zero; the rows are separate problems, so the others are fitted as alone.
     Returns (W, iterations, max-abs gradient).
 
-    From _SPLIT_WORK multiply-adds a GEMM, each gradient and product runs in two
-    phases split in halves, one half on the thread of a one-worker pool: the
-    fields on row halves of S, then the products with S on column halves.  The
-    pool is joined on every exit, so no half outlives the fit.  Every entry is
-    computed as without the split, so W does not depend on it.
+    From _SPLIT_WORK multiply-adds a GEMM, the spins are cut in halves and each
+    gradient and product hands one half's rows of W, and its columns of F, to
+    the thread of a one-worker pool.  The pool is joined on every exit, so no
+    half outlives the fit.  Every entry is computed as without the split, so W
+    does not depend on it.
     """
     t, n = spins.shape
     parts = 2 if t * n * n >= _SPLIT_WORK else 1
-    rows = [slice(k * t // parts, (k + 1) * t // parts) for k in range(parts)]
     cols = [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
-    # T x N workspace: newton keeps at most one state, so evaluate may reuse miss
-    miss, signed, weighted = np.empty((t, n)), np.empty((t, n)), np.empty((t, n))
+    # T x |c| workspace per part: newton keeps at most one state, so evaluate may reuse miss
+    fields, miss, signed = ([np.empty((t, c.stop - c.start)) for c in cols] for _ in range(3))
 
     def run(job):  # job(k) for every part k, part 1 on the pool's thread
         if parts == 1:
@@ -161,36 +160,36 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
         job(0)
         half.result()
 
-    def unpack(w: np.ndarray):  # (J^T, h) of W
-        off = w.copy()
+    def product(v: np.ndarray, weigh) -> np.ndarray:
+        """Row i: a[:, i] @ (S, column i = 1) / t, a = weigh(k, columns c of F) for i in c."""
+        off = v.copy()
         off.reshape(-1)[::n + 1] = 0.0
-        return off.T, w.diagonal()
+        out = np.empty((n, n))
 
-    def fields(jt: np.ndarray, h: np.ndarray, out: np.ndarray, r: slice):  # rows r of F
-        np.matmul(spins[r], jt, out=out[r])
-        out[r] += h
+        def part(k):
+            c = cols[k]
+            np.matmul(spins, off[c].T, out=fields[k])
+            fields[k] += v.diagonal()[c]
+            a = weigh(k, fields[k])
+            np.matmul(a.T, spins, out=out[c])
+            np.fill_diagonal(out[c, c], a.sum(axis=0))
+        run(part)
+        out /= t
+        return out
 
-    def rows_times_design(a: np.ndarray, out: np.ndarray, c: slice):  # rows c of out
-        np.matmul(a[:, c].T, spins, out=out[c])  # row i: a[:, i] @ (S, column i = 1)
-        out.reshape(-1)[c.start * (n + 1):c.stop * (n + 1):n + 1] = a[:, c].sum(axis=0)
+    def signed_miss(k, f):  # also leaves part k's Hessian weights in miss[k]
+        s, m = spins[:, cols[k]], miss[k]
+        np.multiply(f, s, out=m)
+        np.tanh(m, out=m)
+        np.subtract(1.0, m, out=m)  # 2 (1 - sigma(2 s F))
+        np.multiply(s, m, out=signed[k])
+        np.subtract(2.0, m, out=f)
+        m *= f  # 4 sigma (1 - sigma), the Hessian weights
+        return signed[k]
 
     def evaluate(x: np.ndarray):
         w = x.reshape(n, n)
-        jt, h = unpack(w)
-
-        def weigh(k):
-            r = rows[k]
-            fields(jt, h, miss, r)
-            miss[r] *= spins[r]
-            np.tanh(miss[r], out=miss[r])
-            np.subtract(1.0, miss[r], out=miss[r])  # 2 (1 - sigma(2 s F))
-            np.multiply(spins[r], miss[r], out=signed[r])
-            np.subtract(2.0, miss[r], out=weighted[r])
-            miss[r] *= weighted[r]  # 4 sigma (1 - sigma), the Hessian weights
-        run(weigh)
-        gradient = np.empty((n, n))
-        run(lambda k: rows_times_design(signed, gradient, cols[k]))
-        gradient /= t
+        gradient = product(w, signed_miss)
         gradient -= 2.0 * ridge * w
         if held is not None:
             gradient[held] = 0.0
@@ -198,17 +197,9 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         v = v.reshape(n, n)
-        jt, h = unpack(v)
-
-        def weigh(k):
-            fields(jt, h, weighted, rows[k])
-            weighted[rows[k]] *= state[0][rows[k]]
-        run(weigh)
-        product = np.empty((n, n))
-        run(lambda k: rows_times_design(weighted, product, cols[k]))
-        product /= t
-        product += 2.0 * ridge * v
-        return product.ravel()
+        out = product(v, lambda k, f: np.multiply(f, state[0][k], out=f))
+        out += 2.0 * ridge * v
+        return out.ravel()
 
     start = np.zeros(n * n)
     if parts == 1:

@@ -854,3 +854,42 @@ def test_fuzzed_sampling_commands_keep_the_exit_code_contract_and_finite_artifac
         else:
             assert not out.exists() or not any(out.iterdir())
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("argv", [["fit", "--method", method] for method in inverse.FIT_METHODS]
+                         + [["multiinfo"]], ids=lambda argv: "-".join(argv[::2]))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_fits_keep_the_exit_code_contract_and_finite_artifacts(argv, data):
+    spins_text, _, _, config, as_json = data.draw(_fuzz_inputs(argv[0]))
+    if argv[0] == "fit":
+        ridge = data.draw(st.sampled_from([None, "0", "1e-3", "0.5"]))
+        argv = argv + (["--ridge", ridge] if ridge else []) + (
+            ["--strict"] if data.draw(st.booleans()) else [])
+    threads = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "spins.csv").write_text(spins_text)
+        if as_json:
+            (tmp / "run.cfg").write_text(json.dumps(config))
+        else:
+            (tmp / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        out = tmp / "out"
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*argv, "--spins", "spins.csv", "--config", "run.cfg",
+                             "-o", str(out)])
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+            assert code == 2
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert_finite_artifacts(out, argv)
+        else:
+            assert not out.exists() or not any(out.iterdir())
+    assert threading.active_count() == threads

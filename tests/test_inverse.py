@@ -323,7 +323,7 @@ _SPLIT_FITS = """
 import json, numpy as np
 from conftest import planted_model, reference_plm_rows
 from isingmarket import IsingModel, SamplerConfig, glauber_sample
-from isingmarket.inverse import _plm_rows
+from isingmarket.inverse import _pinned, _plm_rows
 
 def sample(model, rows, seed):
     return glauber_sample(model, SamplerConfig(rows=rows, seed=seed)).values.astype(float)
@@ -333,10 +333,18 @@ def c13(n):
     np.fill_diagonal(coupling, 0.0)
     return IsingModel(J=coupling, h=np.zeros(n))
 
+def tied(spins):  # spin 3 constant, spin 7 opposite to spin 11: rows held at ridge 0
+    spins[:, 3] = 1.0
+    spins[:, 7] = -spins[:, 11]
+    return spins
+
 same = []
-for spins in [sample(planted_model(50, 0.02, 0.3, 77), 4809, 77),
-              sample(c13(40), 10**4, 40), sample(c13(80), 10**4, 80)]:
-    (w, *rest), (w_ref, *rest_ref) = (fit(spins, 1e-3, 1e-8, 500)
+for spins, ridge in [(sample(planted_model(50, 0.02, 0.3, 77), 4809, 77), 1e-3),
+                     (sample(c13(40), 10**4, 40), 1e-3), (sample(c13(80), 10**4, 80), 1e-3),
+                     (sample(planted_model(51, 0.02, 0.3, 51), 3000, 51), 1e-3),
+                     (tied(sample(planted_model(50, 0.02, 0.3, 77), 4809, 77)), 0.0)]:
+    held = _pinned(spins) if ridge == 0.0 else None
+    (w, *rest), (w_ref, *rest_ref) = (fit(spins, ridge, 1e-8, 500, held)
                                       for fit in (_plm_rows, reference_plm_rows))
     same.append([w.tobytes() == w_ref.tobytes(), rest == rest_ref, rest[0]])
 print(json.dumps(same))
@@ -344,11 +352,13 @@ print(json.dumps(same))
 
 
 def test_split_plm_matches_the_unsplit_fit_bit_for_bit():
-    # all three fits split (t n^2 >= 2^22): desk_fit's shape and C13's n = 40 and n = 80.
+    # all five fits split (t n^2 >= 2^22): desk_fit's shape, C13's n = 40 and n = 80,
+    # an odd n, whose halves are unequal, and a ridge-0 fit with held rows.
     # One BLAS thread, as the benchmark runs: a threaded BLAS blocks a GEMM by its
     # thread count, so the last bits of even the unsplit fit move with that count
     for shape, (same_w, same_rest, iterations) in zip(
-            ["4809 x 50", "C13 n=40", "C13 n=80"], json.loads(_run_fresh(
+            ["4809 x 50", "C13 n=40", "C13 n=80", "3000 x 51", "4809 x 50 held, ridge 0"],
+            json.loads(_run_fresh(
                 _SPLIT_FITS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))):
         assert same_w and same_rest, shape
         assert iterations >= 3, shape
@@ -416,6 +426,35 @@ def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
     monkeypatch.undo()
     assert isinstance(raised, RuntimeError) and "helper job" in str(raised)
     assert threading.active_count() == before
+
+
+def test_each_split_gradient_and_product_hands_the_pool_one_job(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],
+                     np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
+    calls = {"submit": 0, "evaluate": 0, "hessp": 0}
+    submit, solve = ThreadPoolExecutor.submit, inverse.newton
+
+    def counted_submit(pool, *args, **kwargs):
+        calls["submit"] += 1
+        return submit(pool, *args, **kwargs)
+
+    def counted_newton(evaluate, hessp, *args):
+        def counted_evaluate(x):
+            calls["evaluate"] += 1
+            return evaluate(x)
+
+        def counted_hessp(state, v):
+            calls["hessp"] += 1
+            return hessp(state, v)
+        return solve(counted_evaluate, counted_hessp, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+    monkeypatch.setattr(inverse, "newton", counted_newton)
+    plm_fit(mat, max_iter=3)
+    assert calls["evaluate"] >= 2 and calls["hessp"] >= 2
+    assert calls["submit"] == calls["evaluate"] + calls["hessp"]
 
 
 class _FailingOnTheCaller(_FailingOffTheCaller):
