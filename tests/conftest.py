@@ -7,7 +7,9 @@ that the compiled kernel must reproduce bit for bit.  reference_plm fits the
 pseudo-likelihood one spin at a time, each with its own dense Newton solve and
 Armijo line search: the oracle for the joint fit in inverse.plm_fit.
 reference_plm_rows is that joint fit without the split of its products across
-two threads, the oracle that inverse._plm_rows must match bit for bit.
+two threads, the oracle that inverse._plm_rows must match bit for bit; it
+takes the package's moment preconditioner, or with precondition=False solves
+by plain CG, the oracle for that preconditioner.
 reference_separated_spins finds the spins whose conditional likelihood some
 direction separates, in many spin matrices by one linear program, the oracle
 for the ridge-0 existence check in inverse.plm_fit.
@@ -41,6 +43,7 @@ from isingmarket import IsingModel
 from isingmarket.errors import AlignmentError, DivergenceError, EmptyInputError, FormatError
 from isingmarket.ingest import (_EPOCH_ORDINAL, OhlcFormat, PriceSeries, SpinMatrix,
                                 _row_rule, _scan_spins)
+from isingmarket.inverse import _moment_preconditioner
 from isingmarket.newton import newton
 from isingmarket.sampler import _SWEEP_BATCH
 
@@ -223,7 +226,7 @@ def reference_plm(matrix, ridge, tol=1e-8, max_iter=500):
 
 
 def reference_plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
-                       held: np.ndarray | None = None):
+                       held: np.ndarray | None = None, precondition: bool = True):
     """Asymmetric pseudo-likelihood estimate W, one row per spin.
 
     Row i holds (J_i., h_i on the diagonal); spin i's local fields are column i
@@ -232,6 +235,8 @@ def reference_plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: in
     is maximized by the shared damped Newton-CG solver, with two GEMMs per
     gradient and per Hessian product.  The rows that the mask held selects stay
     at zero; the rows are separate problems, so the others are fitted as alone.
+    With precondition, the CG solves take inverse._moment_preconditioner, as
+    in _plm_rows; without it, they are plain CG.
     Returns (W, iterations, max-abs gradient).
     """
     t, n = spins.shape
@@ -261,7 +266,10 @@ def reference_plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: in
         weighted *= state[0]
         return (rows_times_design(weighted) / t + 2.0 * ridge * v).ravel()
 
-    x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter)
+    preconditioner = (_moment_preconditioner(spins, ridge, lambda state: state[0].mean(axis=0))
+                      if precondition else None)
+    x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter,
+                                     preconditioner)
     return x.reshape(n, n), iterations, residual
 
 

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import isingmarket
-from conftest import planted_model, reference_plm, reference_separated_spins
+import conftest
+from conftest import planted_model, reference_plm, reference_plm_rows, reference_separated_spins
 from isingmarket import (
+    IsingModel,
     SamplerConfig,
     SpinMatrix,
     empirical_moments,
@@ -35,7 +37,7 @@ from isingmarket.errors import (
     SingularMatrixError,
 )
 from isingmarket.ingest import write_spin_csv
-from isingmarket.inverse import _pinned, _plm_rows
+from isingmarket.inverse import _moment_preconditioner, _pinned, _plm_rows
 from isingmarket.model import FitReport
 from isingmarket.moments import MomentSet
 
@@ -306,6 +308,65 @@ def test_plm_matches_per_spin_reference(n, ridge):
     assert np.abs(fit.model.J - coupling).max() <= 1e-7
     assert np.abs(fit.model.h - field).max() <= 1e-7
     assert fit.residual <= 1e-8
+
+
+# ---------------------------------------------------- plm preconditioner
+
+def test_moment_preconditioner_solves_each_rows_damped_moment_system():
+    # row i of psolve(r) is (c_i G_i + sigma I)^-1 r_i, G_i = A_i^T A_i / T with
+    # A_i the spins whose column i is the intercept; a constant and a duplicated
+    # spin make G singular, which sigma = 2 ridge + shift must absorb
+    rng = np.random.default_rng(3)
+    spins = rng.choice([-1.0, 1.0], size=(300, 7))
+    spins[:, 2] = 1.0
+    spins[:, 5] = -spins[:, 4]
+    ridge, shift, weights = 1e-3, 0.05, rng.uniform(0.1, 1.0, 7)
+    assert _moment_preconditioner(spins, 0.0, lambda state: weights) is None
+    psolve = _moment_preconditioner(spins, ridge, lambda state: state)(weights, shift)
+    r = rng.normal(size=(7, 7))
+    z = psolve(r.ravel()).reshape(7, 7)
+    for i in range(7):
+        a = spins.copy()
+        a[:, i] = 1.0
+        m = weights[i] * a.T @ a / len(a) + (2.0 * ridge + shift) * np.eye(7)
+        assert np.allclose(z[i], np.linalg.solve(m, r[i]), rtol=1e-10, atol=0.0), i
+
+
+def _homogeneous(n, coupling):  # C13's planted models
+    couplings = np.full((n, n), coupling)
+    np.fill_diagonal(couplings, 0.0)
+    return IsingModel(J=couplings, h=np.zeros(n))
+
+
+@pytest.mark.parametrize("model, rows, seed", [
+    (planted_model(50, 0.02, 0.3, 77), 4809, 77),
+    (_homogeneous(40, 0.5 / 40), 10**4, 40),
+    (_homogeneous(40, 0.5 / math.sqrt(40)), 10**4, 40),
+], ids=["4809 x 50", "C13 n=40, J=0.5 over n", "C13 n=40, J=0.5 over sqrt n"])
+def test_preconditioned_plm_matches_plain_cg_with_no_more_products(model, rows, seed,
+                                                                  monkeypatch):
+    # desk_fit's shape and C13's n = 40 samples.  On the ordered one (0.5 / sqrt n)
+    # a bare sigma I beside an inverted G took 45 -> 147 products.  Row i's Hessian
+    # is no flatter than 2 ridge, so W is known to ~tol / (2 ridge): 5e-8 at tol 1e-10
+    spins = glauber_sample(model, SamplerConfig(rows=rows, seed=seed)).values.astype(float)
+    products = []
+
+    def counted(solve):
+        def counted_newton(evaluate, hessp, *args):
+            def counted_hessp(state, v):
+                products[-1] += 1
+                return hessp(state, v)
+            products.append(0)
+            return solve(evaluate, counted_hessp, *args)
+        return counted_newton
+
+    monkeypatch.setattr(inverse, "newton", counted(inverse.newton))
+    monkeypatch.setattr(conftest, "newton", counted(conftest.newton))
+    w, _, residual = _plm_rows(spins, 1e-3, 1e-10, 500)
+    w_plain, _, residual_plain = reference_plm_rows(spins, 1e-3, 1e-10, 500, precondition=False)
+    assert max(residual, residual_plain) <= 1e-10
+    assert np.abs(w - w_plain).max() <= 1e-7
+    assert products[0] <= products[1]
 
 
 # ---------------------------------------------------- plm on two threads

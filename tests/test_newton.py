@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from isingmarket.newton import _cg, newton
 
@@ -48,17 +48,25 @@ def test_stops_when_no_step_size_reduces_the_gradient():
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
-@pytest.mark.parametrize("case", ["solve", "maxiter", "zero"])
+@pytest.mark.parametrize("case", ["solve", "maxiter", "zero", "psolve", "psolve-maxiter"])
 def test_cg_matches_scipy_bit_for_bit(n, case):
-    # scipy's cg is the oracle: the same arithmetic gives the same bits
+    # scipy's cg is the oracle: the same arithmetic gives the same bits, also
+    # with a preconditioner (psolve: M^-1 r, scipy's M)
     rng = np.random.default_rng(n)
     rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    condition = 1e12 if case == "maxiter" else 1e2
+    maxiter = case.endswith("maxiter")
+    condition = 1e12 if maxiter else 1e2
     a = (rotation * np.logspace(0, np.log10(condition), n)) @ rotation.T
     b = np.zeros(n) if case == "zero" else rng.normal(size=n)
     # newton's atol 0.1 |b|, or one never reached (with scipy's 1e-5 |b| floor off)
-    atol, rtol = (1e-300, 0.0) if case == "maxiter" else (0.1 * np.linalg.norm(b), 1e-5)
-    expected, info = cg(a, b, atol=atol, rtol=rtol)
-    assert np.array_equal(_cg(lambda v: a @ v, b, atol), expected)
-    if case == "maxiter" and n > 1:  # one step solves a 1 x 1 system exactly
+    atol, rtol = (1e-300, 0.0) if maxiter else (0.1 * np.linalg.norm(b), 1e-5)
+    psolve, scipy_m = None, None
+    if case.startswith("psolve"):  # M^-1 symmetric positive definite, in another basis
+        other, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        m_inv = (other * np.logspace(0, 1, n)) @ other.T
+        psolve = lambda r: m_inv @ r  # noqa: E731
+        scipy_m = LinearOperator((n, n), matvec=psolve, dtype=float)
+    expected, info = cg(a, b, atol=atol, rtol=rtol, M=scipy_m)
+    assert np.array_equal(_cg(lambda v: a @ v, b, atol, psolve), expected)
+    if maxiter and n > 1:  # one step solves a 1 x 1 system exactly
         assert info == 10 * n
