@@ -167,8 +167,8 @@ def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
 # Each handler takes the resolved config and returns its artifacts,
 # {file name in outdir: content}, which main writes in order: a SpinMatrix as
 # a spin CSV, a (header, rows) tuple as a table, anything else (a dict or a
-# report dataclass) as JSON.  It reads every file through serialize.read_text,
-# which records each file's sha256 for the manifest while main runs the handler.
+# report dataclass) as JSON.  Every file it reads goes through serialize.read_bytes
+# (read_text decodes it), which records the file's sha256 while main runs the handler.
 
 def _cmd_ingest(cfg) -> dict:
     fmt = ingest.OhlcFormat(

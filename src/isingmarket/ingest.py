@@ -2,8 +2,8 @@
 
 A day's orientation is +1 when the close is at or above the open, -1
 otherwise.  Tickers are aligned on the strict intersection of their dates, so
-no return is ever imputed.  Plain OHLC lines and spin-file bodies are read by
-the C line scans of _scan.c, which _native compiles with cc on first use.
+no return is ever imputed.  Plain OHLC lines and spin-file bodies go undecoded
+to the C line scans of _scan.c, which _native compiles with cc on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _native
 from .errors import AlignmentError, EmptyInputError, FormatError
-from .serialize import atomic_write_text, read_text
+from .serialize import atomic_write_text, read_bytes
 
 
 @dataclass
@@ -228,12 +228,10 @@ def parse_ohlc(text, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSe
 
 
 def read_ohlc(path, fmt: OhlcFormat | None = None, ticker: str = "") -> PriceSeries:
-    """Parse one OHLC file read by serialize.read_text; a bad csv record is a FormatError.
-
-    An ASCII file's bytes go to the scan as read, with no decode and encode.
-    """
+    """Parse the bytes serialize.read_bytes reads from one OHLC file; a bad csv record
+    is a FormatError."""
     try:
-        return parse_ohlc(read_text(path, ascii_bytes=True), fmt, ticker=ticker)
+        return parse_ohlc(read_bytes(path), fmt, ticker=ticker)
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -308,26 +306,26 @@ def _scan_spins(body: bytes, n: int):
 
 
 def read_spin_csv(path) -> SpinMatrix:
-    """Read a spin file (by serialize.read_text): exactly what write_spin_csv writes.
+    """Read a spin file (by serialize.read_bytes): exactly what write_spin_csv writes.
 
-    Blank lines at the end are ignored; any other body is a FormatError that
-    names its first bad line.
+    Its body goes to the scan undecoded.  Blank lines at the end are ignored;
+    any other body is a FormatError that names its first bad line.
     """
-    text = read_text(path)
-    if not text:
+    data = read_bytes(path)
+    if not data:
         raise EmptyInputError(f"{path}: empty spin file")
-    header, _, body = text.partition("\n")
-    header = header.split(",")
+    header, _, body = data.partition(b"\n")
+    header = header.decode("utf-8").split(",")
     if header[0] != "date" or len(header) < 2:
         raise FormatError(f"{path}: expected header 'date,<tickers...>'")
-    if body.endswith("\n\n"):  # only then is there a copy to make
-        body = body.rstrip("\n") + "\n"
-    if body in ("", "\n"):
+    if body.endswith(b"\n\n"):  # only then is there a copy to make
+        body = body.rstrip(b"\n") + b"\n"
+    if body in (b"", b"\n"):
         raise EmptyInputError(f"{path}: no spin rows")
     n = len(header) - 1
-    spins = _scan_spins(body.encode(), n)
+    spins = _scan_spins(body, n)
     if isinstance(spins, int):  # the header is line 1
-        line = body.split("\n")[spins]
+        line = body.split(b"\n")[spins].decode("utf-8")
         raise FormatError(
             f"{path}: line {spins + 2} is not a date and {n} cells of 1 or -1: {line[:80]!r}")
     try:

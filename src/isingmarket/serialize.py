@@ -1,6 +1,6 @@
 """The file boundary: input text, JSON reports, CSV tables, run manifests.
 
-Every file a command reads goes through read_text and every file it writes
+Every file a command reads goes through read_bytes and every file it writes
 through atomic_write_text, both as UTF-8 whatever the locale.  Artifacts are
 written to a temporary file and atomically renamed so a failed run never
 leaves a partially overwritten artifact.  No timestamps are emitted;
@@ -22,27 +22,29 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-recorder: dict | None = None  # when a dict, read_text records {str(path): sha256} in it
+recorder: dict | None = None  # when a dict, read_bytes records {str(path): sha256} in it
 
 
-def read_text(path, ascii_bytes: bool = False) -> str | bytes:
-    """path's bytes, read once, as strict UTF-8 with '\\r\\n' and a lone '\\r' read as '\\n'.
+def read_bytes(path) -> bytes:
+    """path's bytes, read once, with '\\r\\n' and a lone '\\r' read as '\\n'.
 
-    Bytes that are not UTF-8 are a FormatError naming path.  With ascii_bytes,
-    text that is all ASCII comes back as those bytes, undecoded.
+    Bytes that are not UTF-8 are a FormatError naming path; in UTF-8 a byte 13
+    is only ever '\\r', so the fold is the same on the bytes as on the text.
     """
     data = Path(path).read_bytes()
     if recorder is not None:
         recorder[str(path)] = hashlib.sha256(data).hexdigest()
-    if ascii_bytes and data.isascii():
-        return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def read_text(path) -> str:
+    """read_bytes(path) as text."""
+    return read_bytes(path).decode("utf-8")
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -108,7 +110,7 @@ def write_manifest(outdir, command: str, config: dict, inputs: dict, artifacts: 
     """Record the resolved config, seed, versions and input checksums.
 
     inputs maps each path read to the sha256 of the bytes parsed from it, as
-    read_text records them.  The output directory itself is deliberately
+    read_bytes records them.  The output directory itself is deliberately
     not part of the recorded config so reruns into different directories stay
     byte-identical.
     """

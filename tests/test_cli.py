@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 import os
@@ -856,12 +857,34 @@ def test_fuzzed_sampling_commands_keep_the_exit_code_contract_and_finite_artifac
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("argv", [["fit", "--method", method] for method in inverse.FIT_METHODS]
-                         + [["multiinfo"]], ids=lambda argv: "-".join(argv[::2]))
+@st.composite
+def _one_factor_inputs(draw):
+    """As _fuzz_inputs draws them: a valid spin file of 40-200 one-factor rows of N in
+    2..8 (no model or points file) and a config of valid values."""
+    n, t = draw(st.integers(2, 8)), draw(st.integers(40, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.choice([-1, 1], size=(t, 1))
+    follow = rng.random((t, n)) < rng.uniform(0.5, 0.9, size=n)  # each spin's loading
+    spins = np.where(follow, factor, rng.choice([-1, 1], size=(t, n)))
+    lines = ["date" + "".join(f",s{i}" for i in range(n))]
+    lines += [f"d{k}," + ",".join(map(str, row)) for k, row in enumerate(spins.tolist())]
+    keys = draw(st.lists(st.sampled_from(["tol", "max_iter"]), unique=True))
+    config = {key: draw(st.sampled_from({"tol": [1e-10, 1e-8, 1e-6, 1e-4],
+                                         "max_iter": [20, 100, 500]}[key])) for key in keys}
+    return "\n".join(lines) + "\n", None, None, config, draw(st.booleans())
+
+
+_FITS = [["fit", "--method", method] for method in inverse.FIT_METHODS]
+_FIT_CASES = [(argv, False) for argv in [*_FITS, ["multiinfo"]]] + [(argv, True) for argv in _FITS]
+
+
+@pytest.mark.parametrize("argv, one_factor", _FIT_CASES, ids=[
+    "-".join(argv[::2]) + ("-one-factor" if one_factor else "") for argv, one_factor in _FIT_CASES])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_fuzzed_fits_keep_the_exit_code_contract_and_finite_artifacts(argv, data):
-    spins_text, _, _, config, as_json = data.draw(_fuzz_inputs(argv[0]))
+def test_fuzzed_fits_keep_the_exit_code_contract_and_finite_artifacts(argv, one_factor, data):
+    spins_text, _, _, config, as_json = data.draw(
+        _one_factor_inputs() if one_factor else _fuzz_inputs(argv[0]))
     if argv[0] == "fit":
         ridge = data.draw(st.sampled_from([None, "0", "1e-3", "0.5"]))
         argv = argv + (["--ridge", ridge] if ridge else []) + (
@@ -890,6 +913,78 @@ def test_fuzzed_fits_keep_the_exit_code_contract_and_finite_artifacts(argv, data
         assert code in (0, 1, 2)
         if code == 0:
             assert_finite_artifacts(out, argv)
+        else:
+            assert not out.exists() or not any(out.iterdir())
+    assert threading.active_count() == threads
+
+
+@st.composite
+def _ohlc_inputs(draw):
+    """1-3 small OHLC files and the ingest options to read them with.
+
+    Cells may be quoted, non-ASCII or bad; lines end in '\\n', '\\r\\n' or a lone
+    '\\r'; dates repeat and files may cover disjoint spans or hold a header alone;
+    a stray 0xff byte may land anywhere.  The delimiter and date format given on
+    the command line mostly, but not always, are the ones the files use.
+    """
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", "§"]))
+    date_format = draw(st.sampled_from([None, None, "%Y-%m-%d", "%d.%m.%Y"]))
+    cell = st.sampled_from(["10", "10.5", "9.75", "11"] * 5  # mostly a good price
+                           + ["0", "-1", "x", "nan", "inf", "1e3", "", '"10"', "é", "１２"])
+    files = {}
+    for name in draw(st.lists(st.sampled_from(["a", "b", "c", "x/a"]),  # x/a is ticker a too
+                              min_size=1, max_size=3, unique=True)):
+        start = draw(st.sampled_from([0, 0, 0, 60]))  # a disjoint span of days
+        days = draw(st.lists(st.integers(start, start + 12), min_size=1, max_size=8))
+        if draw(st.sampled_from([False] * 19 + [True])):
+            days = []  # a header alone
+        lines = [draw(st.sampled_from(["Date,Open,Close"] * 3 + [
+            "Date,Open,Note,Close"] * 3 + ["Open,Close,Date"] * 2 + ["Date,Open"]))]
+        for day in days:
+            when = datetime.date(2021, 3, 1) + datetime.timedelta(days=day)
+            stamp = when.strftime(date_format) if date_format else when.isoformat()
+            cells = {"Date": draw(st.sampled_from([stamp] * 12 + [f'"{stamp}"', "2021-02-30"])),
+                     "Open": draw(cell), "Close": draw(cell),
+                     "Note": draw(st.sampled_from(["", "é", '"a,b"', '"q""q"', "x"]))}
+            lines.append(",".join(cells.get(key, "") for key in lines[0].split(",")))
+        ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        data = ending.join(line.replace(",", delimiter) for line in lines).encode() + (
+            ending.encode() if draw(st.booleans()) else b"")
+        if draw(st.sampled_from([False] * 19 + [True])):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        files[name + ".csv"] = data
+    options = []
+    if draw(st.booleans()) or delimiter != ",":
+        options += ["--delimiter", draw(st.sampled_from([delimiter] * 8 + [",", ";", "ab"]))]
+    if date_format or draw(st.sampled_from([False] * 4 + [True])):
+        options += ["--date-format", draw(st.sampled_from(
+            [date_format or "%Y-%m-%d"] * 8 + ["%d.%m.%Y", "%Y", "%Q"]))]
+    return files, options
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_ohlc_inputs())
+def test_fuzzed_ingest_keeps_the_exit_code_contract_and_finite_artifacts(case):
+    files, options = case
+    threads = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / name).parent.mkdir(exist_ok=True)
+            (tmp / name).write_bytes(data)
+        out = tmp / "out"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["ingest", *(str(tmp / name) for name in files), *options,
+                             "-o", str(out)])
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+            assert code == 2
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert_finite_artifacts(out, files)
         else:
             assert not out.exists() or not any(out.iterdir())
     assert threading.active_count() == threads

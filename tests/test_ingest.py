@@ -21,7 +21,7 @@ from conftest import scanned_first_bad_line as _first_bad_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingmarket import OhlcFormat, SpinMatrix, binarize, parse_ohlc
+from isingmarket import OhlcFormat, SpinMatrix, binarize, ingest, parse_ohlc
 from isingmarket.errors import AlignmentError, EmptyInputError, FormatError
 from isingmarket.ingest import read_spin_csv, write_spin_csv
 
@@ -548,6 +548,30 @@ def test_parse_cr_file_and_line_list_match_reference(tmp_path):
         new = parse_ohlc(lines, ticker=ticker)
         ref = reference_parse_ohlc(lines, ticker=ticker)
         assert new.rows == ref.rows and new.dropped == ref.dropped
+
+
+def test_a_non_ascii_ohlc_file_goes_to_the_scan_as_read_and_matches_reference(
+        tmp_path, monkeypatch):
+    scan_rows, scanned = ingest._scan_rows, []
+
+    def spy(data, *args):
+        scanned.append(data)
+        return scan_rows(data, *args)
+
+    monkeypatch.setattr(ingest, "_scan_rows", spy)
+    rows = ["2020-01-02,10,11,9,10.5,é",  # é in the unmapped Volume column
+            "2020-01-03,10,11,9,9,100", "2020-01-0é,10,11,9,9,100",  # and in a dropped row
+            "2020-01-06,9,10,8,é,100", "2020-01-07,9,10,8,9.5,1é"]
+    text = "\n".join([HEADER, *rows]) + "\n"
+    for name, fmt, ending in [("comma", OhlcFormat(), "\n"),  # '§' is two bytes of UTF-8
+                              ("section", OhlcFormat(delimiter="§"), "\r\n")]:
+        body = text.replace(",", fmt.delimiter)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(body.replace("\n", ending).encode())
+        new = ingest.read_ohlc(path, fmt, ticker=name)
+        ref = reference_parse_ohlc(path.read_bytes().decode("utf-8"), fmt, ticker=name)
+        assert new.rows == ref.rows and new.dropped == ref.dropped == 2, name
+        assert scanned.pop() == body.encode() and not scanned, name  # the scan saw the bytes
 
 
 # Cells at the C scan's bounds: 16 and 17 characters or digits, '.', '..',

@@ -7,7 +7,7 @@ import pytest
 
 from isingmarket import serialize
 from isingmarket.errors import DomainError, FormatError
-from isingmarket.serialize import read_text, write_csv, write_json
+from isingmarket.serialize import read_bytes, read_text, write_csv, write_json
 
 
 @dataclass
@@ -88,3 +88,24 @@ def test_read_text_folds_line_endings_rejects_non_utf8_and_records_only_when_ask
     path.write_bytes(b"a\xff\n")
     with pytest.raises(FormatError, match="in.csv: not UTF-8"):
         read_text(path)
+
+
+def test_read_bytes_folds_line_endings_on_the_bytes_and_records_their_sha256(
+        tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    data = "a,é\r\nb\rc\n".encode()
+    path.write_bytes(data)
+    recorded = {}
+    monkeypatch.setattr(serialize, "recorder", recorded)
+    assert read_bytes(path) == "a,é\nb\nc\n".encode()
+    assert recorded == {str(path): hashlib.sha256(data).hexdigest()}  # of the raw bytes
+
+
+def test_read_bytes_rejects_non_utf8_at_its_position_before_the_fold(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"a\xff\n")
+    with pytest.raises(FormatError, match="in.csv: not UTF-8"):
+        read_bytes(path)
+    path.write_bytes(b"a\r\n\xff\n")  # folded first, the 0xff would be at position 2
+    with pytest.raises(FormatError, match="byte 0xff in position 3"):
+        read_bytes(path)
