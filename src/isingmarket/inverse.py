@@ -34,7 +34,7 @@ from .errors import (
 from .exact import fit_maxent_exact
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel, symmetrize
-from .moments import MomentSet, empirical_moments, unseen_sign_warnings
+from .moments import MomentSet, empirical_moments, moment_matrix, unseen_sign_warnings
 from .newton import newton
 
 CONDITION_LIMIT = 1e12
@@ -98,41 +98,31 @@ def tap_invert(moments: MomentSet, ridge: float = 0.0, strict: bool = False) -> 
                      warnings=warnings_list)
 
 
-def _uncertified(matrix: SpinMatrix, w: np.ndarray) -> Iterator[str]:
-    """The spins whose ridge-0 estimate W certifies no finite maximum.
+def _uncertified(spins: np.ndarray, tickers: list[str], w: np.ndarray) -> Iterator[str]:
+    """The tickers of the float spins whose ridge-0 estimate W certifies no finite maximum.
 
     Spin i's rows a_t = s_i(t) (1, s_j(t), j != i) admit one iff some y > 0 has
     A^T y = 0 (Stiemke's lemma).  The fit's weights y = 1 - tanh(A w_i) pass if
     the least relative change balancing them, shrink = B (B^T B)^+ A^T y with
     B = diag(y) A, keeps them positive (below 1/2) and leaves at most 1e-6 of A^T y.
     """
-    for i, s in enumerate(matrix.values.T.astype(np.float64)):
-        a = np.where(np.arange(matrix.n) == i, 1, matrix.values) * s[:, None]  # i: intercept
+    for i, s in enumerate(spins.T):
+        a = np.where(np.arange(spins.shape[1]) == i, 1.0, spins) * s[:, None]  # i: intercept
         y = 1.0 - np.tanh(a @ w[i])  # exactly 0 where tanh rounds to 1: no certificate
         b, balance = a * y[:, None], a.T @ y
         shrink = b @ np.linalg.lstsq(b.T @ b, balance, rcond=None)[0]
         if ((y * (0.5 - shrink)).min() <= 0.0
                 or np.abs(balance - b.T @ shrink).max() > 1e-6 * np.abs(balance).max()):
-            yield matrix.tickers[i]
-
-
-def _gram(spins: np.ndarray) -> np.ndarray:
-    """The Gram matrix [1 S]^T [1 S], (N+1) x (N+1): [[T, column sums], [column sums, S^T S]]."""
-    t, n = spins.shape
-    gram = np.empty((n + 1, n + 1))
-    gram[0, 0] = t
-    gram[0, 1:] = gram[1:, 0] = spins.sum(axis=0)
-    gram[1:, 1:] = spins.T @ spins
-    return gram
+            yield tickers[i]
 
 
 def _pinned(spins: np.ndarray) -> np.ndarray:
     """Mask of the spins that are constant or equal or opposite to another spin.
 
-    One Gram matrix of (1, S) gives both: |q_i| = 1 or |Q_ij| = 1.  The sums
+    One moment matrix of (1, S) gives both: |q_i| = 1 or |Q_ij| = 1.  Its sums
     are integers, exact in float64, so the test is exact.
     """
-    tied = np.abs(_gram(spins)) == len(spins)
+    tied = np.abs(moment_matrix(spins)) == 1.0
     np.fill_diagonal(tied, False)
     return tied[1:].any(axis=1)
 
@@ -155,8 +145,8 @@ def _moment_preconditioner(spins: np.ndarray, ridge: float, mean_weights):
     """
     if ridge == 0.0:
         return None
-    t, n = spins.shape
-    eigenvalues, basis = np.linalg.eigh(_gram(spins) / t)
+    n = spins.shape[1]
+    eigenvalues, basis = np.linalg.eigh(moment_matrix(spins))
     eigenvalues = np.maximum(eigenvalues, 0.0)  # G is semidefinite; no rounding below 0
     rows, pivots = np.arange(n), np.arange(1, n + 1)
 
@@ -290,7 +280,7 @@ def plm_fit(matrix: SpinMatrix, ridge: float = 1e-3, tol: float = 1e-8,
     spins = matrix.values.astype(np.float64)
     held = _pinned(spins) if ridge == 0.0 else None
     raw, iterations, residual = _plm_rows(spins, ridge, tol, max_iter, held)
-    if ridge == 0.0 and (names := ", ".join(_uncertified(matrix, raw))):
+    if ridge == 0.0 and (names := ", ".join(_uncertified(spins, matrix.tickers, raw))):
         raise DivergenceError(f"no finite maximum is certified for spins {names}; use ridge > 0")
     return FitReport(model=IsingModel(J=symmetrize(raw), h=np.diag(raw).copy()),
                      method="plm", iterations=iterations, residual=residual)

@@ -145,17 +145,24 @@ def finite_size_band(n: int, t: int) -> tuple[float, float]:
     return lo, hi + 3.0 * upper_scale
 
 
+def moment_matrix(spins: np.ndarray) -> np.ndarray:
+    """G = [1 S]^T [1 S] / T = [[1, q^T], [q, Q]] of float spins S (T x N): integer sums,
+    exact for T < 2^53, so G is exactly symmetric with a unit diagonal in any sum order."""
+    t, n = spins.shape
+    gram = np.empty((n + 1, n + 1))
+    gram[0, 0] = t
+    gram[0, 1:] = gram[1:, 0] = spins.sum(axis=0)
+    gram[1:, 1:] = spins.T @ spins
+    return gram / t
+
+
 def empirical_moments(matrix: SpinMatrix) -> MomentSet:
-    """Plug-in moments of a spin matrix; requires T >= 2."""
+    """Plug-in moments of a spin matrix, read off its moment_matrix; requires T >= 2."""
     t = matrix.t
     if t < 2:
         raise InsufficientSampleError(f"need at least 2 rows for moments, got {t}")
-    s = matrix.values.astype(np.float64)
-    q = s.mean(axis=0)
-    big_q = (s.T @ s) / t
-    big_q = 0.5 * (big_q + big_q.T)
-    np.fill_diagonal(big_q, 1.0)  # s_i^2 = 1 exactly
-    return MomentSet(q=q, Q=big_q, sample_size=float(t))
+    g = moment_matrix(matrix.values.astype(np.float64))
+    return MomentSet(q=g[0, 1:], Q=g[1:, 1:], sample_size=float(t))
 
 
 def unit_scaled(values) -> tuple[np.ndarray, int]:

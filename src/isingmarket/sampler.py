@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _native, inverse
-from .errors import ConfigError, DegenerateRatioError
+from .errors import ConfigError, DegenerateRatioError, DivergenceError
 from .ingest import SpinMatrix
 from .model import FitReport, IsingModel
 from .moments import mean_std
@@ -76,15 +76,18 @@ def _labels(count: int) -> list[str]:
 
 
 def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
-    """Sample a (rows, N) spin matrix from the model's Gibbs distribution."""
+    """Sample a (rows, N) spin matrix from the model's Gibbs distribution; DivergenceError
+    where (N+1) max|J|, which bounds every field, overflows (a huge h only pins its spin)."""
     n = model.n
+    top = float(np.abs(model.J).max(initial=0.0))
+    if not np.isfinite((n + 1) * top):
+        raise DivergenceError(f"Glauber fields overflow: max |J_ij| = {top:.6g} at N = {n}")
     draw, sweeps = _draw(), _sweeps()
     rng = np.random.default_rng(config.seed)
     coupling = np.ascontiguousarray(model.J)
     h = np.ascontiguousarray(model.h)
 
     s = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
-    fields = coupling @ s
     try:
         out = np.empty((config.rows, n), dtype=np.int8)
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index holds
@@ -108,6 +111,7 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
     with ThreadPoolExecutor(1, "glauber-draw") as pool:
         ahead = [pool.submit(fill, k) for k in range(min(2, len(starts)))]
         for k, start in enumerate(starts):
+            fields = coupling @ s  # afresh each batch: sheds the updates' rounding
             orders, u = ahead[k % 2].result()
             recorded += sweeps(n, min(_SWEEP_BATCH, total_sweeps - start), coupling.ctypes.data,
                                h.ctypes.data, fields.ctypes.data, s.ctypes.data,
@@ -115,7 +119,6 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
                                config.thin, out[recorded:].ctypes.data)
             if k + 2 < len(starts):  # into the buffer these sweeps have freed
                 ahead[k % 2] = pool.submit(fill, k + 2)
-            fields = coupling @ s  # shed accumulated rounding between batches
 
     width_n = len(str(max(n - 1, 1)))
     return SpinMatrix(

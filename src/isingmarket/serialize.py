@@ -94,8 +94,6 @@ def _cell(value) -> str:
         if not math.isfinite(value):
             raise ValueError(f"a table cell is {value!r}, not a finite number")
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 

@@ -18,7 +18,8 @@ import isingmarket
 from conftest import planted_model
 from isingmarket import SamplerConfig, glauber_sample, inverse
 from isingmarket.cli import COMMANDS, main
-from isingmarket.ingest import SpinMatrix, write_spin_csv
+from isingmarket.ingest import SpinMatrix, read_spin_csv, write_spin_csv
+from isingmarket.moments import covariance_spectrum
 from isingmarket.newton import newton
 
 PRICES = {
@@ -200,6 +201,18 @@ def test_ingest_moments_spectrum_fit_tap_bias(tmp_path):
     assert all(len(v) == 64 for v in manifest["inputs"].values())
 
 
+def test_spectrum_of_the_covariance_kind(tmp_path):
+    out = tmp_path / "run"
+    assert main(["ingest", *write_ohlc(tmp_path), "-o", str(out)]) == 0
+    spins = out / "spins.csv"
+    assert main(["spectrum", "--spins", str(spins), "--kind", "covariance", "--bins", "5",
+                 "-o", str(out)]) == 0
+    spectrum = json.loads((out / "spectrum.json").read_text())
+    assert spectrum["matrix_kind"] == "covariance"
+    expected = covariance_spectrum(read_spin_csv(spins)).eigenvalues
+    assert spectrum["eigenvalues"] == expected.tolist()
+
+
 def test_sample_multiinfo_noise(tmp_path):
     model = model_json(tmp_path, n=3, scale=0.5, seed=1)
     out = tmp_path / "run"
@@ -287,6 +300,10 @@ def usage_error_cases(tmp_path):
         "demo t below 10 n": ["critical-demo", "--n", "20", "--t", "199", "--burn-in", "10"],
         "plm without spins": ["fit", "--method", "plm"],
         "scaling without points or models": ["scaling"],
+        "config brace not JSON": ["spectrum", "--spins", spins, "--config",
+                                  write_file(tmp_path, "brace.cfg", "{bins: 10}\n")],
+        "config line without =": ["spectrum", "--spins", spins, "--config",
+                                  write_file(tmp_path, "no_equals.cfg", "# bins\nbins 10\n")],
     }
 
 
@@ -372,6 +389,19 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path):
         assert not out.exists() or not any(out.iterdir()), case
 
 
+def test_a_malformed_config_file_is_named_on_stderr(tmp_path, capsys):
+    cases = usage_error_cases(tmp_path)
+    for case, where in [("config brace not JSON", "brace.cfg: "),
+                        ("config line without =", "no_equals.cfg:2: ")]:
+        out = tmp_path / "out" / case
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*cases[case], "-o", str(out)]) == 2, case
+        assert str(tmp_path / where) in capsys.readouterr().err, case
+        assert not out.exists() or not any(out.iterdir()), case
+
+
 def test_failed_write_exits_2_and_removes_what_this_run_wrote(tmp_path, capsys):
     # a directory where an artifact or the manifest goes makes that write fail
     # after earlier artifacts of the same run were written
@@ -426,9 +456,22 @@ def test_a_non_finite_artifact_exits_1_and_removes_what_this_run_wrote(
     assert list(out.iterdir()) == []
 
 
+def _coupled_model(tmp_path, name, top, h=None):
+    """An N=6 model and a plm fit of it, whose off-diagonal |J_ij| alternate between top
+    and 0.95 top, so that max|J| = top."""
+    coupling = np.zeros((6, 6))
+    iu = np.triu_indices(6, 1)
+    coupling[iu] = np.where(np.arange(len(iu[0])) % 2, 0.95, 1.0) * top
+    model = {"N": 6, "h": h or [0.1, -0.2, 0.0, 0.3, -0.1, 0.2],
+             "J": (coupling + coupling.T).ravel().tolist()}
+    fit = {"method": "plm", "iterations": 1, "residual": None, "warnings": [], "model": model}
+    return (write_file(tmp_path, f"m6_{name}.json", json.dumps(model)),
+            write_file(tmp_path, f"fit6_{name}.json", json.dumps(fit)))
+
+
 def overflow_cases(tmp_path):
     """argv lists on valid files whose couplings are large enough to overflow a square,
-    each with the exit code it must give."""
+    or a Glauber field sum (N+1) max|J|, each with the exit code it must give."""
     rng = np.random.default_rng(21)
     rows = rng.integers(0, 2, (200, 12)) * 2 - 1
     spins = write_file(tmp_path, "spins12.csv", "date," + ",".join(f"s{i}" for i in range(12))
@@ -440,7 +483,7 @@ def overflow_cases(tmp_path):
     model = {(n, scale): model_json(tmp_path, n=n, scale=scale, seed=n, name=f"m{n}_{scale}.json")
              for n, scale in [(12, 1e160), (12, 1e300), (14, 1e100), (14, 1e160),
                               (6, 1e160), (6, 1e300)]}
-    return {
+    cases = {
         "noise plm 1e300": (0, ["noise", "--fit", fit, "--method", "plm", "--t", "300"]),
         "bias 1e160": (0, ["bias", "--model", model[12, 1e160], "--spins", spins]),
         "bias 1e300": (0, ["bias", "--model", model[12, 1e300], "--spins", spins]),
@@ -449,6 +492,17 @@ def overflow_cases(tmp_path):
         "tap 1e160": (1, ["tap", "--model", model[6, 1e160]]),
         "tap 1e300": (1, ["tap", "--model", model[6, 1e300]]),
     }
+    for name, top, h, expected in [("1.7e308", 1.7e308, None, 1), ("3e307", 3e307, None, 1),
+                                   ("2.5e307", 2.5e307, None, 0), ("1e300", 1e300, None, 0),
+                                   ("huge h", 0.1, [1e308, -1e308, 0.1, -0.2, 1e308, 0.0], 0)]:
+        coupled, coupled_fit = _coupled_model(tmp_path, name, top, h)
+        cases[f"sample |J| {name}"] = (expected, ["sample", "--model", coupled, "--rows", "20",
+                                                  "--burn-in", "5"])
+        cases[f"noise |J| {name}"] = (expected, ["noise", "--fit", coupled_fit, "--method",
+                                                 "plm", "--t", "300"])
+    cases["critical-demo 1e308"] = (1, ["critical-demo", "--n", "20", "--t", "200",
+                                        "--burn-in", "10", "--coupling", "1e308"])
+    return cases
 
 
 def _refuse(constant):

@@ -18,7 +18,12 @@ from isingmarket import (
 )
 from isingmarket import _native, sampler
 from isingmarket.cli import main
-from isingmarket.errors import ConfigError, DegenerateRatioError, KernelBuildError
+from isingmarket.errors import (
+    ConfigError,
+    DegenerateRatioError,
+    DivergenceError,
+    KernelBuildError,
+)
 from isingmarket.exact import gibbs_probabilities, state_index
 from isingmarket.sampler import _SWEEP_BATCH
 
@@ -280,3 +285,17 @@ def test_chain_lengths_past_int64_are_config_errors():
         with pytest.raises(ConfigError, match="2\\^63"):
             SamplerConfig(rows=rows, burn_in=burn_in, thin=thin)
     SamplerConfig(rows=1, burn_in=2**63 - 2, thin=1)  # 2^63 - 1 sweeps still count
+
+
+def test_couplings_whose_fields_overflow_are_refused_and_a_huge_field_pins_its_spin():
+    config = SamplerConfig(rows=20, burn_in=5, seed=3)
+    for top in (3e307, 1.7e308):  # (N+1) max|J| past the largest float at N = 6
+        coupling = top * (1.0 - np.eye(6))
+        with pytest.raises(DivergenceError, match="Glauber fields overflow"):
+            glauber_sample(IsingModel(J=coupling, h=np.zeros(6)), config)
+    near = IsingModel(J=2.5e307 * (1.0 - np.eye(6)), h=np.zeros(6))  # 7 x 2.5e307 is finite
+    values = glauber_sample(near, config).values
+    assert (values == values[:, :1]).all()  # each spin follows the others' majority
+    h = np.array([1e308, -1e308, 0.1, -0.2, 1.7e308, 0.0])
+    values = glauber_sample(IsingModel(J=0.1 * (1.0 - np.eye(6)), h=h), config).values
+    assert (values[:, [0, 1, 4]] == [1, -1, 1]).all()
