@@ -11,8 +11,10 @@ row-major run in state_index order.  ln Z comes from one pass that reduces
 each block in place around its max; moments, probabilities and entropy read a
 second pass of ln p = E - ln Z blocks.  Moments are sums of weights (1, s,
 s s^T) over a block.  A fit (N <= FIT_LIMIT) is one block whose spin tables
-are built once per fit: each Newton state holds that block's p, and a Hessian
-product weights p by the energies of one direction.
+and two block-sized buffers are built once per fit: each Newton state holds
+that block's p in one buffer, and a Hessian product weights p by the energies
+of one direction in the other.  A fit starts from the first-order mean-field
+inversion and falls back to the independent start h = atanh(q), J = 0.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     BoundaryError,
     ConvergenceError,
     DegenerateRatioError,
+    SingularMatrixError,
     SizeLimitError,
 )
 from .ingest import SpinMatrix
@@ -61,16 +64,18 @@ def _tables(n: int):
         yield _spins(n - n_lo, start, min(start + rows, 1 << (n - n_lo))), s_lo
 
 
-def _energy(coupling: np.ndarray, field: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray):
+def _energy(coupling: np.ndarray, field: np.ndarray, s_hi: np.ndarray, s_lo: np.ndarray,
+            out: np.ndarray | None = None):
     """E[a, b]: the energy of the state whose high spins are S_hi[a], low spins S_lo[b].
 
-    One product [S_hi J_hl, E_hi, 1] [S_lo^T; 1; E_lo] writes the whole block.
+    One product [S_hi J_hl, E_hi, 1] [S_lo^T; 1; E_lo] writes the whole block,
+    into ``out`` if given.
     """
     lo, hi = slice(0, s_lo.shape[1]), slice(s_lo.shape[1], None)
     left = np.column_stack([s_hi @ coupling[hi, lo], energies(coupling[hi, hi], field[hi], s_hi),
                             np.ones(len(s_hi))])
     right = np.vstack([s_lo.T, np.ones(len(s_lo)), energies(coupling[lo, lo], field[lo], s_lo)])
-    return left @ right
+    return np.matmul(left, right, out=out)
 
 
 def _blocks(model: IsingModel):
@@ -173,18 +178,27 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
     """Fit (J, h) so that exact Gibbs moments match the targets.
 
     The shared damped Newton-CG solver (``newton.newton``) on the convex
-    ln Z(theta) - theta . target, from h = atanh(q), J = 0.  The gradient g is
-    the moment residual (target minus model moments of phi = (s_i, s_i s_j));
-    the Hessian H is Cov(phi, phi), and H v sums the state's p times the
-    energy phi . v of the couplings and fields read from v.  The solver's damping keeps
-    early steps out of near-frozen models, where H is nearly singular.
+    ln Z(theta) - theta . target.  The gradient g is the moment residual
+    (target minus model moments of phi = (s_i, s_i s_j)); the Hessian H is
+    Cov(phi, phi), and H v sums the state's p times the energy phi . v of the
+    couplings and fields read from v.  The solver's damping keeps early steps
+    out of near-frozen models, where H is nearly singular.
+
+    The solver starts from the first-order mean-field inversion
+    (``inverse.nmf_invert``), which is near the optimum for weak couplings.
+    It starts again from the independent model h = atanh(q), J = 0 if that
+    inversion raises SingularMatrixError or its run ends above tol, as it can
+    on near-frozen data whose mean-field couplings are far too large; the
+    result is then the second run's.
 
     ``warnings`` names the pairs with an empty 2x2 sign-table cell
     (``unseen_sign_warnings``): their J_ij diverges, so tol sets the fitted value.
-    ``iterations`` counts Newton steps.  Raises ConvergenceError with the last
-    iterate if the max-abs residual is above tol after max_iter steps, or once
-    no step size reduces |g|.
+    ``iterations`` counts the Newton steps of the reported run.  Raises
+    ConvergenceError with the last iterate if the max-abs residual is above tol
+    after max_iter steps, or once no step size reduces |g|.
     """
+    from .inverse import nmf_invert  # inverse imports this module
+
     n = targets.n
     _check_size(n, FIT_LIMIT, "fit_maxent_exact")
     q_t = targets.q
@@ -196,6 +210,8 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
 
     [(s_hi, s_lo)] = _tables(n)  # N <= FIT_LIMIT: one block, built once per fit
     second = np.empty((n, n))
+    # newton keeps at most one state alive, so one p buffer serves every state
+    p_block, weighted_block = np.empty((2, len(s_hi), len(s_lo)))
 
     def couplings(theta: np.ndarray) -> np.ndarray:
         coupling = np.zeros((n, n))
@@ -203,7 +219,7 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
         return coupling + coupling.T
 
     def evaluate(theta: np.ndarray):
-        p = _energy(couplings(theta), theta[:n], s_hi, s_lo)
+        p = _energy(couplings(theta), theta[:n], s_hi, s_lo, out=p_block)
         p -= p.max()
         np.exp(p, out=p)
         p /= p.sum()
@@ -212,13 +228,22 @@ def fit_maxent_exact(targets: MomentSet, tol: float = 1e-8, max_iter: int = 500)
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         p, gradient = state
-        weighted = _energy(couplings(v), v[:n], s_hi, s_lo)
+        weighted = _energy(couplings(v), v[:n], s_hi, s_lo, out=weighted_block)
         weighted *= p
         total, first = _sums(weighted, s_hi, s_lo, second)
         return np.concatenate([first, second[iu]]) - (target - gradient) * total
 
-    theta, iterations, residual = newton(
-        evaluate, hessp, np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))]), tol, max_iter)
+    starts = [np.concatenate([np.arctanh(q_t), np.zeros(len(iu[0]))])]
+    try:
+        mean_field = nmf_invert(targets).model
+    except SingularMatrixError:
+        pass
+    else:
+        starts.insert(0, np.concatenate([mean_field.h, mean_field.J[iu]]))
+    for start in starts:
+        theta, iterations, residual = newton(evaluate, hessp, start, tol, max_iter)
+        if residual <= tol:
+            break
 
     report = FitReport(model=IsingModel(J=couplings(theta), h=theta[:n]), method="exact",
                        iterations=iterations, residual=residual,

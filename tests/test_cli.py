@@ -928,17 +928,41 @@ def _one_factor_inputs(draw):
     return "\n".join(lines) + "\n", None, None, config, draw(st.booleans())
 
 
+@st.composite
+def _near_frozen_inputs(draw, command):
+    """A valid spin file of 40-200 one-factor rows of N in 2..6 in which each spin
+    follows the factor with probability 0.95-0.995, data on which the exact fit's
+    mean-field start can stall, and a config of valid values.  N stops at 6 for
+    cost: pairs with an empty sign cell make the fits long."""
+    n, t = draw(st.integers(2, 6)), draw(st.integers(40, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.choice([-1, 1], size=(t, 1))
+    follow = rng.random((t, n)) < rng.uniform(0.95, 0.995, size=n)
+    spins = np.where(follow, factor, -factor)
+    lines = ["date" + "".join(f",s{i}" for i in range(n))]
+    lines += [f"d{k}," + ",".join(map(str, row)) for k, row in enumerate(spins.tolist())]
+    values = {"tol": [1e-10, 1e-8, 1e-6, 1e-4], "max_iter": [20, 100, 500],
+              "fit_tol": [1e-10, 1e-8, 1e-6]}
+    keys = draw(st.lists(st.sampled_from(["tol", "max_iter"] + (
+        ["fit_tol"] if command == "multiinfo" else [])), unique=True))
+    config = {key: draw(st.sampled_from(values[key])) for key in keys}
+    return "\n".join(lines) + "\n", None, None, config, draw(st.booleans())
+
+
 _FITS = [["fit", "--method", method] for method in inverse.FIT_METHODS]
-_FIT_CASES = [(argv, False) for argv in [*_FITS, ["multiinfo"]]] + [(argv, True) for argv in _FITS]
+_FIT_CASES = ([(argv, "") for argv in [*_FITS, ["multiinfo"]]]
+              + [(argv, "one-factor") for argv in _FITS]
+              + [(argv, "near-frozen") for argv in [["fit", "--method", "exact"], ["multiinfo"]]])
 
 
-@pytest.mark.parametrize("argv, one_factor", _FIT_CASES, ids=[
-    "-".join(argv[::2]) + ("-one-factor" if one_factor else "") for argv, one_factor in _FIT_CASES])
+@pytest.mark.parametrize("argv, inputs", _FIT_CASES, ids=[
+    "-".join(argv[::2]) + (f"-{inputs}" if inputs else "") for argv, inputs in _FIT_CASES])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_fuzzed_fits_keep_the_exit_code_contract_and_finite_artifacts(argv, one_factor, data):
-    spins_text, _, _, config, as_json = data.draw(
-        _one_factor_inputs() if one_factor else _fuzz_inputs(argv[0]))
+def test_fuzzed_fits_keep_the_exit_code_contract_and_finite_artifacts(argv, inputs, data):
+    spins_text, _, _, config, as_json = data.draw({
+        "": _fuzz_inputs, "one-factor": lambda _: _one_factor_inputs(),
+        "near-frozen": _near_frozen_inputs}[inputs](argv[0]))
     if argv[0] == "fit":
         ridge = data.draw(st.sampled_from([None, "0", "1e-3", "0.5"]))
         argv = argv + (["--ridge", ridge] if ridge else []) + (

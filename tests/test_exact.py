@@ -21,6 +21,7 @@ from isingmarket import (
     exact_moments,
     fit_maxent_exact,
     gibbs_probabilities,
+    inverse,
     log_partition,
     multi_information_ratio,
 )
@@ -28,6 +29,7 @@ from isingmarket.errors import (
     BoundaryError,
     ConvergenceError,
     DegenerateRatioError,
+    SingularMatrixError,
     SizeLimitError,
 )
 from isingmarket.exact import FIT_LIMIT
@@ -308,6 +310,55 @@ def test_fit_boundary_targets_error():
     targets = MomentSet(q=np.array([1.0, 0.0]), Q=np.eye(2), sample_size=math.inf)
     with pytest.raises(BoundaryError):
         fit_maxent_exact(targets)
+
+
+def _independent_start(monkeypatch):
+    """Make fit_maxent_exact start as it does when the mean-field inversion fails."""
+    def singular(targets, ridge=0.0):
+        raise SingularMatrixError("mean-field start withheld")
+
+    monkeypatch.setattr(inverse, "nmf_invert", singular)
+
+
+def test_a_stalled_mean_field_start_reruns_from_the_independent_start(monkeypatch):
+    # near-frozen one-factor data: the mean-field couplings are so large that
+    # the run from them stalls at its first step with residual 1.13
+    rng = np.random.default_rng(0)
+    f = rng.normal(size=(150, 1))
+    moments = empirical_moments(spins_of(np.where(5 * f + 0.3 * rng.normal(size=(150, 8)) > 0,
+                                                  1, -1)))
+    fit = fit_maxent_exact(moments)
+    _independent_start(monkeypatch)
+    independent = fit_maxent_exact(moments)
+    assert independent.iterations == 42
+    assert fit.iterations == independent.iterations and fit.residual == independent.residual
+    assert np.array_equal(fit.model.J, independent.model.J)
+    assert np.array_equal(fit.model.h, independent.model.h)
+    assert fit.warnings == independent.warnings
+
+
+def _one_factor_spins(n, t, seed):
+    """Signs of one-factor returns, as perfbench's market draws them."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.3, 1.0, n)
+    return spins_of(np.where(beta * rng.standard_normal((t, 1))
+                             + rng.standard_normal((t, n)) >= 0, 1, -1))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_the_mean_field_start_takes_fewer_enumerations(monkeypatch, n):
+    moments = empirical_moments(_one_factor_spins(n, 5000, n))
+    calls = []
+    real = exact._energy
+    monkeypatch.setattr(exact, "_energy", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    fit = fit_maxent_exact(moments)
+    mean_field = len(calls)
+    _independent_start(monkeypatch)
+    independent = fit_maxent_exact(moments)
+    assert mean_field < len(calls) - mean_field
+    assert fit.iterations < independent.iterations
+    assert np.abs(fit.model.J - independent.model.J).max() <= 1e-7
+    assert np.abs(fit.model.h - independent.model.h).max() <= 1e-7
 
 
 # ---------------------------------------------------------------- entropies

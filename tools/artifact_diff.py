@@ -8,7 +8,10 @@ afresh at the same paths and every step runs in one fresh interpreter with
 PYTHONPATH set to the tree's `src` and one BLAS thread, under WORKDIR/run, which
 is then renamed to WORKDIR/old or WORKDIR/new; so manifests, which record input
 paths, can match byte for byte.  Every step must exit 0.  Exit status 1 lists
-the output files that differ or exist in one tree only.
+the output files that differ or exist in one tree only.  After each differing
+.json file come the max absolute gaps of its numeric values, one per key path
+(list indices dropped, so `model.J` covers every coupling) that differs; after
+each differing .csv file, the max absolute gap over its numeric cells.
 
 The steps:
 - every prep and pass step of perfbench's three workloads (desk_fit,
@@ -135,6 +138,46 @@ def workload_steps(run: Path) -> list:
     return steps
 
 
+def numbers(path: Path) -> dict[str, list[float]]:
+    """The numeric values of a .json file by key path, or of a .csv file's cells."""
+    if path.suffix == ".csv":
+        cells = []
+        for cell in path.read_text().replace("\n", ",").split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                pass
+        return {"": cells}
+    found: dict[str, list[float]] = {}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                walk(item, f"{key}.{name}" if key else name)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, key)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.setdefault(key, []).append(float(value))
+
+    walk(json.loads(path.read_text()), "")
+    return found
+
+
+def gaps(old: Path, new: Path) -> str:
+    """Max absolute gap of each key path's numbers that differ, or why there is none."""
+    a, b = numbers(old), numbers(new)
+    parts = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key, []), b.get(key, [])
+        label = f"{key}:" if key else "max |gap|"
+        if len(x) != len(y):
+            parts.append(f"{label} {len(x)} vs {len(y)} numbers")
+        elif x != y:
+            parts.append(f"{label} {max(abs(u - v) for u, v in zip(x, y)):.3g}")
+    return ", ".join(parts) or "no numeric gap"
+
+
 def main(argv=None) -> int:
     old, new, work = (Path(a).resolve() for a in (argv or sys.argv[1:]))
     run, inputs = work / "run", work / "inputs"
@@ -159,7 +202,9 @@ def main(argv=None) -> int:
               or not filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)]
     print(f"{len(steps)} steps, {len(names)} files, {len(differ)} differ")
     for name in differ:
-        print("  " + name)
+        numeric = (name.endswith((".json", ".csv"))
+                   and all((o / name).is_file() for o in outs))
+        print("  " + name + (f"  [{gaps(outs[0] / name, outs[1] / name)}]" if numeric else ""))
     return 1 if differ else 0
 
 
