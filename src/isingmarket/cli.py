@@ -99,7 +99,7 @@ def _check(opt: Opt, value) -> None:
 def _load_config_file(path: str) -> dict:
     """Accept a JSON object or simple key=value lines (# comments allowed)."""
     try:
-        text = serialize.read_text(path)
+        text = serialize.read_bytes(path).decode("utf-8")
     except FormatError as exc:  # not UTF-8
         raise UsageError(str(exc)) from exc
     if text.lstrip().startswith("{"):
@@ -143,7 +143,7 @@ def _resolve(ns: argparse.Namespace, options: list[Opt]) -> dict:
 
 def _load(path: str, parse):
     """parse(JSON content of path); malformed content is a FormatError naming path."""
-    text = serialize.read_text(path)
+    text = serialize.read_bytes(path).decode("utf-8")
     try:
         return parse(json.loads(text))
     except FormatError as exc:
@@ -167,8 +167,8 @@ def _spectrum_artifacts(spectrum, bins: int, stem: str) -> dict:
 # Each handler takes the resolved config and returns its artifacts,
 # {file name in outdir: content}, which main writes in order: a SpinMatrix as
 # a spin CSV, a (header, rows) tuple as a table, anything else (a dict or a
-# report dataclass) as JSON.  Every file it reads goes through serialize.read_bytes
-# (read_text decodes it), which records the file's sha256 while main runs the handler.
+# report dataclass) as JSON.  Every file it reads goes through serialize.read_bytes,
+# which records the file's sha256 while main runs the handler.
 
 def _cmd_ingest(cfg) -> dict:
     fmt = ingest.OhlcFormat(
@@ -285,7 +285,7 @@ def _cmd_normality(cfg) -> dict:
 
 def _cmd_scaling(cfg) -> dict:
     if cfg["points"] is not None:
-        lines = serialize.read_text(cfg["points"]).splitlines()[1:]
+        lines = serialize.read_bytes(cfg["points"]).decode("utf-8").splitlines()[1:]
         try:
             if not any(line.strip() for line in lines):
                 raise ValueError("no rows")

@@ -131,9 +131,7 @@ def exact_moments(model: IsingModel) -> MomentSet:
     for ln_p, s_hi, s_lo in _log_probabilities(model):
         q += _sums(np.exp(ln_p, out=ln_p), s_hi, s_lo, second)[1]
         big_q += second
-    big_q = 0.5 * (big_q + big_q.T)
-    np.fill_diagonal(big_q, 1.0)
-    return MomentSet(q=q, Q=big_q, sample_size=EXACT_SAMPLE)
+    return MomentSet(q=q, Q=MomentSet.symmetric_unit(big_q), sample_size=EXACT_SAMPLE)
 
 
 def gibbs_probabilities(model: IsingModel) -> np.ndarray:

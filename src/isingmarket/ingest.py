@@ -70,8 +70,10 @@ class SpinMatrix:
     values: np.ndarray  # (T, N) int8, entries in {-1, +1}
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int8)
+        # checked as given: a cast first would read 257 or 1.5 as +1 and 255 as -1
+        self.values = np.asarray(self.values)
         self.validate()
+        self.values = self.values.astype(np.int8, copy=False)
 
     @property
     def t(self) -> int:

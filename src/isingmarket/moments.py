@@ -18,7 +18,7 @@ from .ingest import SpinMatrix
 from .model import checked_int
 
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
-_ROUNDING = 1e-12  # a sign-table cell this far below 0 is rounding, not infeasibility
+_ROUNDING = 1e-12  # a sign-table cell below 0, Q's asymmetry or diagonal this far off is rounding
 _SAFE_EXPONENT = 200  # unit_scaled leaves values up to 2^200 (1.6e60) as they are
 
 
@@ -56,11 +56,20 @@ class MomentSet:
             "C": self.C.tolist(),
         }
 
+    @staticmethod
+    def symmetric_unit(big_q: np.ndarray) -> np.ndarray:
+        """(Q + Q^T) / 2 with a unit diagonal, as moments of +-1 spins hold exactly."""
+        big_q = 0.5 * (big_q + big_q.T)
+        np.fill_diagonal(big_q, 1.0)
+        return big_q
+
     @classmethod
     def from_dict(cls, d: dict) -> "MomentSet":
         """Read q and Q (the "C" that to_dict writes is not read back); FormatError unless
-        they are moments of +-1 spins (no 2x2 sign-table cell below 0 beyond rounding),
-        N (if given) is their size and sample_size is null (exact) or an integer >= 2."""
+        they are moments of +-1 spins (Q symmetric with a unit diagonal and no 2x2
+        sign-table cell below 0, each beyond rounding), N (if given) is their size and
+        sample_size is null (exact) or an integer >= 2.  Q is stored as symmetric_unit
+        makes it."""
         q = np.asarray(d["q"], dtype=np.float64)
         big_q = np.asarray(d["Q"], dtype=np.float64)
         if q.ndim != 1 or big_q.shape != (len(q), len(q)):
@@ -69,8 +78,10 @@ class MomentSet:
             raise FormatError(f"moments file says N = {d['N']} but q has {len(q)} entries")
         if not (np.isfinite(q).all() and np.isfinite(big_q).all()):
             raise FormatError("moments q and Q must be finite")
-        if not np.array_equal(big_q, big_q.T) or np.any(np.diag(big_q) != 1.0):
+        if (np.any(np.abs(big_q - big_q.T) > _ROUNDING)
+                or np.any(np.abs(np.diag(big_q) - 1.0) > _ROUNDING)):
             raise FormatError("moment matrix Q must be symmetric with a unit diagonal")
+        big_q = cls.symmetric_unit(big_q)
         if np.any(np.abs(q) > 1.0) or np.any(np.abs(big_q) > 1.0):
             raise FormatError("moments of +-1 spins must lie in [-1, 1]")
         smallest, (i, j) = _smallest_sign_cells(q, big_q)

@@ -42,11 +42,6 @@ def read_bytes(path) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def read_text(path) -> str:
-    """read_bytes(path) as text."""
-    return read_bytes(path).decode("utf-8")
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

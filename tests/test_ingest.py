@@ -140,6 +140,20 @@ def test_spin_matrix_rejects_non_pm_one():
         SpinMatrix(tickers=["a"], dates=["d"], values=np.array([[2]]))
 
 
+def test_spin_matrix_checks_values_before_the_int8_cast():
+    # cast first, 257 and 1.5 would read as +1 and 255 as -1; a Python 257 would overflow
+    for values, shown in [([[1, 257]], "257"), (np.array([[1, 257]]), "257"),
+                          (np.array([[1, 255]]), "255"), (np.array([[1.0, 1.5]]), "1.5"),
+                          (np.array([[1.0, np.nan]]), "nan")]:
+        with pytest.raises(FormatError, match=f"spin entry at row 0, column 1 is {shown},"):
+            SpinMatrix(tickers=["a", "b"], dates=["d"], values=values)
+    for values, stored in [([[1, -1]], [[1, -1]]), (np.array([[1, -1]], np.int8), [[1, -1]]),
+                           (np.array([[1.0, -1.0]]), [[1, -1]]),
+                           (np.array([[True, True]]), [[1, 1]])]:
+        matrix = SpinMatrix(tickers=["a", "b"], dates=["d"], values=values)
+        assert matrix.values.dtype == np.int8 and matrix.values.tolist() == stored
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: SpinMatrix(tickers=[], dates=[], values=np.ones((0, 0))), FormatError, "one row"),
     (lambda: SpinMatrix(tickers=["a"], dates=["d"], values=np.ones((1, 2))), FormatError,

@@ -107,6 +107,23 @@ def test_moments_from_dict_rejects_impossible_moments(change, message):
         MomentSet.from_dict(GOOD_MOMENTS | change)
 
 
+def test_moments_from_dict_reads_q_off_by_rounding_as_symmetric_with_a_unit_diagonal():
+    from isingmarket.moments import MomentSet
+
+    # a float sum S^T diag(p) S of three states: its diagonal is p's sum, 1 - 1.1e-16
+    states = np.array([[1, 1], [1, -1], [-1, -1]], float)
+    p = np.array([0.7, 0.2, 0.1])
+    q, big_q = p @ states, states.T @ (p[:, None] * states)
+    assert np.all(np.diag(big_q) != 1.0)
+    for within in (big_q, big_q + [[9e-13, 9e-13], [0.0, -8e-13]]):
+        read = MomentSet.from_dict({"q": q.tolist(), "Q": within.tolist()})
+        assert np.array_equal(read.Q, read.Q.T) and np.all(np.diag(read.Q) == 1.0)
+        assert np.abs(read.Q - within).max() <= 1e-12 and np.array_equal(read.q, q)
+    for beyond in ([[2e-12, 0.0], [0.0, 0.0]], [[0.0, 2e-12], [0.0, 0.0]]):
+        with pytest.raises(FormatError, match="Q must be symmetric with a unit diagonal"):
+            MomentSet.from_dict({"q": q.tolist(), "Q": (big_q + beyond).tolist()})
+
+
 def test_spectrum_anticorrelated_pair(rng):
     col = rng.integers(0, 2, size=50) * 2 - 1
     spec = correlation_spectrum(matrix_of(np.column_stack([col, -col])))

@@ -7,7 +7,7 @@ import pytest
 
 from isingmarket import serialize
 from isingmarket.errors import DomainError, FormatError
-from isingmarket.serialize import read_bytes, read_text, write_csv, write_json
+from isingmarket.serialize import read_bytes, write_csv, write_json
 
 
 @dataclass
@@ -73,21 +73,6 @@ def test_write_csv_refuses_a_non_finite_cell_and_writes_nothing(tmp_path, value)
     with pytest.raises(DomainError, match="table.csv"):
         write_csv(tmp_path / "table.csv", ["name", "x"], [("a", 1.0), ("b", value)])
     assert list(tmp_path.iterdir()) == []
-
-
-def test_read_text_folds_line_endings_rejects_non_utf8_and_records_only_when_asked(
-        tmp_path, monkeypatch):
-    path = tmp_path / "in.csv"
-    data = "a,é\r\nb\rc\n".encode()
-    path.write_bytes(data)
-    assert read_text(path) == "a,é\nb\nc\n"
-    recorded = {}
-    monkeypatch.setattr(serialize, "recorder", recorded)
-    assert read_text(path) == "a,é\nb\nc\n"
-    assert recorded == {str(path): hashlib.sha256(data).hexdigest()}
-    path.write_bytes(b"a\xff\n")
-    with pytest.raises(FormatError, match="in.csv: not UTF-8"):
-        read_text(path)
 
 
 def test_read_bytes_folds_line_endings_on_the_bytes_and_records_their_sha256(

@@ -21,7 +21,8 @@ The steps:
 - ingest, moments, spectrum, fit (tap-inv, plm and exact), multiinfo and
   sample on twelve OHLC files of seed 5: three each with '\\n', '\\r\\n' and a
   lone '\\r' line endings, three '\\r\\n' files with quoted dates; every file
-  holds an 'é' in its unmapped Volume column and a dropped row holding 'é'.
+  holds an 'é' in its unmapped Volume column and a dropped row holding 'é'; and
+  fit --moments (exact, nmf and tap-inv) on that set's moments.json.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def mixed_steps(inputs: Path, out: Path) -> list:
     steps = {
         "ingest": ["ingest", *files],
         "moments": ["moments", "--spins", spins],
+        **{f"moments-{method}": ["fit", "--method", method, "--moments",
+                                 str(out / "mixed" / "moments" / "moments.json")]
+           for method in ("exact", "nmf", "tap-inv")},
         "spectrum": ["spectrum", "--spins", spins],
         "tap-inv": ["fit", "--method", "tap-inv", "--spins", spins],
         "plm": ["fit", "--method", "plm", "--spins", spins],
