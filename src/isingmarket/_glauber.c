@@ -6,16 +6,30 @@
  * rng.random((batch, n)) would draw: first every sweep's visiting order into
  * orders, each a Fisher-Yates shuffle of 0..n-1 with numpy's random_interval
  * (mask rejection on next_uint32), then batch*n next_doubles into u, one per
- * visited slot.  glauber_sweeps runs the batch, reading orders and u where a
- * single-stage loop would call the bit generator, so the chain is the one
- * the numpy calls give, which tests/conftest.reference_glauber checks bit for
- * bit, whichever thread draws the stream.  The arithmetic is that of the
- * reference loop: build with -ffp-contract=off, never -ffast-math, so the
- * vectorized field update rounds each element as the scalar one does.  J is
- * symmetric, so row i stands in for column i in that update.  Rows are
- * recorded into out after every sweep past burn_in that is a multiple of
- * thin; the return value is the number of rows written.  Orders are int32:
- * n < 2^31, since J's n*n doubles must fit in memory.
+ * visited slot.  The caller then writes each slot's logit threshold
+ * t = ln(u / (1 - u)) (-inf at u = 0) beside u, still on the drawing thread.
+ * glauber_sweeps runs the batch, reading orders, u and t where a single-stage
+ * loop would call the bit generator, so the chain is the one the numpy calls
+ * give, which tests/conftest.reference_glauber checks bit for bit, whichever
+ * thread draws the stream.
+ *
+ * The reference sets a spin to +1 iff z > 40, or |z| <= 40 and
+ * u < fl(1 / (1 + exp(-z))).  The sweeps decide by z > t instead, which takes
+ * no exp on the chain that each flip's field update feeds, and run that exact
+ * test only where the two could disagree: when |z - t| <= 1e-6 + 2^-48/(1 - u),
+ * when |z| > 40, or when 1 - u < 2^-40.  fl(1 / (1 + exp(-z))) lies within
+ * a few 2^-53 (relative) of the true sigmoid, so u < fl(...) and z > logit(u)
+ * can differ only within a few 2^-53 / (1 - u) of logit(u), a linear bound
+ * that holds while 1 - u is far above 2^-53; numpy's divide and log keep t
+ * within 1e-14 of logit(u); the band covers both with room to spare, and the
+ * tail u -> 1, where the linear bound is least sharp, always takes the exact
+ * test.  The arithmetic is that of the reference loop: build with
+ * -ffp-contract=off, never -ffast-math, so the vectorized field update rounds
+ * each element as the scalar one does.  J is symmetric, so row i stands in for
+ * column i in that update.  Rows are recorded into out after every sweep past
+ * burn_in that is a multiple of thin; the return value is the number of rows
+ * written.  Orders are int32: n < 2^31, since J's n*n doubles must fit in
+ * memory.
  */
 #include <math.h>
 #include <stdint.h>
@@ -68,15 +82,20 @@ void glauber_draw(int64_t n, int64_t batch, bitgen_t *rng, int32_t *orders, doub
 CLONES
 int64_t glauber_sweeps(int64_t n, int64_t batch, const double *restrict J, const double *h,
                        double *restrict f, double *s, const int32_t *orders, const double *u,
-                       int64_t sweep, int64_t burn_in, int64_t thin, int8_t *out)
+                       const double *t, int64_t sweep, int64_t burn_in, int64_t thin,
+                       int8_t *out)
 {
     int64_t recorded = 0;
-    for (int64_t k = 0; k < batch; k++, orders += n, u += n) {
+    for (int64_t k = 0; k < batch; k++, orders += n, u += n, t += n) {
         for (int64_t slot = 0; slot < n; slot++) {
             int64_t i = orders[slot];
             double z = 2.0 * (h[i] + f[i]);
+            double w = 1.0 - u[slot];  /* exact for the generator's multiples of 2^-53 */
             double v;
-            if (z > 40.0)
+            /* |z - t| > 1e-6 + 2^-48 / w, times w > 0; false if z is NaN */
+            if (fabs(z - t[slot]) * w > 1e-6 * w + 0x1p-48 && fabs(z) <= 40.0 && w >= 0x1p-40)
+                v = z > t[slot] ? 1.0 : -1.0;
+            else if (z > 40.0)
                 v = 1.0;
             else if (z < -40.0)
                 v = -1.0;

@@ -20,6 +20,7 @@ from .model import checked_int
 EXACT_SAMPLE = math.inf  # sample_size sentinel for enumeration-derived moments
 _ROUNDING = 1e-12  # a sign-table cell below 0, Q's asymmetry or diagonal this far off is rounding
 _SAFE_EXPONENT = 200  # unit_scaled leaves values up to 2^200 (1.6e60) as they are
+_FLOAT32_EXACT = 2**24  # float32 holds every integer up to 2^24: sums of fewer +-1s are exact
 
 
 @dataclass
@@ -66,10 +67,10 @@ class MomentSet:
     @classmethod
     def from_dict(cls, d: dict) -> "MomentSet":
         """Read q and Q (the "C" that to_dict writes is not read back); FormatError unless
-        they are moments of +-1 spins (Q symmetric with a unit diagonal and no 2x2
-        sign-table cell below 0, each beyond rounding), N (if given) is their size and
-        sample_size is null (exact) or an integer >= 2.  Q is stored as symmetric_unit
-        makes it."""
+        they are moments of +-1 spins (Q symmetric with a unit diagonal, every value in
+        [-1, 1] and no 2x2 sign-table cell below 0, each beyond rounding), N (if given)
+        is their size and sample_size is null (exact) or an integer >= 2.  Q is stored
+        as symmetric_unit makes it, and q and Q clipped to [-1, 1]."""
         q = np.asarray(d["q"], dtype=np.float64)
         big_q = np.asarray(d["Q"], dtype=np.float64)
         if q.ndim != 1 or big_q.shape != (len(q), len(q)):
@@ -82,8 +83,9 @@ class MomentSet:
                 or np.any(np.abs(np.diag(big_q) - 1.0) > _ROUNDING)):
             raise FormatError("moment matrix Q must be symmetric with a unit diagonal")
         big_q = cls.symmetric_unit(big_q)
-        if np.any(np.abs(q) > 1.0) or np.any(np.abs(big_q) > 1.0):
+        if np.any(np.abs(q) > 1.0 + _ROUNDING) or np.any(np.abs(big_q) > 1.0 + _ROUNDING):
             raise FormatError("moments of +-1 spins must lie in [-1, 1]")
+        q, big_q = np.clip(q, -1.0, 1.0), np.clip(big_q, -1.0, 1.0)
         smallest, (i, j) = _smallest_sign_cells(q, big_q)
         bad = np.flatnonzero(smallest < -_ROUNDING)
         if bad.size:
@@ -158,7 +160,8 @@ def finite_size_band(n: int, t: int) -> tuple[float, float]:
 
 def moment_matrix(spins: np.ndarray) -> np.ndarray:
     """G = [1 S]^T [1 S] / T = [[1, q^T], [q, Q]] of float spins S (T x N): integer sums,
-    exact for T < 2^53, so G is exactly symmetric with a unit diagonal in any sum order."""
+    exact for T < 2^24 in float32 and T < 2^53 in float64, so G is exactly symmetric
+    with a unit diagonal, and has the same bits, in any sum order and either dtype."""
     t, n = spins.shape
     gram = np.empty((n + 1, n + 1))
     gram[0, 0] = t
@@ -168,11 +171,12 @@ def moment_matrix(spins: np.ndarray) -> np.ndarray:
 
 
 def empirical_moments(matrix: SpinMatrix) -> MomentSet:
-    """Plug-in moments of a spin matrix, read off its moment_matrix; requires T >= 2."""
+    """Plug-in moments of a spin matrix, read off its moment_matrix (summed in float32,
+    half the bytes, while that is exact); requires T >= 2."""
     t = matrix.t
     if t < 2:
         raise InsufficientSampleError(f"need at least 2 rows for moments, got {t}")
-    g = moment_matrix(matrix.values.astype(np.float64))
+    g = moment_matrix(matrix.values.astype(np.float32 if t < _FLOAT32_EXACT else np.float64))
     return MomentSet(q=g[0, 1:], Q=g[1:, 1:], sample_size=float(t))
 
 

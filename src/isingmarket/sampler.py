@@ -5,9 +5,14 @@ sigma(2 * (h_i + sum_j J_ij s_j)), one sweep visits all N spins in a fresh
 random order, and rows are recorded every `thin` sweeps after burn-in.  The
 chain is fully deterministic given the seed.  The C source _glauber.c,
 compiled on first use, runs it in batches of sweeps and two stages: the one
-thread of a one-worker pool draws each batch's visiting orders and uniforms
+thread of a one-worker pool draws each batch's visiting orders and uniforms u
 from the seeded numpy Generator, as rng.permuted and then rng.random would,
-while the calling thread sweeps the batch before it.  Only the pool's thread
+and writes each uniform's logit threshold t = ln(u / (1 - u)) into a third
+buffer, while the calling thread sweeps the batch before it.  A sweep sets a
+spin to +1 iff its z = 2 (h_i + sum_j J_ij s_j) exceeds t, which needs no exp;
+near t, past |z| = 40 and for u within 2^-40 of 1 it runs the reference's
+exact test u < 1 / (1 + exp(-z)) instead, so every decision, and the chain, is
+the one that test gives (see _glauber.c for the bound).  Only the pool's thread
 touches the Generator and it draws the batches in order, so the chain does
 not depend on how the two threads are scheduled.  The pool is joined on every
 exit from glauber_sample.
@@ -57,10 +62,20 @@ def _draw():
 
 
 def _sweeps():
-    """The sweep stage of _glauber.c, reading the orders and uniforms _draw made."""
+    """The sweep stage of _glauber.c, reading the orders and uniforms _draw made and
+    their _thresholds."""
     return _native.load("_glauber.c", "glauber_sweeps", ctypes.c_int64, (
-        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 6,
+        ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 7,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p))
+
+
+def _thresholds(u: np.ndarray, t: np.ndarray) -> None:
+    """t = ln(u / (1 - u)) in place, -inf where u = 0: the logit that each update's
+    z is compared against.  Only numpy, as it runs on the pool's thread."""
+    np.subtract(1.0, u, out=t)
+    np.divide(u, t, out=t)
+    with np.errstate(divide="ignore"):
+        np.log(t, out=t)
 
 
 def _labels(count: int) -> list[str]:
@@ -96,14 +111,15 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
     total_sweeps = config.burn_in + config.rows * config.thin
     starts = range(0, total_sweeps, _SWEEP_BATCH)
     bitgen = rng.bit_generator.ctypes.bit_generator
-    buffers = [(np.empty((_SWEEP_BATCH, n), dtype=np.int32), np.empty((_SWEEP_BATCH, n)))
-               for _ in range(2)]
+    buffers = [(np.empty((_SWEEP_BATCH, n), dtype=np.int32), np.empty((_SWEEP_BATCH, n)),
+                np.empty((_SWEEP_BATCH, n))) for _ in range(2)]
 
-    def fill(k):  # batch k's visiting orders and uniforms, into buffers[k % 2]
-        orders, u = buffers[k % 2]
-        draw(n, min(_SWEEP_BATCH, total_sweeps - starts[k]), bitgen,
-             orders.ctypes.data, u.ctypes.data)
-        return orders, u
+    def fill(k):  # batch k's visiting orders, uniforms and thresholds, into buffers[k % 2]
+        orders, u, t = buffers[k % 2]
+        batch = min(_SWEEP_BATCH, total_sweeps - starts[k])
+        draw(n, batch, bitgen, orders.ctypes.data, u.ctypes.data)
+        _thresholds(u[:batch], t[:batch])
+        return orders, u, t
 
     from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
 
@@ -112,11 +128,11 @@ def glauber_sample(model: IsingModel, config: SamplerConfig) -> SpinMatrix:
         ahead = [pool.submit(fill, k) for k in range(min(2, len(starts)))]
         for k, start in enumerate(starts):
             fields = coupling @ s  # afresh each batch: sheds the updates' rounding
-            orders, u = ahead[k % 2].result()
+            orders, u, t = ahead[k % 2].result()
             recorded += sweeps(n, min(_SWEEP_BATCH, total_sweeps - start), coupling.ctypes.data,
                                h.ctypes.data, fields.ctypes.data, s.ctypes.data,
-                               orders.ctypes.data, u.ctypes.data, start, config.burn_in,
-                               config.thin, out[recorded:].ctypes.data)
+                               orders.ctypes.data, u.ctypes.data, t.ctypes.data, start,
+                               config.burn_in, config.thin, out[recorded:].ctypes.data)
             if k + 2 < len(starts):  # into the buffer these sweeps have freed
                 ahead[k % 2] = pool.submit(fill, k + 2)
 

@@ -124,6 +124,30 @@ def test_moments_from_dict_reads_q_off_by_rounding_as_symmetric_with_a_unit_diag
             MomentSet.from_dict({"q": q.tolist(), "Q": (big_q + beyond).tolist()})
 
 
+def test_moments_from_dict_reads_a_moment_past_one_by_rounding_as_one():
+    from isingmarket.moments import MomentSet
+
+    above = np.nextafter(1.0, 2.0)
+    read = MomentSet.from_dict({"q": [-above, -above], "Q": [[1.0, above], [above, 1.0]]})
+    assert np.array_equal(read.q, [-1.0, -1.0]) and np.array_equal(read.Q, np.ones((2, 2)))
+    past = 1.0 + 2e-12
+    for change in ({"q": [0.0, -past]}, {"Q": [[1.0, past], [past, 1.0]]}):
+        with pytest.raises(FormatError, match=r"moments of \+-1 spins must lie in \[-1, 1\]"):
+            MomentSet.from_dict({"q": [0.0, 0.0], "Q": [[1.0, 0.0], [0.0, 1.0]]} | change)
+
+
+def test_float32_moment_sums_equal_the_float64_ones_bit_for_bit(rng):
+    from isingmarket.moments import moment_matrix
+
+    column = rng.choice([-1, 1], size=(6000, 1))
+    spins = np.hstack([rng.choice([-1, 1], size=(6000, 40)), np.ones((6000, 1)),
+                       -np.ones((6000, 1)), column, column, -column])
+    for rows in (spins, spins[:7], spins[:4097]):
+        wide = moment_matrix(rows.astype(np.float64))
+        assert np.array_equal(moment_matrix(rows.astype(np.float32)), wide)
+        assert np.array_equal(empirical_moments(matrix_of(rows)).Q, wide[1:, 1:])
+
+
 def test_spectrum_anticorrelated_pair(rng):
     col = rng.integers(0, 2, size=50) * 2 - 1
     spec = correlation_spectrum(matrix_of(np.column_stack([col, -col])))

@@ -299,3 +299,44 @@ def test_couplings_whose_fields_overflow_are_refused_and_a_huge_field_pins_its_s
     h = np.array([1e308, -1e308, 0.1, -0.2, 1.7e308, 0.0])
     values = glauber_sample(IsingModel(J=0.1 * (1.0 - np.eye(6)), h=h), config).values
     assert (values[:, [0, 1, 4]] == [1, -1, 1]).all()
+
+
+def _one_spin_decisions(z: float, u: np.ndarray) -> np.ndarray:
+    """The spins the sweep stage records for n = 1, J = 0 (so z = 2h exactly), thin 1
+    and burn-in 0: one row, and one decision, per uniform in u, with thresholds from
+    the _thresholds that the draw stage's fill calls."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    t = np.empty_like(u)
+    sampler._thresholds(u, t)
+    coupling, h, f, s = np.zeros((1, 1)), np.array([z / 2.0]), np.zeros(1), np.ones(1)
+    orders, out = np.zeros(len(u), dtype=np.int32), np.empty(len(u), dtype=np.int8)
+    written = sampler._sweeps()(1, len(u), coupling.ctypes.data, h.ctypes.data,
+                                f.ctypes.data, s.ctypes.data, orders.ctypes.data,
+                                u.ctypes.data, t.ctypes.data, 0, 0, 1, out.ctypes.data)
+    assert written == len(u)
+    return out
+
+
+def test_each_logit_compare_is_the_exact_sigmoid_test():
+    # the compare z > ln(u / (1 - u)) must decide as the reference's clamped
+    # u < 1 / (1 + exp(-z)) (Python's math.exp is the same libm exp as the kernel's)
+    # on uniforms at and beside fl(sigmoid(z)), where the two could disagree and the
+    # kernel falls back to the exact test; random uniforms almost never land there
+    def sigmoid(x):
+        return 1.0 / (1.0 + math.exp(-x))
+
+    offsets = [*np.linspace(-1e-6, 1e-6, 9), -1.001e-6, 1.001e-6, -3e-6, 3e-6, -1e-5, 1e-5]
+    top = 1.0 - np.arange(1, 17) * 2.0**-53
+    zs = [*np.linspace(-40.0, 40.0, 2001), *np.linspace(-1e-3, 1e-3, 201), 0.5, -3.25]
+    for edge in (40.0, -40.0):
+        zs += [np.nextafter(edge, 0.0), np.nextafter(edge, 2 * edge)]
+    checked = 0
+    for z in zs:
+        near = [sigmoid(z + e) for e in offsets]  # t within about |e| of z
+        u = np.array([0.0, *top, *near, *(np.nextafter(v, d) for v in near for d in (0, 2))])
+        u = u[u < 1.0]
+        exact = np.where(u < sigmoid(z), 1, -1)
+        expected = np.sign(z) if abs(z) > 40.0 else exact
+        assert np.array_equal(_one_spin_decisions(z, u), np.broadcast_to(expected, u.shape)), z
+        checked += len(u)
+    assert checked > 100_000

@@ -22,7 +22,12 @@ The steps:
   sample on twelve OHLC files of seed 5: three each with '\\n', '\\r\\n' and a
   lone '\\r' line endings, three '\\r\\n' files with quoted dates; every file
   holds an 'é' in its unmapped Volume column and a dropped row holding 'é'; and
-  fit --moments (exact, nmf and tap-inv) on that set's moments.json.
+  fit --moments (exact, nmf and tap-inv) on that set's moments.json;
+- sample of 3,000 rows from an N=16 model with fields spread over [-24, 24]
+  and couplings of sd 1.5: its local fields 2(h_i + sum_j J_ij s_j) range past
+  both +-40 clamps of the Glauber update and through the sigmoid's tails near 0
+  and 1, where the sweep's logit compare falls back to the exact test, so the
+  byte check covers every branch of that decision.
 """
 
 from __future__ import annotations
@@ -130,6 +135,18 @@ def mixed_steps(inputs: Path, out: Path) -> list:
     return [[str(out), [*argv, "-o", str(out / "mixed" / name)]] for name, argv in steps.items()]
 
 
+def strong_sample_steps(inputs: Path, out: Path) -> list:
+    data = inputs / "strong"
+    data.mkdir(parents=True)
+    n = 16
+    coupling = np.triu(np.random.default_rng(3).normal(0.0, 1.5, (n, n)), 1)
+    model = data / "model.json"
+    model.write_text(json.dumps({"N": n, "h": np.linspace(-24.0, 24.0, n).tolist(),
+                                 "J": (coupling + coupling.T).ravel().tolist()}))
+    return [[str(out), ["sample", "--model", str(model), "--rows", "3000", "--burn-in", "100",
+                        "--seed", "9", "-o", str(out / "strong")]]]
+
+
 def workload_steps(run: Path) -> list:
     steps = []
     for workload in workloads.WORKLOADS:
@@ -191,7 +208,7 @@ def main(argv=None) -> int:
         shutil.rmtree(inputs, ignore_errors=True)
         shutil.rmtree(run, ignore_errors=True)
         steps = (workload_steps(run) + c12_steps(inputs, run / "out")
-                 + mixed_steps(inputs, run / "out"))
+                 + mixed_steps(inputs, run / "out") + strong_sample_steps(inputs, run / "out"))
         plan = work / "steps.json"
         plan.write_text(json.dumps(steps))
         subprocess.run([sys.executable, "-c", RUN_STEPS, str(plan)], check=True,
