@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DimensionMismatchError, DivergenceError
 from .model import IsingModel
 
 
@@ -51,7 +51,8 @@ def tap_fixed_point(
 
     Non-convergence is reported via converged=False with the best iterate;
     only NaN/overflow raises, and a J whose field or Onsager terms (up to
-    |h| + N max|J| (1 + max|J|)) would overflow raises before the first step.
+    |h| + N max|J| (1 + max|J|)) would overflow raises before the first step, as
+    does an init whose shape is not (N,).
     """
     if not 0.0 < damping <= 1.0:
         raise DivergenceError(f"damping must be in (0, 1], got {damping}")
@@ -60,7 +61,9 @@ def tap_fixed_point(
     if not math.isfinite(float(np.abs(model.h).max(initial=0.0)) + model.n * top * (1.0 + top)):
         raise DivergenceError(f"TAP terms overflow: max |J_ij| = {top:.6g} at N = {model.n}")
     j_sq = j**2
-    m = np.tanh(model.h) if init is None else np.asarray(init, dtype=np.float64).copy()
+    m = np.tanh(model.h) if init is None else np.array(init, dtype=np.float64)
+    if m.shape != (model.n,):
+        raise DimensionMismatchError(f"init has shape {m.shape}, model has N={model.n}")
 
     converged = False
     iteration = 0

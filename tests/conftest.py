@@ -1,4 +1,11 @@
-"""Shared helpers: planted models and independent brute-force oracles.
+"""Shared helpers: planted models, test runners and independent brute-force oracles.
+
+planted_model draws a model with Gaussian couplings; homogeneous_model builds
+C13's planted models, one coupling off the diagonal and h = 0.  spin_matrix
+labels a table of spins t0.. by d0.. and hands its values to SpinMatrix as
+given, so they are checked before the int8 cast.  run_fresh runs code in a
+fresh interpreter that imports this package and this module; run_joined runs
+calls each on a thread of its own, joined with a timeout.
 
 The oracles enumerate configurations with itertools and per-state arithmetic,
 deliberately avoiding the package's blockwise split-spin enumeration.
@@ -31,10 +38,14 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
+from threading import Thread
 
 import numpy as np
 import pytest
@@ -102,6 +113,49 @@ def planted_model(n, j_sd, h_sd, seed, h_dist="normal"):
     else:
         h = rng.normal(0.0, h_sd, n)
     return IsingModel(J=coupling, h=h)
+
+
+def homogeneous_model(n, coupling):  # C13's planted models
+    couplings = np.full((n, n), coupling)
+    np.fill_diagonal(couplings, 0.0)
+    return IsingModel(J=couplings, h=np.zeros(n))
+
+
+def spin_matrix(values, tickers=None):
+    """values, as given, in a SpinMatrix: tickers t0.. unless given, dates d0.."""
+    values = np.asarray(values)
+    t, n = values.shape
+    return SpinMatrix(tickers or [f"t{i}" for i in range(n)], [f"d{k}" for k in range(t)], values)
+
+
+def run_fresh(code, *args, **env):
+    """stdout of code run by a fresh interpreter that imports this package and conftest."""
+    path = os.pathsep.join(str(Path(__file__).parents[1] / d) for d in ("src", "tests"))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path, **env)).stdout
+
+
+def run_joined(calls, timeout=60.0):
+    """What each call raised, or None, each run on a thread of its own joined with a
+    timeout so that a hang fails the test instead of blocking it.  The threads are
+    made by Thread as imported here, which a test that patches threading.Thread
+    does not count."""
+    raised = [None] * len(calls)
+
+    def run(k):
+        try:
+            calls[k]()
+        except BaseException as exc:
+            raised[k] = exc
+
+    runners = [Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(timeout)
+    assert not any(runner.is_alive() for runner in runners), "a call did not return"
+    return raised
 
 
 def reference_glauber(model, config):

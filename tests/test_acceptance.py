@@ -5,13 +5,13 @@ pytest -s to see them on success).  Tolerances and protocol sizes are fixed
 here; every expected value is computed, not assumed.
 """
 
-import json
 import math
 import time
 
 import numpy as np
 
-from conftest import planted_model
+import c12_pipeline
+from conftest import homogeneous_model, planted_model
 from isingmarket import (
     FitReport,
     IsingModel,
@@ -266,59 +266,15 @@ def test_c11_normality_tooling():
 
 
 def test_c12_pipeline_determinism(tmp_path, monkeypatch):
-    data = tmp_path / "data"
-    data.mkdir()
-    rng = np.random.default_rng(0)
-    for ticker in ("aaa", "bbb", "ccc", "ddd"):
-        lines = ["Date,Open,High,Low,Close,Volume"]
-        price = 10.0
-        for day in range(1, 25):
-            close = price * (1.0 + 0.01 * rng.standard_normal())
-            lines.append(f"2021-05-{day:02d},{price:.4f},{max(price, close):.4f},"
-                         f"{min(price, close):.4f},{close:.4f},100")
-            price = close
-        (data / f"{ticker}.csv").write_text("\n".join(lines) + "\n")
-
-    n = 12  # large enough for the normality step's minimum sample
-    coupling = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    coupling[iu] = np.random.default_rng(1).normal(0.0, 0.2, len(iu[0]))
-    coupling = coupling + coupling.T
-    model_path = data / "model.json"
-    model_path.write_text(json.dumps({
-        "N": n,
-        "h": np.random.default_rng(2).normal(0, 0.2, n).tolist(),
-        "J": coupling.ravel().tolist(),
-    }))
-    points = data / "points.csv"
-    points.write_text("N,mean\n20,0.11\n40,0.049\n80,0.026\n160,0.012\n")
+    inputs = c12_pipeline.write_inputs(tmp_path / "data")
 
     def pipeline(outdir):
         # run from inside the output directory with relative artifact paths so
         # both runs see byte-identical configs (shared inputs stay absolute)
         outdir.mkdir()
         monkeypatch.chdir(outdir)
-        ohlc = sorted(str(p) for p in data.glob("[a-d]*.csv"))
-        steps = [
-            ["ingest", *ohlc],
-            ["sample", "--model", str(model_path), "--rows", "2000",
-             "--burn-in", "200", "--seed", "13"],  # overwrites spins.csv from ingest
-            ["moments", "--spins", "spins.csv"],
-            ["spectrum", "--spins", "spins.csv", "--bins", "12"],
-            ["fit", "--method", "tap-inv", "--spins", "spins.csv"],
-            ["tap", "--model", "fit.json", "--spins", "spins.csv"],
-            ["multiinfo", "--spins", "spins.csv"],
-            ["bias", "--model", "fit.json", "--spins", "spins.csv"],
-            ["normality", "--model", "fit.json",
-             "--quantiles", "10", "--bins", "4", "--trim", "0.0"],
-            ["scaling", "--points", str(points)],
-            ["noise", "--fit", "fit.json", "--t", "400",
-             "--method", "nmf", "--seed", "4"],
-            ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0",
-             "--seed", "6", "--burn-in", "100"],
-        ]
-        for step in steps:
-            assert main([*step, "-o", "."]) == 0, step
+        for step in c12_pipeline.steps(*inputs):
+            assert main(step) == 0, step
 
     out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
     pipeline(out_a)
@@ -340,10 +296,7 @@ def _planted_alpha(scale):
     sizes = (20, 40, 80, 160)
     means = []
     for n in sizes:
-        coupling = np.full((n, n), scale(n))
-        np.fill_diagonal(coupling, 0.0)
-        spins = glauber_sample(IsingModel(J=coupling, h=np.zeros(n)),
-                               SamplerConfig(rows=10**4, seed=n))
+        spins = glauber_sample(homogeneous_model(n, scale(n)), SamplerConfig(rows=10**4, seed=n))
         means.append(plm_fit(spins).model.J[np.triu_indices(n, 1)].mean())
     return powerlaw_fit(np.array(sizes, dtype=float), np.array(means)).alpha_hat
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isingmarket
-from conftest import planted_model
+import c12_pipeline
+from conftest import planted_model, run_fresh
 from isingmarket import SamplerConfig, glauber_sample, inverse
 from isingmarket.cli import COMMANDS, main
 from isingmarket.ingest import SpinMatrix, read_spin_csv, write_spin_csv
@@ -54,23 +55,6 @@ def test_ingest_reads_crlf_and_cr_line_endings(tmp_path):
             Path(path).write_bytes(text.replace("\n", ending).encode())
         assert main(["ingest", *files, "-o", str(tmp_path / name)]) == 0
         assert (tmp_path / name / "spins.csv").read_bytes() == expected, name
-
-
-def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
-    # Start-up cost: neither module is needed until a command uses it.
-    code = ("import sys, isingmarket.cli; "
-            "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
-
-
-def run_fresh(code, *args):
-    """stdout of code run by a fresh interpreter that imports this package."""
-    env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True).stdout
 
 
 def test_cli_import_loads_no_scipy():
@@ -122,29 +106,13 @@ def test_commands_off_normality_and_ridge_0_plm_load_no_scipy_subpackage(tmp_pat
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     # numpy is the only runtime dependency; C12's steps cover all 12 commands.
     runs = tmp_path / "runs"
-    spins, fit = runs / "spins.csv", runs / "fit.json"
-    steps = [
-        ["ingest", *write_ohlc(tmp_path)],
-        ["sample", "--model", model_json(tmp_path, n=12, scale=0.2, seed=1), "--rows", "2000",
-         "--burn-in", "200", "--seed", "13"],
-        ["moments", "--spins", spins],
-        ["spectrum", "--spins", spins, "--bins", "12"],
-        ["fit", "--method", "tap-inv", "--spins", spins],
-        ["tap", "--model", fit, "--spins", spins],
-        ["multiinfo", "--spins", spins],
-        ["bias", "--model", fit, "--spins", spins],
-        ["normality", "--model", fit, "--quantiles", "10", "--bins", "4", "--trim", "0.0"],
-        ["scaling", "--points",
-         write_file(tmp_path, "points.csv", "N,mean\n20,0.11\n40,0.049\n80,0.026\n")],
-        ["noise", "--fit", fit, "--t", "400", "--method", "nmf", "--seed", "4"],
-        ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0", "--seed", "6",
-         "--burn-in", "100"],
-    ]
-    assert sorted({argv[0] for argv in steps}) == sorted(COMMANDS)
-    argvs = [[*map(str, argv), "-o", str(runs)] for argv in steps]
+    argvs = c12_pipeline.steps(
+        write_ohlc(tmp_path), model_json(tmp_path, n=12, scale=0.2, seed=1),
+        write_file(tmp_path, "points.csv", "N,mean\n20,0.11\n40,0.049\n80,0.026\n"), runs)
+    assert sorted({argv[0] for argv in argvs}) == sorted(COMMANDS)
     code = ("import json, sys; sys.modules['scipy'] = None; from isingmarket.cli import main; "
             "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
-    assert json.loads(run_fresh(code, json.dumps(argvs)).splitlines()[-1]) == [0] * len(steps)
+    assert json.loads(run_fresh(code, json.dumps(argvs)).splitlines()[-1]) == [0] * len(argvs)
 
 
 def model_json(tmp_path, n=3, scale=0.5, seed=0, name="model.json"):

@@ -9,11 +9,11 @@ from conftest import (
     brute_moments,
     brute_probabilities,
     planted_model,
+    spin_matrix,
 )
 from isingmarket import (
     FitReport,
     IsingModel,
-    SpinMatrix,
     entropy_empirical,
     entropy_exact,
     entropy_independent,
@@ -92,11 +92,8 @@ def test_fit_and_histogram_size_guards():
     targets = MomentSet(q=np.zeros(n), Q=np.eye(n), sample_size=math.inf)
     with pytest.raises(SizeLimitError):
         fit_maxent_exact(targets)
-    rows = np.ones((3, n), dtype=np.int8)
-    big = SpinMatrix(tickers=[f"t{i}" for i in range(n)],
-                     dates=["d0", "d1", "d2"], values=rows)
     with pytest.raises(SizeLimitError):
-        entropy_empirical(big)
+        entropy_empirical(spin_matrix(np.ones((3, n), dtype=np.int8)))
 
 
 # ------------------------------------------------------------ exact moments
@@ -279,21 +276,21 @@ def test_fit_warns_about_pairs_with_an_empty_sign_cell():
     rng = np.random.default_rng(3)
     rows = rng.choice([-1, 1], size=(400, 5)).astype(np.int8)
     rows[rows[:, 0] == 1, 1] = 1  # (s_0, s_1) = (+1, -1) never shows
-    moments = empirical_moments(spins_of(rows))
+    moments = empirical_moments(spin_matrix(rows))
     couplings = []
     for tol in (1e-6, 1e-8, 1e-10):
         fit = fit_maxent_exact(moments, tol=tol)
         assert len(fit.warnings) == 1 and "pairs (0, 1) never show" in fit.warnings[0]
         couplings.append(abs(fit.model.J[0, 1]))
     assert couplings[0] < couplings[1] < couplings[2]  # tol, not the data, sets J_01
-    assert np.isfinite(multi_information_ratio(spins_of(rows)).ratio)  # still a ratio
+    assert np.isfinite(multi_information_ratio(spin_matrix(rows)).ratio)  # still a ratio
 
     duplicated = rng.choice([-1, 1], size=(400, 6)).astype(np.int8)
     duplicated[:, 4] = duplicated[:, 2]
-    fit = fit_maxent_exact(empirical_moments(spins_of(duplicated)))
+    fit = fit_maxent_exact(empirical_moments(spin_matrix(duplicated)))
     assert len(fit.warnings) == 1 and "pairs (2, 4) never show" in fit.warnings[0]
     duplicated[:, 4] = rng.choice([-1, 1], size=400)
-    assert fit_maxent_exact(empirical_moments(spins_of(duplicated))).warnings == []
+    assert fit_maxent_exact(empirical_moments(spin_matrix(duplicated))).warnings == []
 
 
 def test_fit_not_converged_raises_with_best_iterate():
@@ -325,8 +322,8 @@ def test_a_stalled_mean_field_start_reruns_from_the_independent_start(monkeypatc
     # the run from them stalls at its first step with residual 1.13
     rng = np.random.default_rng(0)
     f = rng.normal(size=(150, 1))
-    moments = empirical_moments(spins_of(np.where(5 * f + 0.3 * rng.normal(size=(150, 8)) > 0,
-                                                  1, -1)))
+    moments = empirical_moments(spin_matrix(np.where(5 * f + 0.3 * rng.normal(size=(150, 8)) > 0,
+                                                     1, -1)))
     fit = fit_maxent_exact(moments)
     _independent_start(monkeypatch)
     independent = fit_maxent_exact(moments)
@@ -341,8 +338,8 @@ def _one_factor_spins(n, t, seed):
     """Signs of one-factor returns, as perfbench's market draws them."""
     rng = np.random.default_rng(seed)
     beta = rng.uniform(0.3, 1.0, n)
-    return spins_of(np.where(beta * rng.standard_normal((t, 1))
-                             + rng.standard_normal((t, n)) >= 0, 1, -1))
+    return spin_matrix(np.where(beta * rng.standard_normal((t, 1))
+                                + rng.standard_normal((t, n)) >= 0, 1, -1))
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -400,18 +397,11 @@ def test_entropy_independent_rejects_out_of_range():
         entropy_independent(np.array([1.2]))
 
 
-def spins_of(rows):
-    rows = np.asarray(rows, dtype=np.int8)
-    return SpinMatrix(tickers=[f"t{i}" for i in range(rows.shape[1])],
-                      dates=[f"d{i}" for i in range(rows.shape[0])],
-                      values=rows)
-
-
 def test_entropy_empirical_cases():
-    assert entropy_empirical(spins_of([[1, -1]] * 7)) == 0.0
-    two_state = spins_of([[1, 1], [-1, -1]] * 2)
+    assert entropy_empirical(spin_matrix([[1, -1]] * 7)) == 0.0
+    two_state = spin_matrix([[1, 1], [-1, -1]] * 2)
     assert entropy_empirical(two_state) == pytest.approx(math.log(2))
-    full = spins_of([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    full = spin_matrix([[1, 1], [1, -1], [-1, 1], [-1, -1]])
     assert entropy_empirical(full) == pytest.approx(2 * math.log(2))
 
 
@@ -447,7 +437,7 @@ def test_multi_information_planted_pairwise():
 
 def test_multi_information_repeated_configuration_degenerate():
     with pytest.raises(DegenerateRatioError):
-        multi_information_ratio(spins_of([[1, -1, 1]] * 50))
+        multi_information_ratio(spin_matrix([[1, -1, 1]] * 50))
 
 
 def test_multi_information_independent_biased_degenerate():

@@ -1,21 +1,18 @@
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
 import time
 from decimal import Decimal, localcontext
-from pathlib import Path
 from threading import Thread
 
 import numpy as np
 import pytest
 
-import isingmarket
 import conftest
-from conftest import planted_model, reference_plm, reference_plm_rows, reference_separated_spins
+from conftest import (homogeneous_model, planted_model, reference_plm, reference_plm_rows,
+                      reference_separated_spins, run_fresh, run_joined, spin_matrix)
 from isingmarket import (
     IsingModel,
     SamplerConfig,
@@ -81,8 +78,7 @@ def test_nmf_singular_without_ridge():
     rng = np.random.default_rng(1)
     col = rng.integers(0, 2, 60) * 2 - 1
     other = rng.integers(0, 2, 60) * 2 - 1
-    mat = SpinMatrix(tickers=["a", "b", "c"], dates=[f"d{i}" for i in range(60)],
-                     values=np.column_stack([col, col, other]))
+    mat = spin_matrix(np.column_stack([col, col, other]))
     moments = empirical_moments(mat)
     with pytest.raises(SingularMatrixError, match="ridge"):
         nmf_invert(moments)
@@ -126,9 +122,7 @@ def test_mean_field_inversions_warn_like_the_exact_fit_on_an_empty_sign_cell():
     rng = np.random.default_rng(2)
     for rows, pairs in [(rng.choice([-1, 1], size=(7, 6)), "pairs (0, 1), (1, 3), (2, 4)"),
                         (rng.choice([-1, 1], size=(400, 6)), None)]:
-        moments = empirical_moments(SpinMatrix(
-            tickers=[f"s{i}" for i in range(6)], dates=[f"d{t}" for t in range(len(rows))],
-            values=rows))
+        moments = empirical_moments(spin_matrix(rows))
         expected = fit_maxent_exact(moments).warnings
         assert nmf_invert(moments).warnings == tap_invert(moments).warnings == expected
         assert (len(expected) == 1 and f"{pairs} never show" in expected[0]
@@ -200,8 +194,7 @@ def test_plm_recovery_from_samples():
 
 
 def test_plm_constant_rows_finite_with_ridge():
-    mat = SpinMatrix(tickers=["a", "b", "c"], dates=[f"d{i}" for i in range(40)],
-                     values=np.tile([1, -1, 1], (40, 1)))
+    mat = spin_matrix(np.tile([1, -1, 1], (40, 1)))
     fit = plm_fit(mat, ridge=0.1)
     assert np.isfinite(fit.model.J).all()
     assert np.isfinite(fit.model.h).all()
@@ -209,8 +202,7 @@ def test_plm_constant_rows_finite_with_ridge():
 
 def test_plm_strong_ridge_shrinks_to_zero():
     rng = np.random.default_rng(3)
-    mat = SpinMatrix(tickers=["a", "b", "c"], dates=[f"d{i}" for i in range(200)],
-                     values=rng.integers(0, 2, (200, 3)) * 2 - 1)
+    mat = spin_matrix(rng.integers(0, 2, (200, 3)) * 2 - 1)
     fit = plm_fit(mat, ridge=1e6)
     assert np.abs(fit.model.J).max() <= 1e-4
     assert np.abs(fit.model.h).max() <= 1e-4
@@ -233,8 +225,7 @@ def test_plm_separable_spin_diverges_without_ridge():
         three = np.random.default_rng(seed).integers(0, 2, (80, 3)) * 2 - 1
         cases.append(np.column_stack([np.sign(three.sum(axis=1)), three]))
     for values in cases:
-        mat = SpinMatrix(tickers=[f"t{i}" for i in range(values.shape[1])],
-                         dates=[f"d{i}" for i in range(values.shape[0])], values=values)
+        mat = spin_matrix(values)
         for tol in (1e-6, 1e-8, 1e-10, 1e-13):
             with pytest.raises(DivergenceError, match="ridge"):
                 plm_fit(mat, ridge=0.0, tol=tol)
@@ -264,11 +255,10 @@ def test_plm_ridge_0_raises_iff_some_spin_is_separated():
     raised = 0
     samples = [one_factor_spins(seed) for seed in range(1000)]
     for seed, (values, lp) in enumerate(zip(samples, reference_separated_spins(samples))):
-        tickers = [f"t{i}" for i in range(values.shape[1])]
-        separated = [tickers[i] for i in lp]
+        mat = spin_matrix(values)
+        separated = [mat.tickers[i] for i in lp]
         try:
-            plm_fit(SpinMatrix(tickers, [f"d{k}" for k in range(len(values))], values),
-                    ridge=0.0)
+            plm_fit(mat, ridge=0.0)
             named = []
         except DivergenceError as exc:
             named = re.search(r"for spins (.*); use ridge > 0", str(exc)).group(1).split(", ")
@@ -332,16 +322,10 @@ def test_moment_preconditioner_solves_each_rows_damped_moment_system():
         assert np.allclose(z[i], np.linalg.solve(m, r[i]), rtol=1e-10, atol=0.0), i
 
 
-def _homogeneous(n, coupling):  # C13's planted models
-    couplings = np.full((n, n), coupling)
-    np.fill_diagonal(couplings, 0.0)
-    return IsingModel(J=couplings, h=np.zeros(n))
-
-
 @pytest.mark.parametrize("model, rows, seed", [
     (planted_model(50, 0.02, 0.3, 77), 4809, 77),
-    (_homogeneous(40, 0.5 / 40), 10**4, 40),
-    (_homogeneous(40, 0.5 / math.sqrt(40)), 10**4, 40),
+    (homogeneous_model(40, 0.5 / 40), 10**4, 40),
+    (homogeneous_model(40, 0.5 / math.sqrt(40)), 10**4, 40),
 ], ids=["4809 x 50", "C13 n=40, J=0.5 over n", "C13 n=40, J=0.5 over sqrt n"])
 def test_preconditioned_plm_matches_plain_cg_with_no_more_products(model, rows, seed,
                                                                   monkeypatch):
@@ -371,28 +355,14 @@ def test_preconditioned_plm_matches_plain_cg_with_no_more_products(model, rows, 
 
 # ---------------------------------------------------- plm on two threads
 
-def _run_fresh(code, *args, **env):
-    """stdout of code run by a fresh interpreter that imports this package and conftest."""
-    path = os.pathsep.join(str(p) for p in (Path(isingmarket.__file__).parents[1],
-                                            Path(__file__).parent))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          check=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path, **env)).stdout
-
-
 _SPLIT_FITS = """
 import json, numpy as np
-from conftest import planted_model, reference_plm_rows
-from isingmarket import IsingModel, SamplerConfig, glauber_sample
+from conftest import homogeneous_model, planted_model, reference_plm_rows
+from isingmarket import SamplerConfig, glauber_sample
 from isingmarket.inverse import _pinned, _plm_rows
 
 def sample(model, rows, seed):
     return glauber_sample(model, SamplerConfig(rows=rows, seed=seed)).values.astype(float)
-
-def c13(n):
-    coupling = np.full((n, n), 0.5 / n)
-    np.fill_diagonal(coupling, 0.0)
-    return IsingModel(J=coupling, h=np.zeros(n))
 
 def tied(spins):  # spin 3 constant, spin 7 opposite to spin 11: rows held at ridge 0
     spins[:, 3] = 1.0
@@ -401,7 +371,8 @@ def tied(spins):  # spin 3 constant, spin 7 opposite to spin 11: rows held at ri
 
 same = []
 for spins, ridge in [(sample(planted_model(50, 0.02, 0.3, 77), 4809, 77), 1e-3),
-                     (sample(c13(40), 10**4, 40), 1e-3), (sample(c13(80), 10**4, 80), 1e-3),
+                     (sample(homogeneous_model(40, 0.5 / 40), 10**4, 40), 1e-3),
+                     (sample(homogeneous_model(80, 0.5 / 80), 10**4, 80), 1e-3),
                      (sample(planted_model(51, 0.02, 0.3, 51), 3000, 51), 1e-3),
                      (tied(sample(planted_model(50, 0.02, 0.3, 77), 4809, 77)), 0.0)]:
     held = _pinned(spins) if ridge == 0.0 else None
@@ -419,30 +390,10 @@ def test_split_plm_matches_the_unsplit_fit_bit_for_bit():
     # thread count, so the last bits of even the unsplit fit move with that count
     for shape, (same_w, same_rest, iterations) in zip(
             ["4809 x 50", "C13 n=40", "C13 n=80", "3000 x 51", "4809 x 50 held, ridge 0"],
-            json.loads(_run_fresh(
+            json.loads(run_fresh(
                 _SPLIT_FITS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))):
         assert same_w and same_rest, shape
         assert iterations >= 3, shape
-
-
-def _joined(*calls, timeout=60.0):
-    """What each call raised, or None, each run on a thread of its own joined with a
-    timeout so that a hang fails the test instead of blocking it."""
-    raised = [None] * len(calls)
-
-    def run(k):
-        try:
-            calls[k]()
-        except BaseException as exc:
-            raised[k] = exc
-
-    runners = [Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
-    for runner in runners:
-        runner.start()
-    for runner in runners:
-        runner.join(timeout)
-    assert not any(runner.is_alive() for runner in runners), "plm_fit did not return"
-    return raised
 
 
 class _FailingOffTheCaller:
@@ -471,11 +422,10 @@ def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
         return started[-1]
 
     for rows, helpers in [(4095, 0), (4096, 1)]:
-        mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(rows)],
-                         values[:rows])
+        mat = spin_matrix(values[:rows])
         with monkeypatch.context() as patch:
             patch.setattr(threading, "Thread", spy)
-            assert _joined(lambda: plm_fit(mat, max_iter=2)) == [None]
+            assert run_joined([lambda: plm_fit(mat, max_iter=2)]) == [None]
         assert len(started) == helpers, rows
         assert threading.active_count() == before, rows
 
@@ -483,7 +433,7 @@ def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
         monkeypatch.setattr(inverse, "np", _FailingOffTheCaller(threading.current_thread()))
         plm_fit(mat)
 
-    raised, = _joined(fail_in_the_helper)
+    raised, = run_joined([fail_in_the_helper])
     monkeypatch.undo()
     assert isinstance(raised, RuntimeError) and "helper job" in str(raised)
     assert threading.active_count() == before
@@ -492,8 +442,7 @@ def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
 def test_each_split_gradient_and_product_hands_the_pool_one_job(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
-    mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],
-                     np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
+    mat = spin_matrix(np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
     calls = {"submit": 0, "evaluate": 0, "hessp": 0}
     submit, solve = ThreadPoolExecutor.submit, inverse.newton
 
@@ -530,15 +479,14 @@ class _FailingOnTheCaller(_FailingOffTheCaller):
 
 
 def test_a_split_fit_whose_caller_half_fails_raises_that_and_leaves_no_thread(monkeypatch):
-    mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],
-                     np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
+    mat = spin_matrix(np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
     before = threading.active_count()
 
     def fail_in_the_caller():
         monkeypatch.setattr(inverse, "np", _FailingOnTheCaller(threading.current_thread()))
         plm_fit(mat)
 
-    raised, = _joined(fail_in_the_caller)
+    raised, = run_joined([fail_in_the_caller])
     monkeypatch.undo()
     assert isinstance(raised, RuntimeError) and "caller's half" in str(raised)
     assert threading.active_count() == before
@@ -548,8 +496,7 @@ def test_split_fits_under_contention_match_the_fit_alone():
     # four concurrent fits, so four pools, on two cores with a short switch interval
     # press on the handoffs: a half read before it is written, or a workspace that a
     # half overwrites while the other still reads it, changes W
-    mat = SpinMatrix([f"s{i}" for i in range(32)], [f"d{k}" for k in range(4096)],
-                     np.random.default_rng(7).choice([-1, 1], size=(4096, 32)))
+    mat = spin_matrix(np.random.default_rng(7).choice([-1, 1], size=(4096, 32)))
     alone = plm_fit(mat, max_iter=3).model.J
 
     def fit_alike():
@@ -558,19 +505,18 @@ def test_split_fits_under_contention_match_the_fit_alone():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert _joined(*[fit_alike] * 4) == [None] * 4
+        assert run_joined([fit_alike] * 4) == [None] * 4
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_a_split_fit_under_two_blas_threads_repeats_itself(tmp_path):
     spins = tmp_path / "spins.csv"  # t n^2 = 2048 * 48^2, above the gate
-    write_spin_csv(SpinMatrix([f"s{i}" for i in range(48)], [f"d{k}" for k in range(2048)],
-                              np.random.default_rng(6).choice([-1, 1], size=(2048, 48))), spins)
+    write_spin_csv(spin_matrix(np.random.default_rng(6).choice([-1, 1], size=(2048, 48))), spins)
     code = "import sys; from isingmarket.cli import main; sys.exit(main(sys.argv[1:]))"
     fits = []
     for run in ("a", "b"):
-        _run_fresh(code, "fit", "--method", "plm", "--spins", str(spins),
+        run_fresh(code, "fit", "--method", "plm", "--spins", str(spins),
                    "-o", str(tmp_path / run), OPENBLAS_NUM_THREADS="2")
         fits.append((tmp_path / run / "fit.json").read_bytes())
     assert fits[0] == fits[1]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import spin_matrix
 from isingmarket import (
-    SpinMatrix,
     correlation_spectrum,
     covariance_spectrum,
     empirical_moments,
@@ -12,18 +12,8 @@ from isingmarket import (
 from isingmarket.errors import DegenerateDataError, FormatError, InsufficientSampleError
 
 
-def matrix_of(rows, tickers=None):
-    rows = np.asarray(rows, dtype=np.int8)
-    t, n = rows.shape
-    return SpinMatrix(
-        tickers=tickers or [f"t{i}" for i in range(n)],
-        dates=[f"d{i}" for i in range(t)],
-        values=rows,
-    )
-
-
 def test_all_ones():
-    m = empirical_moments(matrix_of(np.ones((5, 2))))
+    m = empirical_moments(spin_matrix(np.ones((5, 2))))
     assert np.allclose(m.q, [1.0, 1.0])
     assert m.Q[0, 1] == 1.0
     assert m.C[0, 1] == 0.0
@@ -31,21 +21,21 @@ def test_all_ones():
 
 def test_anticorrelated_pair(rng):
     col = rng.integers(0, 2, size=12) * 2 - 1
-    m = empirical_moments(matrix_of(np.column_stack([col, -col])))
+    m = empirical_moments(spin_matrix(np.column_stack([col, -col])))
     assert m.Q[0, 1] == -1.0
     assert np.isclose(m.C[0, 1], -1.0 + m.q[0] ** 2)
 
 
 def test_four_row_hand_sum():
     # hand sum over {(+,+), (-,-), (+,-), (-,+)}: q = 0, q_12 = 0, C_12 = 0
-    m = empirical_moments(matrix_of([[1, 1], [-1, -1], [1, -1], [-1, 1]]))
+    m = empirical_moments(spin_matrix([[1, 1], [-1, -1], [1, -1], [-1, 1]]))
     assert np.allclose(m.q, 0.0)
     assert m.Q[0, 1] == 0.0
     assert m.C[0, 1] == 0.0
 
 
 def test_moment_invariants(rng):
-    m = empirical_moments(matrix_of(rng.integers(0, 2, size=(40, 6)) * 2 - 1))
+    m = empirical_moments(spin_matrix(rng.integers(0, 2, size=(40, 6)) * 2 - 1))
     assert np.array_equal(m.Q, m.Q.T)
     assert np.all(np.diag(m.Q) == 1.0)
     assert np.allclose(np.diag(m.C), 1.0 - m.q**2)
@@ -57,21 +47,21 @@ def test_moment_invariants(rng):
 
 def test_row_permutation_invariance(rng):
     rows = rng.integers(0, 2, size=(30, 4)) * 2 - 1
-    m1 = empirical_moments(matrix_of(rows))
-    m2 = empirical_moments(matrix_of(rows[rng.permutation(30)]))
+    m1 = empirical_moments(spin_matrix(rows))
+    m2 = empirical_moments(spin_matrix(rows[rng.permutation(30)]))
     assert np.allclose(m1.q, m2.q, atol=1e-12)
     assert np.allclose(m1.Q, m2.Q, atol=1e-12)
 
 
 def test_single_row_insufficient():
     with pytest.raises(InsufficientSampleError):
-        empirical_moments(matrix_of([[1, -1]]))
+        empirical_moments(spin_matrix([[1, -1]]))
 
 
 def test_moments_json_round_trip(rng):
     from isingmarket.moments import MomentSet
 
-    m = empirical_moments(matrix_of(rng.integers(0, 2, size=(20, 3)) * 2 - 1))
+    m = empirical_moments(spin_matrix(rng.integers(0, 2, size=(20, 3)) * 2 - 1))
     back = MomentSet.from_dict(m.to_dict())
     assert np.allclose(back.q, m.q)
     assert np.allclose(back.C, m.C)
@@ -145,18 +135,18 @@ def test_float32_moment_sums_equal_the_float64_ones_bit_for_bit(rng):
     for rows in (spins, spins[:7], spins[:4097]):
         wide = moment_matrix(rows.astype(np.float64))
         assert np.array_equal(moment_matrix(rows.astype(np.float32)), wide)
-        assert np.array_equal(empirical_moments(matrix_of(rows)).Q, wide[1:, 1:])
+        assert np.array_equal(empirical_moments(spin_matrix(rows)).Q, wide[1:, 1:])
 
 
 def test_spectrum_anticorrelated_pair(rng):
     col = rng.integers(0, 2, size=50) * 2 - 1
-    spec = correlation_spectrum(matrix_of(np.column_stack([col, -col])))
+    spec = correlation_spectrum(spin_matrix(np.column_stack([col, -col])))
     assert np.allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
 
 
 def test_spectrum_trace_is_n(rng):
     n = 7
-    mat = matrix_of(rng.integers(0, 2, size=(300, n)) * 2 - 1)
+    mat = spin_matrix(rng.integers(0, 2, size=(300, n)) * 2 - 1)
     spec = correlation_spectrum(mat)
     assert abs(spec.eigenvalues.sum() - n) <= 1e-8 * n
     assert spec.matrix_kind == "correlation"
@@ -168,11 +158,11 @@ def test_spectrum_constant_column_errors():
     rows[:, 0] = [1, -1] * 15
     rows[:, 2] = [1, 1, -1] * 10
     with pytest.raises(DegenerateDataError, match="mid"):
-        correlation_spectrum(matrix_of(rows, tickers=["lo", "mid", "hi"]))
+        correlation_spectrum(spin_matrix(rows, tickers=["lo", "mid", "hi"]))
 
 
 def test_spectrum_warns_when_t_not_larger():
-    mat = matrix_of([[1, -1, 1], [-1, 1, 1]])
+    mat = spin_matrix([[1, -1, 1], [-1, 1, 1]])
     with pytest.warns(UserWarning):
         covariance_spectrum(mat)
 
@@ -197,7 +187,7 @@ def test_mp_containment_iid_coins():
     inside_asymptotic = 0
     for seed in range(100):
         gen = np.random.default_rng(seed)
-        mat = matrix_of(gen.integers(0, 2, size=(10000, 8)) * 2 - 1)
+        mat = spin_matrix(gen.integers(0, 2, size=(10000, 8)) * 2 - 1)
         spec = correlation_spectrum(mat)
         lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
         inside_band += (lo >= spec.edge_lower and hi <= spec.edge_upper)

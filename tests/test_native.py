@@ -1,15 +1,13 @@
 """The one native loader (_native) and the C sources it builds."""
 
 import fnmatch
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import isingmarket
+from conftest import run_fresh
 from isingmarket import _native, ingest
 from isingmarket.cli import main
 from isingmarket.errors import KernelBuildError
@@ -98,7 +96,4 @@ def test_a_run_with_cached_libraries_imports_no_subprocess(tmp_path):
     code = ("import sys, isingmarket.cli as cli; code = cli.main(['moments', '--spins', "
             f"{str(spins)!r}, '-o', {str(tmp_path / 'out')!r}]); "
             "print(code, 'subprocess' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split()[-2:] == ["0", "False"]
+    assert run_fresh(code).split()[-2:] == ["0", "False"]

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import planted_model, reference_glauber
+from conftest import homogeneous_model, planted_model, reference_glauber, run_joined
 from isingmarket import (
     FitReport,
     IsingModel,
@@ -184,10 +184,7 @@ def test_noise_ratio_deterministic():
 
 def test_noise_ratio_constant_couplings_degenerate():
     n = 6
-    homogeneous = np.full((n, n), 0.1)
-    np.fill_diagonal(homogeneous, 0.0)
-    fit = FitReport(model=IsingModel(J=homogeneous, h=np.zeros(n)),
-                    method="nmf", iterations=1)
+    fit = FitReport(model=homogeneous_model(n, 0.1), method="nmf", iterations=1)
     with pytest.raises(DegenerateRatioError):
         noise_ratio(fit, SamplerConfig(rows=1000, seed=0), "nmf")
 
@@ -205,26 +202,6 @@ def test_noise_ratio_unknown_method():
 
 
 # ------------------------------------------------------------- the two stages
-
-def _run_joined(calls, timeout=60.0):
-    """Run each call on a thread of its own, joined with a timeout so that a hang fails
-    the test instead of blocking it; return what each call raised, or None."""
-    raised = [None] * len(calls)
-
-    def run(k):
-        try:
-            calls[k]()
-        except BaseException as exc:
-            raised[k] = exc
-
-    runners = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
-    for runner in runners:
-        runner.start()
-    for runner in runners:
-        runner.join(timeout)
-    assert not any(runner.is_alive() for runner in runners), "glauber_sample did not return"
-    return raised
-
 
 def test_two_stage_chains_match_the_reference_loop_under_contention():
     # rows=1, burn_in=0 is a single sweep; 700 * 3 + 10 sweeps span five batches.  Four
@@ -244,7 +221,7 @@ def test_two_stage_chains_match_the_reference_loop_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert _run_joined([sample_twice] * 4) == [None] * 4
+        assert run_joined([sample_twice] * 4) == [None] * 4
     finally:
         sys.setswitchinterval(interval)
 
@@ -266,7 +243,7 @@ def test_no_helper_thread_outlives_a_sample(monkeypatch):
     model = planted_model(5, 0.4, 0.2, seed=3)
     config = SamplerConfig(rows=3 * _SWEEP_BATCH, burn_in=10, seed=4)  # four batches
     before = threading.active_count()
-    assert _run_joined([lambda: glauber_sample(model, config)]) == [None]
+    assert run_joined([lambda: glauber_sample(model, config)]) == [None]
     assert threading.active_count() == before
     # the pool's draw fails on batch 0 or 2; then the sweeps fail on batch 0 or 2
     # (the pool has drawn ahead, or is drawing, the next batch or two)
@@ -274,7 +251,7 @@ def test_no_helper_thread_outlives_a_sample(monkeypatch):
         for calls in (0, 2):
             with monkeypatch.context() as patch:
                 patch.setattr(sampler, name, _failing_after(calls, stage))
-                raised, = _run_joined([lambda: glauber_sample(model, config)])
+                raised, = run_joined([lambda: glauber_sample(model, config)])
             assert isinstance(raised, RuntimeError), (name, calls)
             assert f"after {calls} calls" in str(raised)
             assert threading.active_count() == before, (name, calls)

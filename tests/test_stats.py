@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc, ndtri  # test oracles only
 
+from conftest import spin_matrix
 from isingmarket import (
     IsingModel,
-    SpinMatrix,
     bias_decomposition,
     critical_spectrum_demo,
     negative_fraction,
@@ -274,16 +274,9 @@ def test_powerlaw_preconditions():
 
 # -------------------------------------------------------------------- bias
 
-def spins_of(rows):
-    rows = np.asarray(rows, dtype=np.int8)
-    return SpinMatrix(tickers=[f"t{i}" for i in range(rows.shape[1])],
-                      dates=[f"d{i}" for i in range(rows.shape[0])],
-                      values=rows)
-
-
 def test_bias_zero_couplings():
     model = IsingModel(J=np.zeros((3, 3)), h=np.array([0.1, 0.2, 0.3]))
-    table = bias_decomposition(model, spins_of([[1, -1, 1], [-1, 1, 1]]))
+    table = bias_decomposition(model, spin_matrix([[1, -1, 1], [-1, 1, 1]]))
     assert all(r.h_int_mean == 0.0 and r.h_int_std == 0.0 for r in table)
     assert [r.h for r in table] == [0.1, 0.2, 0.3]
 
@@ -291,7 +284,7 @@ def test_bias_zero_couplings():
 def test_bias_single_row_formula():
     coupling = np.array([[0.0, 1.0], [1.0, 0.0]])
     model = IsingModel(J=coupling, h=np.zeros(2))
-    table = bias_decomposition(model, spins_of([[1, 1]]))
+    table = bias_decomposition(model, spin_matrix([[1, 1]]))
     assert table[0].h_int_mean == pytest.approx(0.5)  # 0.5 * J_12 * s_2
     assert table[1].h_int_mean == pytest.approx(0.5)
 
@@ -303,8 +296,8 @@ def test_bias_linear_in_couplings():
     coupling[iu] = rng.normal(0, 0.5, len(iu[0]))
     coupling = coupling + coupling.T
     rows = rng.integers(0, 2, (30, 4)) * 2 - 1
-    single = bias_decomposition(IsingModel(J=coupling, h=np.zeros(4)), spins_of(rows))
-    double = bias_decomposition(IsingModel(J=2 * coupling, h=np.zeros(4)), spins_of(rows))
+    single = bias_decomposition(IsingModel(J=coupling, h=np.zeros(4)), spin_matrix(rows))
+    double = bias_decomposition(IsingModel(J=2 * coupling, h=np.zeros(4)), spin_matrix(rows))
     for a, b in zip(single, double):
         assert b.h_int_mean == pytest.approx(2 * a.h_int_mean)
         assert b.h_int_std == pytest.approx(2 * a.h_int_std)
@@ -314,7 +307,7 @@ def test_bias_at_couplings_whose_squares_overflow():
     rng = np.random.default_rng(13)
     coupling = np.triu(rng.normal(0, 0.5, (5, 5)), 1)
     coupling = coupling + coupling.T
-    spins = spins_of(rng.integers(0, 2, (40, 5)) * 2 - 1)
+    spins = spin_matrix(rng.integers(0, 2, (40, 5)) * 2 - 1)
     base = bias_decomposition(IsingModel(J=coupling, h=np.zeros(5)), spins)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -323,13 +316,13 @@ def test_bias_at_couplings_whose_squares_overflow():
             (math.ldexp(r.h_int_mean, 900), math.ldexp(r.h_int_std, 900)) for r in base]
         huge = np.full((4, 4), 1.5e308) - np.diag(np.full(4, 1.5e308))
         with pytest.raises(DomainError, match="overflow"):  # 0.5 * 3 * 1.5e308
-            bias_decomposition(IsingModel(J=huge, h=np.zeros(4)), spins_of([[1, 1, 1, 1]]))
+            bias_decomposition(IsingModel(J=huge, h=np.zeros(4)), spin_matrix([[1, 1, 1, 1]]))
 
 
 def test_bias_dimension_mismatch():
     model = IsingModel(J=np.zeros((3, 3)), h=np.zeros(3))
     with pytest.raises(DimensionMismatchError):
-        bias_decomposition(model, spins_of([[1, -1]]))
+        bias_decomposition(model, spin_matrix([[1, -1]]))
 
 
 # ---------------------------------------------------------- critical demo

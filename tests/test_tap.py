@@ -6,7 +6,7 @@ import pytest
 
 from conftest import planted_model
 from isingmarket import IsingModel, exact_moments, stability_x, tap_fixed_point
-from isingmarket.errors import DivergenceError
+from isingmarket.errors import DimensionMismatchError, DivergenceError
 
 
 def test_zero_coupling_converges_immediately():
@@ -99,3 +99,10 @@ def test_custom_init_used():
     sol_init = tap_fixed_point(model, init=np.zeros(5))
     assert sol_init.converged
     assert np.allclose(sol_default.m, sol_init.m, atol=1e-8)
+
+
+def test_an_init_of_any_shape_but_n_is_refused():
+    model = planted_model(5, 0.1, 0.3, 2)
+    for init in (np.zeros((5, 5)), np.zeros(4), np.zeros(6), np.float64(0.0), [[0.0] * 5]):
+        with pytest.raises(DimensionMismatchError, match="N=5"):
+            tap_fixed_point(model, init=init)

@@ -7,7 +7,8 @@ unpacked into a directory).  For each tree in turn the inputs are written
 afresh at the same paths and every step runs in one fresh interpreter with
 PYTHONPATH set to the tree's `src` and one BLAS thread, under WORKDIR/run, which
 is then renamed to WORKDIR/old or WORKDIR/new; so manifests, which record input
-paths, can match byte for byte.  Every step must exit 0.  Exit status 1 lists
+paths, can match byte for byte.  Every step must exit 0.  Called with other
+than three paths the tool prints its usage line and exits 2.  Exit status 1 lists
 the output files that differ or exist in one tree only.  After each differing
 .json file come the max absolute gaps of its numeric values, one per key path
 (list indices dropped, so `model.J` covers every coupling) that differs; after
@@ -16,8 +17,10 @@ each differing .csv file, the max absolute gap over its numeric cells.
 The steps:
 - every prep and pass step of perfbench's three workloads (desk_fit,
   maxent_exact with its three ticker blocks, mc_noise) at market seeds 77 and 12;
-- the C12 pipeline of tests/test_acceptance.py (four OHLC files and an N=12
-  model; all twelve subcommands, run from inside their output directory);
+- acceptance gate C12's pipeline as tests/c12_pipeline.py defines it, the one
+  definition that tests/test_acceptance.py and tests/test_cli.py run too (four
+  OHLC files and an N=12 model; all twelve subcommands, run from inside their
+  output directory);
 - ingest, moments, spectrum, fit (tap-inv, plm and exact), multiinfo and
   sample on twelve OHLC files of seed 5: three each with '\\n', '\\r\\n' and a
   lone '\\r' line endings, three '\\r\\n' files with quoted dates; every file
@@ -43,11 +46,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import c12_pipeline  # noqa: E402
 import gen  # noqa: E402
 import workloads  # noqa: E402
 
+USAGE = "usage: python tools/artifact_diff.py OLD_TREE NEW_TREE WORKDIR"
 SEEDS = (77, 12)
 RUN_STEPS = """
 import json, os, pathlib, sys
@@ -61,45 +66,8 @@ for cwd, argv in json.loads(pathlib.Path(sys.argv[1]).read_text()):
 
 
 def c12_steps(inputs: Path, out: Path) -> list:
-    data = inputs / "c12"
-    data.mkdir(parents=True)
-    rng = np.random.default_rng(0)
-    for ticker in ("aaa", "bbb", "ccc", "ddd"):
-        lines = ["Date,Open,High,Low,Close,Volume"]
-        price = 10.0
-        for day in range(1, 25):
-            close = price * (1.0 + 0.01 * rng.standard_normal())
-            lines.append(f"2021-05-{day:02d},{price:.4f},{max(price, close):.4f},"
-                         f"{min(price, close):.4f},{close:.4f},100")
-            price = close
-        (data / f"{ticker}.csv").write_text("\n".join(lines) + "\n")
-    n = 12
-    coupling = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    coupling[iu] = np.random.default_rng(1).normal(0.0, 0.2, len(iu[0]))
-    coupling = coupling + coupling.T
-    model = data / "model.json"
-    model.write_text(json.dumps({"N": n, "h": np.random.default_rng(2).normal(0, 0.2, n).tolist(),
-                                 "J": coupling.ravel().tolist()}))
-    points = data / "points.csv"
-    points.write_text("N,mean\n20,0.11\n40,0.049\n80,0.026\n160,0.012\n")
-    ohlc = sorted(str(p) for p in data.glob("[a-d]*.csv"))
-    steps = [
-        ["ingest", *ohlc],
-        ["sample", "--model", str(model), "--rows", "2000", "--burn-in", "200", "--seed", "13"],
-        ["moments", "--spins", "spins.csv"],
-        ["spectrum", "--spins", "spins.csv", "--bins", "12"],
-        ["fit", "--method", "tap-inv", "--spins", "spins.csv"],
-        ["tap", "--model", "fit.json", "--spins", "spins.csv"],
-        ["multiinfo", "--spins", "spins.csv"],
-        ["bias", "--model", "fit.json", "--spins", "spins.csv"],
-        ["normality", "--model", "fit.json", "--quantiles", "10", "--bins", "4", "--trim", "0.0"],
-        ["scaling", "--points", str(points)],
-        ["noise", "--fit", "fit.json", "--t", "400", "--method", "nmf", "--seed", "4"],
-        ["critical-demo", "--n", "20", "--t", "200", "--coupling", "0.0", "--seed", "6",
-         "--burn-in", "100"],
-    ]
-    return [[str(out / "c12"), [*step, "-o", "."]] for step in steps]
+    ohlc, model, points = c12_pipeline.write_inputs(inputs / "c12")
+    return [[str(out / "c12"), argv] for argv in c12_pipeline.steps(ohlc, model, points)]
 
 
 def mixed_steps(inputs: Path, out: Path) -> list:
@@ -200,7 +168,11 @@ def gaps(old: Path, new: Path) -> str:
 
 
 def main(argv=None) -> int:
-    old, new, work = (Path(a).resolve() for a in (argv or sys.argv[1:]))
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 3:
+        print(USAGE, file=sys.stderr)
+        return 2
+    old, new, work = (Path(a).resolve() for a in argv)
     run, inputs = work / "run", work / "inputs"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     outs = []
