@@ -24,6 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from ._native import blas_threads
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -39,7 +40,7 @@ from .newton import newton
 
 CONDITION_LIMIT = 1e12
 _CLAMP_ESCALATION = 0.2
-_SPLIT_WORK = 2**22  # t n^2 multiply-adds a GEMM from which a PLM fit uses two threads
+_THREADED_WORK = 2**22  # t n^2 multiply-adds a GEMM from which a PLM fit uses two BLAS threads
 
 
 def _inverse_correlations(c: np.ndarray, ridge: float) -> np.ndarray:
@@ -127,12 +128,12 @@ def _pinned(spins: np.ndarray) -> np.ndarray:
     return tied[1:].any(axis=1)
 
 
-def _moment_preconditioner(spins: np.ndarray, ridge: float, mean_weights):
+def _moment_preconditioner(spins: np.ndarray, ridge: float):
     """newton's precondition(state, shift) for the PLM rows; None at ridge 0.
 
     Row i's Hessian (1/T) A_i^T diag(w_i) A_i + 2 ridge I, A_i = (1, S) with s_i's
     column made the intercept, is preconditioned by M_i = c_i G_i + sigma I:
-    c_i = mean_weights(state)[i], the mean of w_i; sigma = 2 ridge + shift; G_i
+    c_i the mean of w_i, column i of state[0]; sigma = 2 ridge + shift; G_i
     the moment matrix G = [1 S]^T [1 S] / T without s_i, the intercept in its
     place.  G = U diag(lam) U^T once per fit gives B_i = (c_i G + sigma I)^-1 =
     U diag(1 / (c_i lam + sigma)) U^T, and with k = i + 1 and -k every other
@@ -151,7 +152,7 @@ def _moment_preconditioner(spins: np.ndarray, ridge: float, mean_weights):
     rows, pivots = np.arange(n), np.arange(1, n + 1)
 
     def precondition(state, shift: float):
-        spectrum = 1.0 / (np.outer(mean_weights(state), eigenvalues) + (2.0 * ridge + shift))
+        spectrum = 1.0 / (np.outer(state[0].mean(axis=0), eigenvalues) + (2.0 * ridge + shift))
         downdate = (spectrum * basis[1:]) @ basis.T  # row i: B_i[:, k]
         downdate /= downdate[rows, pivots][:, None]  # over B_i[k, k]
 
@@ -182,51 +183,34 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
     problems, so the others are fitted as alone.
     Returns (W, iterations, max-abs gradient).
 
-    From _SPLIT_WORK multiply-adds a GEMM, the spins are cut in halves and each
-    gradient and product hands one half's rows of W, and its columns of F, to
-    the thread of a one-worker pool.  The pool is joined on every exit, so no
-    half outlives the fit.  Every entry is computed as without the split, so W
-    does not depend on it.
+    From _THREADED_WORK multiply-adds a GEMM, the fit runs with OpenBLAS on at
+    least two threads (``_native.blas_threads``), smaller fits at its own
+    count.  A threaded BLAS blocks a GEMM by its thread count, so W's last
+    bits follow the count that the fit ran at.
     """
     t, n = spins.shape
-    parts = 2 if t * n * n >= _SPLIT_WORK else 1
-    cols = [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
-    # T x |c| workspace per part: newton keeps at most one state, so evaluate may reuse miss
-    fields, miss, signed = ([np.empty((t, c.stop - c.start)) for c in cols] for _ in range(3))
-
-    def run(job):  # job(k) for every part k, part 1 on the pool's thread
-        if parts == 1:
-            return job(0)
-        half = pool.submit(job, 1)
-        job(0)
-        half.result()
+    # T x N workspace: newton keeps at most one state, so evaluate may reuse miss
+    fields, miss, signed = (np.empty((t, n)) for _ in range(3))
 
     def product(v: np.ndarray, weigh) -> np.ndarray:
-        """Row i: a[:, i] @ (S, column i = 1) / t, a = weigh(k, columns c of F) for i in c."""
+        """Row i: a[:, i] @ (S, column i = 1) / t, a = weigh(F)."""
         off = v.copy()
         off.reshape(-1)[::n + 1] = 0.0
-        out = np.empty((n, n))
-
-        def part(k):
-            c = cols[k]
-            np.matmul(spins, off[c].T, out=fields[k])
-            fields[k] += v.diagonal()[c]
-            a = weigh(k, fields[k])
-            np.matmul(a.T, spins, out=out[c])
-            np.fill_diagonal(out[c, c], a.sum(axis=0))
-        run(part)
+        np.matmul(spins, off.T, out=fields)
+        a = weigh(np.add(fields, v.diagonal(), out=fields))
+        out = a.T @ spins
+        np.fill_diagonal(out, a.sum(axis=0))
         out /= t
         return out
 
-    def signed_miss(k, f):  # also leaves part k's Hessian weights in miss[k]
-        s, m = spins[:, cols[k]], miss[k]
-        np.multiply(f, s, out=m)
-        np.tanh(m, out=m)
-        np.subtract(1.0, m, out=m)  # 2 (1 - sigma(2 s F))
-        np.multiply(s, m, out=signed[k])
-        np.subtract(2.0, m, out=f)
-        m *= f  # 4 sigma (1 - sigma), the Hessian weights
-        return signed[k]
+    def signed_miss(f):  # also leaves the Hessian weights in miss
+        np.multiply(f, spins, out=miss)
+        np.tanh(miss, out=miss)
+        np.subtract(1.0, miss, out=miss)  # 2 (1 - sigma(2 s F))
+        np.multiply(spins, miss, out=signed)
+        np.subtract(2.0, miss, out=f)
+        np.multiply(miss, f, out=miss)  # 4 sigma (1 - sigma), the Hessian weights
+        return signed
 
     def evaluate(x: np.ndarray):
         w = x.reshape(n, n)
@@ -238,21 +222,13 @@ def _plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: int,
 
     def hessp(state, v: np.ndarray) -> np.ndarray:
         v = v.reshape(n, n)
-        out = product(v, lambda k, f: np.multiply(f, state[0][k], out=f))
+        out = product(v, lambda f: np.multiply(f, state[0], out=f))
         out += 2.0 * ridge * v
         return out.ravel()
 
-    start = np.zeros(n * n)
-    precondition = _moment_preconditioner(
-        spins, ridge, lambda state: np.concatenate([m.mean(axis=0) for m in state[0]]))
-    if parts == 1:
-        x, iterations, residual = newton(evaluate, hessp, start, tol, max_iter, precondition)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
-
-        # should job(0) raise, leaving the block waits out the half still in the workspace
-        with ThreadPoolExecutor(1, "plm-half") as pool:
-            x, iterations, residual = newton(evaluate, hessp, start, tol, max_iter, precondition)
+    with blas_threads(2 if t * n * n >= _THREADED_WORK else 1):
+        x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter,
+                                         _moment_preconditioner(spins, ridge))
     return x.reshape(n, n), iterations, residual
 
 

@@ -4,8 +4,9 @@ planted_model draws a model with Gaussian couplings; homogeneous_model builds
 C13's planted models, one coupling off the diagonal and h = 0.  spin_matrix
 labels a table of spins t0.. by d0.. and hands its values to SpinMatrix as
 given, so they are checked before the int8 cast.  run_fresh runs code in a
-fresh interpreter that imports this package and this module; run_joined runs
-calls each on a thread of its own, joined with a timeout.
+fresh interpreter that imports this package and this module, and fails its
+test after FRESH_TIMEOUT seconds, as every child process of the tests does;
+run_joined runs calls each on a thread of its own, joined with a timeout.
 
 The oracles enumerate configurations with itertools and per-state arithmetic,
 deliberately avoiding the package's blockwise split-spin enumeration.
@@ -13,10 +14,10 @@ reference_glauber is the sampler's sweep loop in plain Python, the oracle
 that the compiled kernel must reproduce bit for bit.  reference_plm fits the
 pseudo-likelihood one spin at a time, each with its own dense Newton solve and
 Armijo line search: the oracle for the joint fit in inverse.plm_fit.
-reference_plm_rows is that joint fit without the split of its products across
-two threads, the oracle that inverse._plm_rows must match bit for bit; it
-takes the package's moment preconditioner, or with precondition=False solves
-by plain CG, the oracle for that preconditioner.
+reference_plm_rows is that joint fit written plainly, the oracle that
+inverse._plm_rows must match bit for bit when both run at one BLAS thread
+count; it takes the package's moment preconditioner, or with
+precondition=False solves by plain CG, the oracle for that preconditioner.
 reference_separated_spins finds the spins whose conditional likelihood some
 direction separates, in many spin matrices by one linear program, the oracle
 for the ridge-0 existence check in inverse.plm_fit.
@@ -31,7 +32,7 @@ spin scan (scanned_first_bad_line) and the bisection _first_bad_line report.
 numpy_parse_ohlc and numpy_read_spin_csv are the numpy routes that the C
 scan of isingmarket/_scan.c replaced, kept as its differential oracles.
 The autouse fixture no_pool_thread_outlives_a_test fails every test after which
-a thread of the sampler's or the PLM fit's one-worker pool is still alive.
+a thread of the sampler's one-worker pool is still alive.
 """
 
 import csv
@@ -128,11 +129,14 @@ def spin_matrix(values, tickers=None):
     return SpinMatrix(tickers or [f"t{i}" for i in range(n)], [f"d{k}" for k in range(t)], values)
 
 
+FRESH_TIMEOUT = 120  # seconds a child process may take before its test fails
+
+
 def run_fresh(code, *args, **env):
     """stdout of code run by a fresh interpreter that imports this package and conftest."""
     path = os.pathsep.join(str(Path(__file__).parents[1] / d) for d in ("src", "tests"))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          check=True, timeout=120,
+                          check=True, timeout=FRESH_TIMEOUT,
                           env=dict(os.environ, PYTHONPATH=path, **env)).stdout
 
 
@@ -320,8 +324,7 @@ def reference_plm_rows(spins: np.ndarray, ridge: float, tol: float, max_iter: in
         weighted *= state[0]
         return (rows_times_design(weighted) / t + 2.0 * ridge * v).ravel()
 
-    preconditioner = (_moment_preconditioner(spins, ridge, lambda state: state[0].mean(axis=0))
-                      if precondition else None)
+    preconditioner = _moment_preconditioner(spins, ridge) if precondition else None
     x, iterations, residual = newton(evaluate, hessp, np.zeros(n * n), tol, max_iter,
                                      preconditioner)
     return x.reshape(n, n), iterations, residual
@@ -763,8 +766,7 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_pool_thread_outlives_a_test():
-    # the pools' threads are not daemons: a leaked one would keep the CLI process alive
+    # the pool's thread is not a daemon: a leaked one would keep the CLI process alive
     yield
-    alive = [t.name for t in threading.enumerate()
-             if t.name.startswith(("glauber-draw", "plm-half"))]
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("glauber-draw")]
     assert not alive, f"pool threads still alive after the test: {alive}"

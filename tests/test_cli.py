@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import isingmarket
 import c12_pipeline
-from conftest import planted_model, run_fresh
+from conftest import FRESH_TIMEOUT, planted_model, run_fresh
 from isingmarket import SamplerConfig, glauber_sample, inverse
 from isingmarket.cli import COMMANDS, main
 from isingmarket.ingest import SpinMatrix, read_spin_csv, write_spin_csv
@@ -64,8 +64,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # the sampler and the PLM fit import concurrent.futures, which loads logging, only
-    # when they make their pool, so no command pays for it at import
+    # the sampler imports concurrent.futures, which loads logging, only when it
+    # makes its pool, so no command pays for it at import
     code = ("import sys, isingmarket.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'logging')))")
     assert run_fresh(code).strip() == "[]"
@@ -632,7 +632,7 @@ def test_a_non_ascii_ticker_reads_the_same_under_an_ascii_locale(tmp_path):
                      ["tap", "--model", model, "--spins", str(spins)]):
             done = subprocess.run(
                 [sys.executable, "-m", "isingmarket.cli", *argv, "-o", str(tmp_path / name)],
-                env=env, capture_output=True)
+                env=env, capture_output=True, timeout=FRESH_TIMEOUT)
             assert done.returncode == 0, (name, argv[0], done.stderr)
         outputs[name] = [(tmp_path / name / artifact).read_bytes()
                          for artifact in ("moments.json", "tap_pairs.csv")]

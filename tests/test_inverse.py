@@ -1,11 +1,9 @@
+import contextlib
 import json
 import math
 import re
 import sys
-import threading
-import time
 from decimal import Decimal, localcontext
-from threading import Thread
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from isingmarket import (
     IsingModel,
     SamplerConfig,
     SpinMatrix,
+    _native,
     empirical_moments,
     exact_moments,
     fit_maxent_exact,
@@ -311,8 +310,8 @@ def test_moment_preconditioner_solves_each_rows_damped_moment_system():
     spins[:, 2] = 1.0
     spins[:, 5] = -spins[:, 4]
     ridge, shift, weights = 1e-3, 0.05, rng.uniform(0.1, 1.0, 7)
-    assert _moment_preconditioner(spins, 0.0, lambda state: weights) is None
-    psolve = _moment_preconditioner(spins, ridge, lambda state: state)(weights, shift)
+    assert _moment_preconditioner(spins, 0.0) is None
+    psolve = _moment_preconditioner(spins, ridge)((weights[None, :],), shift)  # c_i: weights[i]
     r = rng.normal(size=(7, 7))
     z = psolve(r.ravel()).reshape(7, 7)
     for i in range(7):
@@ -353,12 +352,12 @@ def test_preconditioned_plm_matches_plain_cg_with_no_more_products(model, rows, 
     assert products[0] <= products[1]
 
 
-# ---------------------------------------------------- plm on two threads
+# ------------------------------------------------ plm on two BLAS threads
 
 _SPLIT_FITS = """
-import json, numpy as np
+import json, os, numpy as np
 from conftest import homogeneous_model, planted_model, reference_plm_rows
-from isingmarket import SamplerConfig, glauber_sample
+from isingmarket import SamplerConfig, _native, glauber_sample
 from isingmarket.inverse import _pinned, _plm_rows
 
 def sample(model, rows, seed):
@@ -369,133 +368,117 @@ def tied(spins):  # spin 3 constant, spin 7 opposite to spin 11: rows held at ri
     spins[:, 7] = -spins[:, 11]
     return spins
 
-same = []
-for spins, ridge in [(sample(planted_model(50, 0.02, 0.3, 77), 4809, 77), 1e-3),
-                     (sample(homogeneous_model(40, 0.5 / 40), 10**4, 40), 1e-3),
-                     (sample(homogeneous_model(80, 0.5 / 80), 10**4, 80), 1e-3),
-                     (sample(planted_model(51, 0.02, 0.3, 51), 3000, 51), 1e-3),
-                     (tied(sample(planted_model(50, 0.02, 0.3, 77), 4809, 77)), 0.0)]:
+def tasks():  # the process's threads, the BLAS's own among them
+    return len(os.listdir("/proc/self/task"))
+
+def same(spins, ridge):
     held = _pinned(spins) if ridge == 0.0 else None
-    (w, *rest), (w_ref, *rest_ref) = (fit(spins, ridge, 1e-8, 500, held)
-                                      for fit in (_plm_rows, reference_plm_rows))
-    same.append([w.tobytes() == w_ref.tobytes(), rest == rest_ref, rest[0]])
-print(json.dumps(same))
+    w, *rest = _plm_rows(spins, ridge, 1e-8, 500, held)
+    with _native.blas_threads(2):  # the count that the fit ran at
+        w_ref, *rest_ref = reference_plm_rows(spins, ridge, 1e-8, 500, held)
+    return [w.tobytes() == w_ref.tobytes(), rest == rest_ref, rest[0]]
+
+desk = sample(planted_model(50, 0.02, 0.3, 77), 4809, 77)
+cases = [(homogeneous_model(40, 0.5 / 40), 10**4, 40), (homogeneous_model(80, 0.5 / 80), 10**4, 80),
+         (planted_model(51, 0.02, 0.3, 51), 3000, 51)]
+fits = [(desk, 1e-3)] + [(sample(*case), 1e-3) for case in cases] + [(tied(desk.copy()), 0.0)]
+found, _native._blas_thread_count = _native._blas_thread_count, lambda: None  # absent
+before = tasks()
+absent = same(desk, 1e-3) + [tasks() - before]
+_native._blas_thread_count = found
+print(json.dumps([absent] + [same(*fit) for fit in fits] + [tasks() - before]))
 """
 
 
 def test_split_plm_matches_the_unsplit_fit_bit_for_bit():
-    # all five fits split (t n^2 >= 2^22): desk_fit's shape, C13's n = 40 and n = 80,
-    # an odd n, whose halves are unequal, and a ridge-0 fit with held rows.
-    # One BLAS thread, as the benchmark runs: a threaded BLAS blocks a GEMM by its
-    # thread count, so the last bits of even the unsplit fit move with that count
+    # all six fits run on two BLAS threads (t n^2 >= 2^22): desk_fit's shape, with
+    # the thread-count symbols found absent and then present, C13's n = 40 and
+    # n = 80, an odd n, and a ridge-0 fit with held rows.  OpenBLAS blocks a GEMM
+    # by its thread count, so the oracle runs at the count of the fit; started at
+    # one, the fit that finds no symbols runs on it alone and starts no thread
+    rows = json.loads(run_fresh(_SPLIT_FITS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+    (*absent, started_absent), *present, started = rows
+    assert started_absent == 0 and started >= 1
     for shape, (same_w, same_rest, iterations) in zip(
-            ["4809 x 50", "C13 n=40", "C13 n=80", "3000 x 51", "4809 x 50 held, ridge 0"],
-            json.loads(run_fresh(
-                _SPLIT_FITS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))):
+            ["4809 x 50, symbols absent", "4809 x 50", "C13 n=40", "C13 n=80", "3000 x 51",
+             "4809 x 50 held, ridge 0"], [absent, *present]):
         assert same_w and same_rest, shape
         assert iterations >= 3, shape
 
 
-class _FailingOffTheCaller:
-    """numpy for inverse, except that tanh raises on every thread but the caller's."""
+class _RecordingBlas:
+    """A BLAS thread count that records each set; newton reads it during the solve."""
 
-    def __init__(self, caller):
-        self.caller = caller
+    def __init__(self, count, monkeypatch, fail=False):
+        self.count, self.sets, self.seen = count, [], []
+        monkeypatch.setattr(_native, "_blas_thread_count", lambda: (self.get, self.set))
+        solve = inverse.newton
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+        def recording_newton(evaluate, hessp, start, *args):
+            self.seen.append(self.count)
+            if fail:
+                evaluate(start)
+                raise RuntimeError("injected mid-solve")
+            return solve(evaluate, hessp, start, *args)
+        monkeypatch.setattr(inverse, "newton", recording_newton)
 
-    def tanh(self, *args, **kwargs):
-        if threading.current_thread() is not self.caller:
-            raise RuntimeError("injected into a helper job")
-        return np.tanh(*args, **kwargs)
+    def get(self):
+        return self.count
 
-
-def test_plm_starts_a_helper_from_the_gate_on_and_leaves_no_thread(monkeypatch):
-    # t n^2 = 4095 * 32^2 is one row below the gate of 2^22 multiply-adds
-    values = np.random.default_rng(5).choice([-1, 1], size=(4096, 32))
-    before = threading.active_count()
-    started = []
-
-    def spy(*args, **kwargs):
-        started.append(Thread(*args, **kwargs))
-        return started[-1]
-
-    for rows, helpers in [(4095, 0), (4096, 1)]:
-        mat = spin_matrix(values[:rows])
-        with monkeypatch.context() as patch:
-            patch.setattr(threading, "Thread", spy)
-            assert run_joined([lambda: plm_fit(mat, max_iter=2)]) == [None]
-        assert len(started) == helpers, rows
-        assert threading.active_count() == before, rows
-
-    def fail_in_the_helper():
-        monkeypatch.setattr(inverse, "np", _FailingOffTheCaller(threading.current_thread()))
-        plm_fit(mat)
-
-    raised, = run_joined([fail_in_the_helper])
-    monkeypatch.undo()
-    assert isinstance(raised, RuntimeError) and "helper job" in str(raised)
-    assert threading.active_count() == before
+    def set(self, count):
+        self.sets.append(count)
+        before, self.count = self.count, count
+        return before
 
 
-def test_each_split_gradient_and_product_hands_the_pool_one_job(monkeypatch):
-    from concurrent.futures import ThreadPoolExecutor
-
-    mat = spin_matrix(np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
-    calls = {"submit": 0, "evaluate": 0, "hessp": 0}
-    submit, solve = ThreadPoolExecutor.submit, inverse.newton
-
-    def counted_submit(pool, *args, **kwargs):
-        calls["submit"] += 1
-        return submit(pool, *args, **kwargs)
-
-    def counted_newton(evaluate, hessp, *args):
-        def counted_evaluate(x):
-            calls["evaluate"] += 1
-            return evaluate(x)
-
-        def counted_hessp(state, v):
-            calls["hessp"] += 1
-            return hessp(state, v)
-        return solve(counted_evaluate, counted_hessp, *args)
-
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
-    monkeypatch.setattr(inverse, "newton", counted_newton)
-    plm_fit(mat, max_iter=3)
-    assert calls["evaluate"] >= 2 and calls["hessp"] >= 2
-    assert calls["submit"] == calls["evaluate"] + calls["hessp"]
+@pytest.mark.parametrize("rows, count, fail, seen, sets", [
+    (4096, 1, False, 2, [2, 1]),  # t n^2 = 4096 * 32^2 = 2^22: raised, then restored
+    (4096, 1, True, 2, [2, 1]),   # restored also when the solve raises
+    (4095, 1, False, 1, []),      # one row below the gate: never set
+    (4096, 4, False, 4, []),      # a higher count is never lowered
+])
+def test_a_plm_fit_raises_the_blas_count_from_the_gate_on_and_restores_it(
+        monkeypatch, rows, count, fail, seen, sets):
+    values = np.random.default_rng(5).choice([-1, 1], size=(rows, 32)).astype(float)
+    blas = _RecordingBlas(count, monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="mid-solve") if fail else contextlib.nullcontext():
+        _plm_rows(values, 1e-3, 1e-8, 2)
+    assert (blas.seen, blas.sets, blas.count) == ([seen], sets, count)
 
 
-class _FailingOnTheCaller(_FailingOffTheCaller):
-    """numpy for inverse, except that tanh raises on the caller's thread only; on
-    the pool's thread it first sleeps, so the pool's half outlasts the caller's."""
+def test_concurrent_fits_share_one_raise_of_the_blas_count():
+    # started at one BLAS thread, every Hessian product of a fit above the gate runs
+    # on two, also while other fits open and close around it, and one is left after
+    code = """
+import numpy as np
+from conftest import run_joined, spin_matrix
+from isingmarket import _native, inverse, plm_fit
 
-    def tanh(self, *args, **kwargs):
-        if threading.current_thread() is self.caller:
-            raise RuntimeError("injected into the caller's half")
-        time.sleep(0.05)
-        return np.tanh(*args, **kwargs)
+get, solve, seen = _native._blas_thread_count()[0], inverse.newton, set()
 
+def recording_newton(evaluate, hessp, *args):
+    def recording_hessp(state, v):
+        seen.add(get())
+        return hessp(state, v)
+    return solve(evaluate, recording_hessp, *args)
 
-def test_a_split_fit_whose_caller_half_fails_raises_that_and_leaves_no_thread(monkeypatch):
-    mat = spin_matrix(np.random.default_rng(5).choice([-1, 1], size=(4096, 32)))  # above the gate
-    before = threading.active_count()
+inverse.newton = recording_newton
+mat = spin_matrix(np.random.default_rng(7).choice([-1, 1], size=(4096, 32)))
+before, alone = get(), plm_fit(mat, max_iter=3).model.J
 
-    def fail_in_the_caller():
-        monkeypatch.setattr(inverse, "np", _FailingOnTheCaller(threading.current_thread()))
-        plm_fit(mat)
+def fit_alike():
+    assert np.array_equal(plm_fit(mat, max_iter=3).model.J, alone)
 
-    raised, = run_joined([fail_in_the_caller])
-    monkeypatch.undo()
-    assert isinstance(raised, RuntimeError) and "caller's half" in str(raised)
-    assert threading.active_count() == before
+assert run_joined([fit_alike] * 8) == [None] * 8
+print(before, sorted(seen), get())
+"""
+    assert run_fresh(code, OPENBLAS_NUM_THREADS="1").split() == ["1", "[2]", "1"]
 
 
 def test_split_fits_under_contention_match_the_fit_alone():
-    # four concurrent fits, so four pools, on two cores with a short switch interval
-    # press on the handoffs: a half read before it is written, or a workspace that a
-    # half overwrites while the other still reads it, changes W
+    # four concurrent fits on two cores with a short switch interval: a fit whose
+    # BLAS count another fit's exit changes mid-solve, or that reads a workspace
+    # another fit writes, changes W
     mat = spin_matrix(np.random.default_rng(7).choice([-1, 1], size=(4096, 32)))
     alone = plm_fit(mat, max_iter=3).model.J
 

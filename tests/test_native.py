@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run_fresh
+from conftest import FRESH_TIMEOUT, run_fresh
 from isingmarket import _native, ingest
 from isingmarket.cli import main
 from isingmarket.errors import KernelBuildError
@@ -19,7 +19,7 @@ def test_both_c_sources_compile_cleanly_with_all_warnings():
     assert [path.name for path in SOURCES] == ["_glauber.c", "_scan.c"]
     for path in SOURCES:
         done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(path)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=FRESH_TIMEOUT)
         assert done.returncode == 0, done.stderr
 
 
